@@ -36,11 +36,22 @@ def _add_io_args(parser, out_required=True):
     )
 
 
+def _add_schema_args(parser):
+    parser.add_argument(
+        "--schema",
+        required=True,
+        type=lambda s: s.replace("-", "_"),
+        choices=["seq2rel", "rel_is", "natural_lang"],
+        metavar="{seq2rel|rel-is|natural-lang}",
+        help="target schema",
+    )
+    parser.add_argument("--noun-map", help="JSON file mapping predicates to nouns (rel-is)")
+
+
 def _load_noun_map(path: str | None) -> dict[str, str] | None:
     if path is None:
         return None
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return schema_mod.validate_noun_map(payload)
+    return schema_mod.validate_noun_map(json.loads(standoff.read_file(path)))
 
 
 def cmd_repair(args) -> int:
@@ -128,20 +139,14 @@ def cmd_encode(args) -> int:
     )
     out = Path(args.out_file)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", encoding="utf-8") as handle:
-        for ex in examples:
-            handle.write(
-                json.dumps(
-                    {"doc_id": ex.doc_id, "source": ex.source, "target": ex.target},
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    records = (
+        json.dumps({"doc_id": ex.doc_id, "source": ex.source, "target": ex.target}, ensure_ascii=False)
+        for ex in examples
+    )
+    standoff.write_file(out, standoff.join_records(records, out))
     if args.schema == schema_mod.SCHEMA_SEQ2REL:
         vocab_path = out.parent / "special_tokens.txt"
-        vocab_path.write_text(
-            "".join(tok + "\n" for tok in schema_mod.special_tokens()), encoding="utf-8"
-        )
+        standoff.write_file(vocab_path, standoff.join_records(schema_mod.special_tokens(), vocab_path))
         print(f"wrote {len(examples)} examples to {out} and tokens to {vocab_path}")
     else:
         print(f"wrote {len(examples)} examples to {out}")
@@ -158,17 +163,18 @@ def cmd_decode(args) -> int:
     for path in sorted(in_dir.iterdir()):
         if not path.is_file():
             continue
-        generation = path.read_text(encoding="utf-8")
+        generation = standoff.read_file(path)
         if not args.raw:
             generation = schema_mod.normalize_generation(generation)
         triples, skipped = schema_mod.decode_target_report(generation, args.schema, noun_map)
         triples_by_doc[path.stem] = triples
-        report_lines.extend(f"{path.stem}\t{reason}\t{segment}" for segment, reason in skipped)
+        # a raw generation's segments may hold line breaks; the report keeps one per line
+        report_lines.extend(
+            f"{path.stem}\t{reason}\t{' '.join(segment.split())}" for segment, reason in skipped
+        )
     scoring_mod.write_triples_file(triples_by_doc, args.out_file)
     if args.report:
-        Path(args.report).write_text(
-            "".join(line + "\n" for line in report_lines), encoding="utf-8"
-        )
+        standoff.write_file(args.report, standoff.join_records(report_lines, args.report))
     total = sum(len(v) for v in triples_by_doc.values())
     print(
         f"decoded {total} triples from {len(triples_by_doc)} generations "
@@ -190,9 +196,7 @@ def cmd_score(args) -> int:
     )
     print(scoring_mod.format_report(report), end="")
     if args.out_json:
-        Path(args.out_json).write_text(
-            json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        standoff.write_file(args.out_json, json.dumps(report.to_dict(), indent=2) + "\n")
     return 0
 
 
@@ -258,29 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="write model-target records for a schema")
     _add_io_args(p, out_required=False)
     p.add_argument("--out", dest="out_file", required=True, help="output records file (JSONL)")
-    p.add_argument(
-        "--schema",
-        required=True,
-        type=lambda s: s.replace("-", "_"),
-        choices=["seq2rel", "rel_is", "natural_lang"],
-        metavar="{seq2rel|rel-is|natural-lang}",
-        help="target schema",
-    )
+    _add_schema_args(p)
     p.add_argument("--copy-instruct", action="store_true", help="prefix the copy instruction")
-    p.add_argument("--noun-map", help="JSON file mapping predicates to nouns (rel-is)")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="decode generation files back into triples")
     p.add_argument("--in", dest="input_dir", required=True, help="directory of generation files")
     p.add_argument("--out", dest="out_file", required=True, help="output triples file (TSV)")
-    p.add_argument(
-        "--schema",
-        required=True,
-        type=lambda s: s.replace("-", "_"),
-        choices=["seq2rel", "rel_is", "natural_lang"],
-        metavar="{seq2rel|rel-is|natural-lang}",
-    )
-    p.add_argument("--noun-map", help="JSON file mapping predicates to nouns (rel-is)")
+    _add_schema_args(p)
     p.add_argument("--raw", action="store_true", help="skip generation normalization")
     p.add_argument("--report", help="write skipped-segment diagnostics to this file")
     p.set_defaults(func=cmd_decode)

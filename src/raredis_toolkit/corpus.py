@@ -9,6 +9,7 @@ from pathlib import Path
 
 from .errors import SplitError
 from .standoff import ENTITY_TYPES, PREDICATES, AnnotatedDocument, EntityMention
+from .standoff import join_records, read_file, split_records, write_file
 
 SHAPE_FLAT = "flat"
 SHAPE_DISCONTINUOUS = "discontinuous"
@@ -109,7 +110,7 @@ def format_stats(stats_by_split: dict[str, CorpusStats]) -> str:
 
 def write_stats_json(stats_by_split: dict[str, CorpusStats], path: str | Path) -> None:
     payload = {name: stats.to_dict() for name, stats in stats_by_split.items()}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_file(path, json.dumps(payload, indent=2) + "\n")
 
 
 @dataclass(frozen=True)
@@ -174,10 +175,10 @@ def split_corpus(
 
 def read_manifest(path: str | Path) -> tuple[str, ...]:
     """Newline-separated doc_id file; blank lines ignored."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = split_records(read_file(path))
     return tuple(line.strip() for line in lines if line.strip())
 
 
 def write_manifest(docs: list[AnnotatedDocument], path: str | Path) -> None:
     ids = sorted(doc.doc_id for doc in docs)
-    Path(path).write_text("".join(i + "\n" for i in ids), encoding="utf-8")
+    write_file(path, join_records(ids, path))

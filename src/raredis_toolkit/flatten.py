@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import FlattenError
-from .standoff import AnnotatedDocument, EntityMention, TextDocument
+from .standoff import AnnotatedDocument, EntityMention, TextDocument, read_file, write_file
 
 
 @dataclass(frozen=True)
@@ -172,8 +172,8 @@ def flatten_document(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, OffsetM
 
 
 def write_offset_map(offset_map: OffsetMap, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(offset_map.to_dict(), indent=2) + "\n", encoding="utf-8")
+    write_file(path, json.dumps(offset_map.to_dict(), indent=2) + "\n")
 
 
 def read_offset_map(path: str | Path) -> OffsetMap:
-    return OffsetMap.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return OffsetMap.from_dict(json.loads(read_file(path)))

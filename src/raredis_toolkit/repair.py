@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import RepairError
-from .standoff import AnnotatedDocument, EntityMention, compute_unresolved
+from .standoff import AnnotatedDocument, EntityMention, compute_unresolved, join_records, write_file
 
 RULE_RELATION_ARGUMENT = "relation_argument"
 RULE_SPAN_BOUNDARY = "span_boundary"
@@ -78,11 +78,8 @@ def fix_fragment_order(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, Repai
                     f"{doc.doc_id}: entity {ent.id} has overlapping fragments {_offsets_str(ordered)}"
                 )
         if ordered != ent.fragments:
-            fixed = replace(
-                ent,
-                fragments=ordered,
-                surface_text=" ".join(doc.text[s:e] for s, e in ordered),
-            )
+            fixed = replace(ent, fragments=ordered)
+            fixed = replace(fixed, surface_text=fixed.slice_text(doc.text))
             entries.append(
                 RepairEntry(
                     RULE_FRAGMENT_ORDER, ent.id, _offsets_str(ent.fragments), _offsets_str(ordered)
@@ -120,12 +117,8 @@ def _fix_entity_span(text: str, ent: EntityMention) -> tuple[EntityMention, Repa
             and _is_word(text[last_end - 1])
             and _ends_at_boundary(text, last_end + 1)
         ):
-            fixed_frags = (*head, (last_start, last_end + 1))
-            fixed = replace(
-                ent,
-                fragments=fixed_frags,
-                surface_text=" ".join(text[s:e] for s, e in fixed_frags),
-            )
+            fixed = replace(ent, fragments=(*head, (last_start, last_end + 1)))
+            fixed = replace(fixed, surface_text=fixed.slice_text(text))
             return fixed, RepairEntry(RULE_SPAN_BOUNDARY, ent.id, described(ent), described(fixed))
         return ent, None
 
@@ -134,11 +127,9 @@ def _fix_entity_span(text: str, ent: EntityMention) -> tuple[EntityMention, Repa
     for new_end in (last_end + 1, last_end - 1):
         if new_end <= last_start or new_end > len(text):
             continue
-        candidate = (*head, (last_start, new_end))
-        candidate_slices = " ".join(text[s:e] for s, e in candidate)
-        if candidate_slices == ent.surface_text and _ends_at_boundary(text, new_end):
-            fixed = replace(ent, fragments=candidate)
-            return fixed, RepairEntry(RULE_SPAN_BOUNDARY, ent.id, described(ent), described(fixed))
+        candidate = replace(ent, fragments=(*head, (last_start, new_end)))
+        if candidate.slice_text(text) == ent.surface_text and _ends_at_boundary(text, new_end):
+            return candidate, RepairEntry(RULE_SPAN_BOUNDARY, ent.id, described(ent), described(candidate))
 
     fixed = replace(ent, surface_text=slices)
     return fixed, RepairEntry(RULE_SPAN_BOUNDARY, ent.id, described(ent), described(fixed))
@@ -253,4 +244,4 @@ def summarize_repairs(docs_with_logs: list[tuple[AnnotatedDocument, RepairLog]])
 def write_repair_log(logs: list[RepairLog], path: str | Path) -> None:
     """Line-oriented audit file: `<doc_id> <rule> <target_id> <before> -> <after>`."""
     lines = [line for log in logs for line in log.lines()]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_file(path, join_records(lines, path))

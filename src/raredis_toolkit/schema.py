@@ -26,7 +26,7 @@ from .standoff import (
     normalize_entity_type,
     normalize_predicate,
 )
-from .triples import Triple, triple_key
+from .triples import Triple, distinct_triples
 
 logger = logging.getLogger(__name__)
 
@@ -126,14 +126,7 @@ def occurrence_ordered_triples(doc: AnnotatedDocument) -> list[Triple]:
         )
         keyed.append(((subj.first_start, obj.first_start, PREDICATE_TOKENS[rel.predicate]), triple))
     keyed.sort(key=lambda item: item[0])
-    out: list[Triple] = []
-    seen: set[tuple] = set()
-    for _, triple in keyed:
-        key = triple_key(triple)
-        if key not in seen:
-            seen.add(key)
-            out.append(triple)
-    return out
+    return list(distinct_triples(triple for _, triple in keyed).values())
 
 
 def encode_target(

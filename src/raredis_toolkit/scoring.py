@@ -10,12 +10,13 @@ types from the comparison (for schemas whose targets do not carry them).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ToolkitError
 from .standoff import PREDICATES, normalize_entity_type, normalize_predicate
-from .triples import Triple, normalize_text, normalize_triple, triple_key
+from .standoff import join_records, read_file, split_records, write_file
+from .triples import Triple, distinct_triples, normalize_text, triple_key
 
 ERROR_PARTIAL_MATCH = "partial_match"
 ERROR_TYPE_MISMATCH = "type_mismatch"
@@ -30,13 +31,18 @@ PARTIAL_MATCH_JACCARD = 0.5
 def collapse_duplicates(
     triples: list[Triple], strict_case: bool = False, type_agnostic: bool = False
 ) -> set[Triple]:
-    """Distinct triples under the scoring normalization; order-independent."""
-    out: dict[tuple, Triple] = {}
-    for t in triples:
-        key = triple_key(t, strict_case=strict_case, type_agnostic=type_agnostic)
-        if key not in out:
-            out[key] = normalize_triple(t, strict_case=strict_case)
-    return set(out.values())
+    """Distinct triples under the scoring normalization.
+
+    The first occurrence of each triple_key is kept, its entity texts
+    normalized unless strict_case is set.
+    """
+    firsts = distinct_triples(triples, strict_case, type_agnostic).values()
+    if strict_case:
+        return set(firsts)
+    return {
+        replace(t, subject_text=normalize_text(t.subject_text), object_text=normalize_text(t.object_text))
+        for t in firsts
+    }
 
 
 @dataclass(frozen=True)
@@ -84,10 +90,6 @@ class ScoreReport:
         }
 
 
-def _count_keys(gold_keys: set, pred_keys: set) -> tuple[set, set, set]:
-    return gold_keys & pred_keys, pred_keys - gold_keys, gold_keys - pred_keys
-
-
 def score(
     gold: list[Triple],
     predicted: list[Triple],
@@ -95,9 +97,7 @@ def score(
     type_agnostic: bool = False,
 ) -> ScoreReport:
     """Score one document's predictions against its gold triples."""
-    return merge_reports(
-        [score_document(gold, predicted, strict_case=strict_case, type_agnostic=type_agnostic)]
-    )
+    return score_corpus({"": gold}, {"": predicted}, strict_case, type_agnostic)
 
 
 def score_document(
@@ -108,16 +108,14 @@ def score_document(
 ) -> dict[str, PrfRow]:
     gold_keys = {triple_key(t, strict_case, type_agnostic) for t in gold}
     pred_keys = {triple_key(t, strict_case, type_agnostic) for t in predicted}
-    tp, fp, fn = _count_keys(gold_keys, pred_keys)
-    rows = {}
-    for predicate in PREDICATES:
-        # the predicate sits after the subject text in every key shape
-        rows[predicate] = PrfRow(
-            sum(1 for k in tp if k[1 if type_agnostic else 2] == predicate),
-            sum(1 for k in fp if k[1 if type_agnostic else 2] == predicate),
-            sum(1 for k in fn if k[1 if type_agnostic else 2] == predicate),
-        )
-    return rows
+    # the predicate sits after the subject text, and its types when kept
+    at = 1 if type_agnostic else 2
+    counts = {p: [0, 0, 0] for p in PREDICATES}  # tp, fp, fn
+    for k in pred_keys:
+        counts[k[at]][0 if k in gold_keys else 1] += 1
+    for k in gold_keys - pred_keys:
+        counts[k[at]][2] += 1
+    return {p: PrfRow(*c) for p, c in counts.items()}
 
 
 def merge_reports(per_document: list[dict[str, PrfRow]]) -> ScoreReport:
@@ -229,10 +227,15 @@ def categorize_errors(
     Hallucination detection needs the source document text; without it the
     remaining false positives fall through to "spurious".
     """
-    gold_c = {triple_key(t, strict_case, type_agnostic): normalize_triple(t, strict_case) for t in gold}
-    pred_c = {triple_key(t, strict_case, type_agnostic): normalize_triple(t, strict_case) for t in predicted}
-    fps = sorted((pred_c[k] for k in pred_c.keys() - gold_c.keys()), key=_sort_key)
-    fns = sorted((gold_c[k] for k in gold_c.keys() - pred_c.keys()), key=_sort_key)
+    gold_c = distinct_triples(gold, strict_case, type_agnostic)
+    pred_c = distinct_triples(predicted, strict_case, type_agnostic)
+
+    def unmatched(keys, firsts: dict[tuple, Triple]) -> list[Triple]:
+        # the keys are distinct, so collapse_duplicates only normalizes texts
+        return sorted(collapse_duplicates([firsts[k] for k in keys], strict_case, type_agnostic), key=_sort_key)
+
+    fps = unmatched(pred_c.keys() - gold_c.keys(), pred_c)
+    fns = unmatched(gold_c.keys() - pred_c.keys(), gold_c)
     all_fns = list(fns)
     records: list[ErrorRecord] = []
 
@@ -317,16 +320,15 @@ def categorize_errors(
 
 def write_error_records(records: list[ErrorRecord], path: str | Path) -> None:
     """Line-oriented audit file, one JSON record per line."""
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record.to_dict(), ensure_ascii=False) + "\n")
+    lines = (json.dumps(record.to_dict(), ensure_ascii=False) for record in records)
+    write_file(path, join_records(lines, path))
 
 
 def read_triples_file(path: str | Path) -> dict[str, list[Triple]]:
     """Tab-separated triples: doc_id, subject text, subject type, predicate,
     object text, object type. Empty type fields mean the type is unknown."""
     out: dict[str, list[Triple]] = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, raw in enumerate(split_records(read_file(path)), start=1):
         if not raw.strip():
             continue
         fields = raw.split("\t")
@@ -345,7 +347,11 @@ def read_triples_file(path: str | Path) -> dict[str, list[Triple]]:
                 raise ToolkitError(f"{path}:{line_no}: unknown entity type {label!r}")
             return t
 
-        out.setdefault(doc_id, []).append(Triple(s_text, typ(s_type), pred, o_text, typ(o_type)))
+        try:
+            triple = Triple(s_text, typ(s_type), pred, o_text, typ(o_type))
+        except ValueError as exc:
+            raise ToolkitError(f"{path}:{line_no}: {exc}") from exc
+        out.setdefault(doc_id, []).append(triple)
     return out
 
 
@@ -361,7 +367,7 @@ def write_triples_file(triples_by_doc: dict[str, list[Triple]], path: str | Path
                 t.object_text,
                 t.object_type or "",
             )
-            if any("\t" in f or "\n" in f for f in fields):
-                raise ToolkitError(f"{doc_id}: triple fields may not contain tabs or newlines")
+            if any("\t" in f for f in fields):
+                raise ToolkitError(f"{doc_id}: triple fields may not contain tabs")
             lines.append("\t".join(fields))
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_file(path, join_records(lines, path))

@@ -3,13 +3,15 @@
 Entity lines:   T<digits> TAB <TYPE> <start> <end>[;<start> <end>]* TAB <surface text>
 Relation lines: R<digits> TAB <TYPE> Arg1:T<digits> Arg2:T<digits>
 
-Offsets are character (code point) based, half-open. Parsing preserves
+Offsets are character (code point) based, half-open, into the files exactly
+as written (read_file never translates line endings). Parsing preserves
 whatever the annotation file says; defect correction lives in `repair`.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -157,21 +159,6 @@ class AnnotatedDocument:
     def entity_map(self) -> dict[str, EntityMention]:
         return {e.id: e for e in self.entities}
 
-    @classmethod
-    def build(
-        cls,
-        document: TextDocument,
-        entities: tuple[EntityMention, ...],
-        relations: tuple[RelationInstance, ...],
-    ) -> "AnnotatedDocument":
-        """Construct with unresolved_refs computed and id uniqueness checked."""
-        seen: set[str] = set()
-        for item in (*entities, *relations):
-            if item.id in seen:
-                raise ToolkitError(f"duplicate annotation id {item.id}")
-            seen.add(item.id)
-        return cls(document, entities, relations, compute_unresolved(entities, relations))
-
     def resolved_relations(self) -> list[tuple[RelationInstance, EntityMention, EntityMention]]:
         """Relations whose two arguments both resolve, with their entities."""
         out = []
@@ -196,6 +183,39 @@ def compute_unresolved(
     return tuple(out)
 
 
+def read_file(path: str | Path) -> str:
+    """A whole UTF-8 file, line endings exactly as written."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        return handle.read()
+
+
+def write_file(path: str | Path, content: str) -> None:
+    """Write content as UTF-8, line endings exactly as given."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(content)
+
+
+def split_records(content: str) -> list[str]:
+    r"""Records separated by "\n" only (U+2028, form feed, ... are content),
+    each stripped of one trailing "\r". Inverts join_records."""
+    records = content.split("\n")
+    if records[-1] == "":
+        records.pop()
+    return [r[:-1] if r.endswith("\r") else r for r in records]
+
+
+def join_records(records: Iterable[str], where: str | Path) -> str:
+    r"""Each record followed by "\n". Raises ToolkitError, naming `where` and
+    the record number, for a record split_records could not give back."""
+    records = list(records)
+    for line_no, record in enumerate(records, start=1):
+        if "\n" in record or record.endswith("\r"):
+            raise ToolkitError(
+                f"{where}:{line_no}: a record may not contain a line feed or end in a carriage return"
+            )
+    return "".join(r + "\n" for r in records)
+
+
 _ENTITY_MID_RE = re.compile(r"^(?P<label>.*\S)\s+(?P<offsets>\d+\s+\d+(?:\s*;\s*\d+\s+\d+)*)$")
 _RELATION_MID_RE = re.compile(r"^(?P<label>\S+)\s+Arg1:(?P<arg1>\S+)\s+Arg2:(?P<arg2>\S+)$")
 _T_ID_RE = re.compile(r"^T\d+$")
@@ -218,8 +238,7 @@ def parse_document(text_content: str, ann_content: str, doc_id: str) -> Annotate
     relations: list[RelationInstance] = []
     seen_ids: set[str] = set()
 
-    for line_no, raw in enumerate(ann_content.splitlines(), start=1):
-        line = raw.rstrip("\r")
+    for line_no, line in enumerate(split_records(ann_content), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -293,10 +312,10 @@ def serialize_document(doc: AnnotatedDocument) -> tuple[str, str]:
     """Emit (text_content, ann_content) that parse_document inverts exactly."""
     lines = []
     for ent in doc.entities:
-        if "\t" in ent.surface_text or "\n" in ent.surface_text:
-            # such a line could not survive the round trip
+        if "\t" in ent.surface_text:
             raise ToolkitError(
-                f"{doc.doc_id}: entity {ent.id} surface text contains a tab or newline"
+                f"{doc.doc_id}: entity {ent.id} surface text contains a tab "
+                "(an .ann surface may hold no tab or newline)"
             )
         offsets = ";".join(f"{s} {e}" for s, e in ent.fragments)
         lines.append(f"{ent.id}\t{ENTITY_TYPE_LABELS[ent.entity_type]} {offsets}\t{ent.surface_text}")
@@ -304,7 +323,7 @@ def serialize_document(doc: AnnotatedDocument) -> tuple[str, str]:
         lines.append(
             f"{rel.id}\t{PREDICATE_LABELS[rel.predicate]} Arg1:{rel.subject_ref} Arg2:{rel.object_ref}"
         )
-    return doc.text, "".join(line + "\n" for line in lines)
+    return doc.text, join_records(lines, doc.doc_id)
 
 
 def read_document_pair(txt_path: str | Path, ann_path: str | Path | None = None) -> AnnotatedDocument:
@@ -312,9 +331,7 @@ def read_document_pair(txt_path: str | Path, ann_path: str | Path | None = None)
     txt_path = Path(txt_path)
     if ann_path is None:
         ann_path = txt_path.with_suffix(".ann")
-    text = txt_path.read_text(encoding="utf-8")
-    ann = Path(ann_path).read_text(encoding="utf-8")
-    return parse_document(text, ann, txt_path.stem)
+    return parse_document(read_file(txt_path), read_file(ann_path), txt_path.stem)
 
 
 def load_corpus_dir(path: str | Path, strict_pairs: bool = True) -> list[AnnotatedDocument]:
@@ -343,5 +360,5 @@ def write_corpus_dir(docs: list[AnnotatedDocument], path: str | Path) -> None:
     path.mkdir(parents=True, exist_ok=True)
     for doc in docs:
         text, ann = serialize_document(doc)
-        (path / f"{doc.doc_id}.txt").write_text(text, encoding="utf-8")
-        (path / f"{doc.doc_id}.ann").write_text(ann, encoding="utf-8")
+        write_file(path / f"{doc.doc_id}.txt", text)
+        write_file(path / f"{doc.doc_id}.ann", ann)

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 from .standoff import ENTITY_TYPES, PREDICATES
 
@@ -38,16 +39,6 @@ def normalize_text(text: str) -> str:
     return re.sub(r"\s+", " ", text).strip().lower()
 
 
-def normalize_triple(triple: Triple, strict_case: bool = False) -> Triple:
-    if strict_case:
-        return triple
-    return replace(
-        triple,
-        subject_text=normalize_text(triple.subject_text),
-        object_text=normalize_text(triple.object_text),
-    )
-
-
 def triple_key(triple: Triple, strict_case: bool = False, type_agnostic: bool = False) -> tuple:
     """Identity under which triples are collapsed and matched."""
     st = triple.subject_text if strict_case else normalize_text(triple.subject_text)
@@ -55,3 +46,13 @@ def triple_key(triple: Triple, strict_case: bool = False, type_agnostic: bool = 
     if type_agnostic:
         return (st, triple.predicate, ot)
     return (st, triple.subject_type, triple.predicate, ot, triple.object_type)
+
+
+def distinct_triples(
+    triples: Iterable[Triple], strict_case: bool = False, type_agnostic: bool = False
+) -> dict[tuple, Triple]:
+    """Map each triple_key to the first triple that has it, in input order."""
+    out: dict[tuple, Triple] = {}
+    for t in triples:
+        out.setdefault(triple_key(t, strict_case, type_agnostic), t)
+    return out

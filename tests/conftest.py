@@ -7,6 +7,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from raredis_toolkit.standoff import parse_document
 
+# characters str.splitlines() breaks on, plus tab and the record separator
+LINE_BREAK_ALPHABET = "ab \t\n\r\x85\u2028\x0b\x0c\x1c\x1d\x1e"
+
 
 def _offsets(text: str, phrase: str, occurrence: int = 0) -> tuple[int, int]:
     pos = -1

@@ -190,6 +190,23 @@ class TestEncodeDecodeScore:
         assert code == 0
         assert "junk" in report.read_text(encoding="utf-8")
 
+    def test_raw_decode_report_keeps_one_segment_per_line(self, tmp_path):
+        generations = tmp_path / "gen"
+        generations.mkdir()
+        (generations / "doc1.txt").write_text(
+            "junk\nover\u2028lines @PRODUCES@ a @Sign@ b @Disease@ @IS_A@ @END@", encoding="utf-8"
+        )
+        report = tmp_path / "skips.txt"
+        code = run_cli([
+            "decode", "--in", str(generations), "--out", str(tmp_path / "p.tsv"),
+            "--schema", "seq2rel", "--raw", "--report", str(report),
+        ])
+        assert code == 0
+        lines = report.read_bytes().decode("utf-8").split("\n")
+        assert lines[-1] == ""
+        assert "doc1\tstray text before a relation token\tjunk over lines" in lines[:-1]
+        assert all(line.count("\t") == 2 for line in lines[:-1])
+
     def test_custom_noun_map(self, mini_corpus_dir, tmp_path):
         fixed = tmp_path / "fixed"
         run_cli(["repair", "--in", str(mini_corpus_dir), "--out", str(fixed)])

@@ -13,7 +13,7 @@ from raredis_toolkit.repair import (
     repair_all,
     summarize_repairs,
 )
-from raredis_toolkit.standoff import parse_document
+from raredis_toolkit.standoff import parse_document, read_document_pair, write_corpus_dir
 from conftest import balanti_doc_pair, storage_doc_pair
 from synth import (
     corrupt_fragment_order,
@@ -217,3 +217,22 @@ class TestSummary:
         assert summary.relation_argument_rate == 0.25
         assert summary.entities_span_fixed == 0
         assert summary.span_boundary_rate == 0.0
+
+
+class TestCrlfCorpus:
+    def test_clean_crlf_pair_is_a_no_op_and_keeps_txt_bytes(self, tmp_path):
+        text = "Overview.\r\nBeta syndrome is rare.\r\nIt causes fever.\r\n"
+        start = text.index("Beta syndrome")
+        fever = text.index("fever")
+        (tmp_path / "d.txt").write_bytes(text.encode("utf-8"))
+        (tmp_path / "d.ann").write_bytes(
+            (
+                f"T1\tDISEASE {start} {start + 13}\tBeta syndrome\r\n"
+                f"T2\tSIGN {fever} {fever + 5}\tfever\r\n"
+                "R1\tproduces Arg1:T1 Arg2:T2\r\n"
+            ).encode("utf-8")
+        )
+        fixed, log = repair_all(read_document_pair(tmp_path / "d.txt"))
+        assert log.lines() == []
+        write_corpus_dir([fixed], tmp_path / "out")
+        assert (tmp_path / "out" / "d.txt").read_bytes() == text.encode("utf-8")

@@ -1,9 +1,13 @@
 import random
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from raredis_toolkit.errors import ToolkitError
 from raredis_toolkit.scoring import (
     ERROR_DISCONTINUOUS_MERGE,
     ERROR_HALLUCINATED_SPAN,
@@ -23,6 +27,7 @@ from raredis_toolkit.scoring import (
 )
 from raredis_toolkit.standoff import ENTITY_TYPES, PREDICATES
 from raredis_toolkit.triples import Triple
+from conftest import LINE_BREAK_ALPHABET
 
 A = Triple("alpha syndrome", "rare_disease", "produces", "tremor", "sign")
 B = Triple("alpha syndrome", "rare_disease", "is_a", "metabolic disorder", "disease")
@@ -209,6 +214,13 @@ class TestErrorCategories:
         assert ERROR_DISCONTINUOUS_MERGE in cats
         assert ERROR_MISSING in cats
 
+    def test_type_agnostic_duplicates_keep_the_first_occurrence(self):
+        first = Triple("x", "disease", "produces", "y", "sign")
+        second = Triple("x", "symptom", "produces", "y", "sign")
+        records = categorize_errors([first, second], [], type_agnostic=True)
+        assert [r.gold for r in records] == [first]
+        assert collapse_duplicates([first, second], type_agnostic=True) == {first}
+
     def test_spurious_and_missing_fallbacks(self):
         records = categorize_errors([A], [C], doc_text="beta disease causes fever and more")
         assert sorted(r.category for r in records) == [ERROR_MISSING, ERROR_SPURIOUS]
@@ -264,3 +276,44 @@ class TestTriplesFileIO:
         (tmp_path / "bad.tsv").write_text("d\ta\tsign\ttreats\tb\tsign\n", encoding="utf-8")
         with pytest.raises(Exception, match="treats"):
             read_triples_file(tmp_path / "bad.tsv")
+
+    def test_invalid_triple_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("d\ta\tsign\tproduces\tb\tsign\nd\t\tsign\tproduces\tb\tsign\n", encoding="utf-8")
+        with pytest.raises(ToolkitError, match=re.escape(f"{path}:2: triple entity texts must be non-empty")):
+            read_triples_file(path)
+
+    @given(
+        st.dictionaries(
+            st.text(alphabet=LINE_BREAK_ALPHABET, max_size=4),
+            st.lists(
+                st.builds(
+                    Triple,
+                    st.text(alphabet=LINE_BREAK_ALPHABET, min_size=1, max_size=8),
+                    st.sampled_from((None, *ENTITY_TYPES)),
+                    st.sampled_from(PREDICATES),
+                    st.text(alphabet=LINE_BREAK_ALPHABET, min_size=1, max_size=8),
+                    st.sampled_from((None, *ENTITY_TYPES)),
+                ),
+                min_size=1,
+                max_size=3,
+            ),
+            max_size=3,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_round_trips_exactly_or_is_rejected(self, data):
+        fields = [
+            text
+            for doc_id, triples in data.items()
+            for t in triples
+            for text in (doc_id, t.subject_text, t.object_text)
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.tsv"
+            if any("\t" in f or "\n" in f for f in fields):
+                with pytest.raises(ToolkitError):
+                    write_triples_file(data, path)
+                return
+            write_triples_file(data, path)
+            assert read_triples_file(path) == data

@@ -1,9 +1,19 @@
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from raredis_toolkit.errors import StandoffParseError
+from raredis_toolkit.errors import StandoffParseError, ToolkitError
 from raredis_toolkit.standoff import (
+    ENTITY_TYPES,
+    PREDICATES,
+    AnnotatedDocument,
+    EntityMention,
+    RelationInstance,
+    TextDocument,
+    compute_unresolved,
     load_corpus_dir,
     normalize_entity_type,
     normalize_predicate,
@@ -11,6 +21,7 @@ from raredis_toolkit.standoff import (
     serialize_document,
     write_corpus_dir,
 )
+from conftest import LINE_BREAK_ALPHABET
 from synth import synthetic_corpus
 
 
@@ -163,3 +174,42 @@ class TestDirectoryIO:
         with pytest.raises(Exception, match="unpaired"):
             load_corpus_dir(d)
         assert load_corpus_dir(d, strict_pairs=False) == []
+
+
+
+@st.composite
+def annotated_documents(draw):
+    text = draw(st.text(alphabet=LINE_BREAK_ALPHABET, min_size=1, max_size=20))
+    entities = []
+    for i in range(draw(st.integers(0, 3))):
+        bounds = sorted(draw(st.sets(st.integers(0, len(text)), min_size=2, max_size=4)))
+        fragments = tuple(zip(bounds[::2], bounds[1::2]))
+        surface = draw(st.text(alphabet=LINE_BREAK_ALPHABET, max_size=10))
+        entities.append(EntityMention(f"T{i + 1}", draw(st.sampled_from(ENTITY_TYPES)), fragments, surface))
+    relations = tuple(
+        RelationInstance(f"R{i + 1}", draw(st.sampled_from(PREDICATES)), "T1", "T2")
+        for i in range(draw(st.integers(0, 1)))
+    )
+    entities = tuple(entities)
+    return AnnotatedDocument(
+        TextDocument("d", text), entities, relations, compute_unresolved(entities, relations)
+    )
+
+
+class TestLineBreakRoundTrip:
+    @given(annotated_documents())
+    @settings(max_examples=300, deadline=None)
+    def test_round_trips_exactly_or_is_rejected(self, doc):
+        unwritable = any(
+            "\t" in e.surface_text or "\n" in e.surface_text or e.surface_text.endswith("\r")
+            for e in doc.entities
+        )
+        if unwritable:
+            with pytest.raises(ToolkitError):
+                serialize_document(doc)
+            return
+        text, ann = serialize_document(doc)
+        assert parse_document(text, ann, doc.doc_id) == doc
+        with tempfile.TemporaryDirectory() as tmp:
+            write_corpus_dir([doc], tmp)
+            assert load_corpus_dir(tmp) == [doc]
