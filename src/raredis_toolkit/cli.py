@@ -161,13 +161,20 @@ def cmd_decode(args) -> int:
     triples_by_doc = {}
     report_lines = []
     for path in sorted(in_dir.iterdir()):
-        if not path.is_file():
+        if not path.is_file() or path.name.startswith("."):
             continue
         generation = standoff.read_file(path)
         if not args.raw:
             generation = schema_mod.normalize_generation(generation)
         triples, skipped = schema_mod.decode_target_report(generation, args.schema, noun_map)
-        triples_by_doc[path.stem] = triples
+        kept = []
+        for t in triples:
+            if scoring_mod.triple_record(path.stem, t) is None:
+                segment = f"{t.subject_text} {t.predicate} {t.object_text}"
+                skipped.append((segment, "triple text holds a tab or line feed"))
+            else:
+                kept.append(t)
+        triples_by_doc[path.stem] = kept
         # a raw generation's segments may hold line breaks; the report keeps one per line
         report_lines.extend(
             f"{path.stem}\t{reason}\t{' '.join(segment.split())}" for segment, reason in skipped

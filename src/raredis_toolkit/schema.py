@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .standoff import (
@@ -202,47 +203,79 @@ _TYPE_WORD_ALT = "|".join(
 )
 _WORD_TO_TYPE = {TYPE_WORDS[t]: t for t in ENTITY_TYPES}
 
-# entity spans may not cross sentence boundaries, so a mangled sentence
-# cannot swallow its well-formed neighbors
+# Entity spans may not cross sentence boundaries, so a mangled sentence
+# cannot swallow its well-formed neighbors. _scan relies on this too: every
+# head and every span is period-free, so a template that fails at its first
+# head in a sentence fails at every later start in that sentence.
 _SPAN = r"[^.]+?"
 
-_REL_IS_RE = re.compile(
-    rf"the relation(?:ship)? between (?P<s1>{_SPAN}) and (?P<s2>{_SPAN}) "
-    rf"is (?P<noun>[A-Za-z][A-Za-z ]*?)\s*(?:\.|$)",
-    re.IGNORECASE,
+
+def _template(head: str, rest: str) -> tuple[re.Pattern, re.Pattern]:
+    """(the head every match starts with, the whole pattern), compiled.
+
+    rest must begin with a span; _scan relies on it.
+    """
+    return re.compile(head, re.IGNORECASE), re.compile(head + rest, re.IGNORECASE)
+
+
+_REL_IS_PATTERN = _template(
+    "the relation(?:ship)? between ",
+    rf"(?P<s1>{_SPAN}) and (?P<s2>{_SPAN}) is (?P<noun>[A-Za-z][A-Za-z ]*?)\s*(?:\.|$)",
 )
 
 _NL_PATTERNS = {
-    "produces": re.compile(
+    "produces": _template(
+        "",
         rf"(?P<s1>{_SPAN}) is an? (?P<t1>{_TYPE_WORD_ALT}) that produces "
         rf"(?P<s2>{_SPAN}), as an? (?P<t2>{_TYPE_WORD_ALT})\.?",
-        re.IGNORECASE,
     ),
-    "anaphora": re.compile(
-        rf"The term (?P<s2>{_SPAN}) is an anaphor that refers back to the entity "
+    "anaphora": _template(
+        "The term ",
+        rf"(?P<s2>{_SPAN}) is an anaphor that refers back to the entity "
         rf"of the (?P<t1>{_TYPE_WORD_ALT}) (?P<s1>{_SPAN})(?:\.|$)",
-        re.IGNORECASE,
     ),
-    "is_synon": re.compile(
-        rf"The (?P<t1>{_TYPE_WORD_ALT}) (?P<s1>{_SPAN}) and the "
-        rf"(?P<t2>{_TYPE_WORD_ALT}) (?P<s2>{_SPAN}) are synonyms?\.?",
-        re.IGNORECASE,
+    "is_synon": _template(
+        rf"The (?P<t1>{_TYPE_WORD_ALT}) ",
+        rf"(?P<s1>{_SPAN}) and the (?P<t2>{_TYPE_WORD_ALT}) (?P<s2>{_SPAN}) are synonyms?\.?",
     ),
-    "is_acron": re.compile(
-        rf"The acronym (?P<s1>{_SPAN}) stands for (?P<s2>{_SPAN}), an? (?P<t2>{_TYPE_WORD_ALT})\.?",
-        re.IGNORECASE,
+    "is_acron": _template(
+        "The acronym ",
+        rf"(?P<s1>{_SPAN}) stands for (?P<s2>{_SPAN}), an? (?P<t2>{_TYPE_WORD_ALT})\.?",
     ),
-    "increases_risk_of": re.compile(
-        rf"The presence of the (?P<t1>{_TYPE_WORD_ALT}) (?P<s1>{_SPAN}) increases the risk "
+    "increases_risk_of": _template(
+        rf"The presence of the (?P<t1>{_TYPE_WORD_ALT}) ",
+        rf"(?P<s1>{_SPAN}) increases the risk "
         rf"of developing the (?P<t2>{_TYPE_WORD_ALT}) (?:of )?(?P<s2>{_SPAN})(?:\.|$)",
-        re.IGNORECASE,
     ),
-    "is_a": re.compile(
-        rf"The (?P<t1>{_TYPE_WORD_ALT}) (?P<s1>{_SPAN}) is a type of "
-        rf"(?P<s2>{_SPAN}), an? (?P<t2>{_TYPE_WORD_ALT})\.?",
-        re.IGNORECASE,
+    "is_a": _template(
+        rf"The (?P<t1>{_TYPE_WORD_ALT}) ",
+        rf"(?P<s1>{_SPAN}) is a type of (?P<s2>{_SPAN}), an? (?P<t2>{_TYPE_WORD_ALT})\.?",
     ),
 }
+
+
+def _scan(template: tuple[re.Pattern, re.Pattern], text: str) -> Iterator[re.Match]:
+    """The matches pattern.finditer(text) gives, for template = (head, pattern).
+
+    finditer retries at every start, and each failed attempt rescans to the
+    next period: quadratic in sentence length. A match at a later start
+    before that period would extend back to a match at this head (see
+    _SPAN), so after a failed attempt the scan resumes past the period.
+    """
+    head_re, pattern = template
+    pos = 0
+    while True:
+        head = head_re.search(text, pos)
+        if head is None:
+            return
+        match = pattern.match(text, head.start())
+        if match is not None:
+            yield match
+            pos = match.end()
+        else:
+            pos = text.find(".", head.start()) + 1
+            if pos == 0:
+                return
 
 
 def _strip_quotes(text: str) -> str:
@@ -341,7 +374,7 @@ def _decode_rel_is(
             return None
         return Triple(s1, None, predicate, s2, None)
 
-    candidates = [("", m) for m in _REL_IS_RE.finditer(generation)]
+    candidates = [("", m) for m in _scan(_REL_IS_PATTERN, generation)]
     return _decode_by_patterns(generation, candidates, report, build)
 
 
@@ -361,8 +394,8 @@ def _decode_natural_lang(generation: str, report: list[tuple[str, str]]) -> list
 
     candidates = [
         (predicate, match)
-        for predicate, pattern in _NL_PATTERNS.items()
-        for match in pattern.finditer(generation)
+        for predicate, template in _NL_PATTERNS.items()
+        for match in _scan(template, generation)
     ]
     return _decode_by_patterns(generation, candidates, report, build)
 

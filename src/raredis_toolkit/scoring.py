@@ -355,19 +355,28 @@ def read_triples_file(path: str | Path) -> dict[str, list[Triple]]:
     return out
 
 
+def triple_record(doc_id: str, t: Triple) -> str | None:
+    """The triples-TSV line for one triple, or None when a field holds a tab
+    or a line feed, which read_triples_file could not give back."""
+    fields = (
+        doc_id,
+        t.subject_text,
+        t.subject_type or "",
+        t.predicate,
+        t.object_text,
+        t.object_type or "",
+    )
+    if any("\t" in f or "\n" in f for f in fields):
+        return None
+    return "\t".join(fields)
+
+
 def write_triples_file(triples_by_doc: dict[str, list[Triple]], path: str | Path) -> None:
     lines = []
     for doc_id in sorted(triples_by_doc):
         for t in triples_by_doc[doc_id]:
-            fields = (
-                doc_id,
-                t.subject_text,
-                t.subject_type or "",
-                t.predicate,
-                t.object_text,
-                t.object_type or "",
-            )
-            if any("\t" in f for f in fields):
-                raise ToolkitError(f"{doc_id}: triple fields may not contain tabs")
-            lines.append("\t".join(fields))
+            line = triple_record(doc_id, t)
+            if line is None:
+                raise ToolkitError(f"{doc_id}: triple fields may not contain tabs or line feeds")
+            lines.append(line)
     write_file(path, join_records(lines, path))

@@ -355,10 +355,22 @@ def load_corpus_dir(path: str | Path, strict_pairs: bool = True) -> list[Annotat
 
 
 def write_corpus_dir(docs: list[AnnotatedDocument], path: str | Path) -> None:
-    """Write documents back as <doc_id>.txt / <doc_id>.ann pairs."""
+    """Write documents back as <doc_id>.txt / <doc_id>.ann pairs.
+
+    All or none: if any document fails to serialize or write, the files
+    this call already wrote are removed before the error propagates.
+    """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    for doc in docs:
-        text, ann = serialize_document(doc)
-        write_file(path / f"{doc.doc_id}.txt", text)
-        write_file(path / f"{doc.doc_id}.ann", ann)
+    started = 0
+    try:
+        for doc in docs:
+            text, ann = serialize_document(doc)
+            started += 1
+            write_file(path / f"{doc.doc_id}.txt", text)
+            write_file(path / f"{doc.doc_id}.ann", ann)
+    except BaseException:
+        for doc in docs[:started]:
+            (path / f"{doc.doc_id}.txt").unlink(missing_ok=True)
+            (path / f"{doc.doc_id}.ann").unlink(missing_ok=True)
+        raise

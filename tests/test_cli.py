@@ -41,6 +41,17 @@ class TestRepairCommand:
             outs.append(dir_snapshot(out))
         assert outs[0] == outs[1]
 
+    def test_failed_write_leaves_no_documents_behind(self, tmp_path):
+        corpus = tmp_path / "in"
+        corpus.mkdir()
+        # repair rewrites b's surface from the text, which puts a line feed in its .ann record
+        for doc_id, text in (("a", "Beta syndrome is rare."), ("b", "Beta\nsyndrome is rare.")):
+            (corpus / f"{doc_id}.txt").write_bytes(text.encode("utf-8"))
+            (corpus / f"{doc_id}.ann").write_bytes(b"T1\tDISEASE 0 13\tBeta syndrome\n")
+        out = tmp_path / "fixed"
+        assert run_cli(["repair", "--in", str(corpus), "--out", str(out)]) == 1
+        assert dir_snapshot(out) == {}
+
 
 class TestStatsCommand:
     def test_table_and_json(self, mini_corpus_dir, tmp_path, capsys):
@@ -206,6 +217,23 @@ class TestEncodeDecodeScore:
         assert lines[-1] == ""
         assert "doc1\tstray text before a relation token\tjunk over lines" in lines[:-1]
         assert all(line.count("\t") == 2 for line in lines[:-1])
+
+    def test_raw_decode_skips_an_unwritable_triple_and_keeps_the_rest(self, tmp_path):
+        generations = tmp_path / "gen"
+        generations.mkdir()
+        (generations / "bad.txt").write_text("a\nb @Sign@ c @Disease@ @PRODUCES@", encoding="utf-8")
+        (generations / "good.txt").write_text("d @Sign@ e @Disease@ @IS_A@ @END@", encoding="utf-8")
+        (generations / ".notes.txt").write_text("f @Sign@ g @Disease@ @IS_A@ @END@", encoding="utf-8")
+        pred, report = tmp_path / "p.tsv", tmp_path / "skips.txt"
+        code = run_cli([
+            "decode", "--in", str(generations), "--out", str(pred),
+            "--schema", "seq2rel", "--raw", "--report", str(report),
+        ])
+        assert code == 0
+        assert pred.read_text(encoding="utf-8") == "good\td\tsign\tis_a\te\tdisease\n"
+        assert report.read_text(encoding="utf-8") == (
+            "bad\ttriple text holds a tab or line feed\ta b produces c\n"
+        )
 
     def test_custom_noun_map(self, mini_corpus_dir, tmp_path):
         fixed = tmp_path / "fixed"
