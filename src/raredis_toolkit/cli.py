@@ -163,21 +163,25 @@ def cmd_decode(args) -> int:
     for path in sorted(in_dir.iterdir()):
         if not path.is_file() or path.name.startswith("."):
             continue
+        doc_id = path.stem
+        if not scoring_mod.tsv_field_ok(doc_id):
+            # the file name is the doc id of every record decode writes
+            raise ToolkitError(f"generation file name {path.name!r} holds a tab or line feed")
         generation = standoff.read_file(path)
         if not args.raw:
             generation = schema_mod.normalize_generation(generation)
         triples, skipped = schema_mod.decode_target_report(generation, args.schema, noun_map)
         kept = []
         for t in triples:
-            if scoring_mod.triple_record(path.stem, t) is None:
+            if scoring_mod.triple_writable(t):
+                kept.append(t)
+            else:
                 segment = f"{t.subject_text} {t.predicate} {t.object_text}"
                 skipped.append((segment, "triple text holds a tab or line feed"))
-            else:
-                kept.append(t)
-        triples_by_doc[path.stem] = kept
+        triples_by_doc[doc_id] = kept
         # a raw generation's segments may hold line breaks; the report keeps one per line
         report_lines.extend(
-            f"{path.stem}\t{reason}\t{' '.join(segment.split())}" for segment, reason in skipped
+            f"{doc_id}\t{reason}\t{' '.join(segment.split())}" for segment, reason in skipped
         )
     scoring_mod.write_triples_file(triples_by_doc, args.out_file)
     if args.report:

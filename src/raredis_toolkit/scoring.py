@@ -355,28 +355,33 @@ def read_triples_file(path: str | Path) -> dict[str, list[Triple]]:
     return out
 
 
-def triple_record(doc_id: str, t: Triple) -> str | None:
-    """The triples-TSV line for one triple, or None when a field holds a tab
-    or a line feed, which read_triples_file could not give back."""
-    fields = (
-        doc_id,
-        t.subject_text,
-        t.subject_type or "",
-        t.predicate,
-        t.object_text,
-        t.object_type or "",
-    )
-    if any("\t" in f or "\n" in f for f in fields):
-        return None
-    return "\t".join(fields)
+def tsv_field_ok(text: str) -> bool:
+    """Whether read_triples_file gives text back as one field: it splits
+    records on line feeds and fields on tabs."""
+    return "\t" not in text and "\n" not in text
+
+
+def triple_writable(t: Triple) -> bool:
+    """Whether a triple can be written as a triples-TSV record. Its
+    predicate and types are fixed labels, so only its texts can fail."""
+    return tsv_field_ok(t.subject_text) and tsv_field_ok(t.object_text)
 
 
 def write_triples_file(triples_by_doc: dict[str, list[Triple]], path: str | Path) -> None:
     lines = []
     for doc_id in sorted(triples_by_doc):
+        if not tsv_field_ok(doc_id):
+            raise ToolkitError(f"doc id {doc_id!r} may not contain tabs or line feeds")
         for t in triples_by_doc[doc_id]:
-            line = triple_record(doc_id, t)
-            if line is None:
-                raise ToolkitError(f"{doc_id}: triple fields may not contain tabs or line feeds")
-            lines.append(line)
+            if not triple_writable(t):
+                raise ToolkitError(f"{doc_id}: triple texts may not contain tabs or line feeds")
+            fields = (
+                doc_id,
+                t.subject_text,
+                t.subject_type or "",
+                t.predicate,
+                t.object_text,
+                t.object_type or "",
+            )
+            lines.append("\t".join(fields))
     write_file(path, join_records(lines, path))

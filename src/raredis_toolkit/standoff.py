@@ -10,7 +10,10 @@ whatever the annotation file says; defect correction lives in `repair`.
 
 from __future__ import annotations
 
+import os
 import re
+import shutil
+import tempfile
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
@@ -357,20 +360,32 @@ def load_corpus_dir(path: str | Path, strict_pairs: bool = True) -> list[Annotat
 def write_corpus_dir(docs: list[AnnotatedDocument], path: str | Path) -> None:
     """Write documents back as <doc_id>.txt / <doc_id>.ann pairs.
 
-    All or none: if any document fails to serialize or write, the files
-    this call already wrote are removed before the error propagates.
+    All or none: a document that fails to serialize or write leaves `path`
+    as it was, so `path` may be the directory the documents were read from.
+    A new file is written in place and removed on a failure; a file that
+    would replace an existing one is written into a hidden staging
+    directory inside `path` and renamed over it, one file at a time, only
+    once every document is written.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    started = 0
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=path))
+    created = []
     try:
         for doc in docs:
             text, ann = serialize_document(doc)
-            started += 1
-            write_file(path / f"{doc.doc_id}.txt", text)
-            write_file(path / f"{doc.doc_id}.ann", ann)
+            for name, content in ((f"{doc.doc_id}.txt", text), (f"{doc.doc_id}.ann", ann)):
+                target = path / name
+                if target.exists():
+                    write_file(staging / name, content)
+                else:
+                    created.append(name)
+                    write_file(target, content)
+        for name in os.listdir(staging):
+            os.replace(staging / name, path / name)
     except BaseException:
-        for doc in docs[:started]:
-            (path / f"{doc.doc_id}.txt").unlink(missing_ok=True)
-            (path / f"{doc.doc_id}.ann").unlink(missing_ok=True)
+        for name in created:
+            (path / name).unlink(missing_ok=True)
         raise
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)

@@ -41,16 +41,40 @@ class TestRepairCommand:
             outs.append(dir_snapshot(out))
         assert outs[0] == outs[1]
 
-    def test_failed_write_leaves_no_documents_behind(self, tmp_path):
-        corpus = tmp_path / "in"
-        corpus.mkdir()
-        # repair rewrites b's surface from the text, which puts a line feed in its .ann record
-        for doc_id, text in (("a", "Beta syndrome is rare."), ("b", "Beta\nsyndrome is rare.")):
+    @staticmethod
+    def write_pairs(corpus: Path, texts: dict[str, str]) -> None:
+        corpus.mkdir(exist_ok=True)
+        for doc_id, text in texts.items():
             (corpus / f"{doc_id}.txt").write_bytes(text.encode("utf-8"))
             (corpus / f"{doc_id}.ann").write_bytes(b"T1\tDISEASE 0 13\tBeta syndrome\n")
+
+    # repair rewrites b's surface from the text, which puts a line feed in its .ann record
+    FAILING = {"a": "Beta syndrome is rare.", "b": "Beta\nsyndrome is rare."}
+
+    def test_failed_write_leaves_no_documents_behind(self, tmp_path):
+        corpus = tmp_path / "in"
+        self.write_pairs(corpus, self.FAILING)
         out = tmp_path / "fixed"
         assert run_cli(["repair", "--in", str(corpus), "--out", str(out)]) == 1
-        assert dir_snapshot(out) == {}
+        assert list(out.iterdir()) == []
+
+    def test_failed_write_keeps_same_named_files(self, tmp_path):
+        corpus = tmp_path / "in"
+        self.write_pairs(corpus, self.FAILING)
+        out = tmp_path / "fixed"
+        # a is new in out, so it is written and removed again; b's earlier pair stays
+        self.write_pairs(out, {"b": "Beta syndrome, an earlier run."})
+        for target in (out, corpus):
+            before = dir_snapshot(target)
+            assert run_cli(["repair", "--in", str(corpus), "--out", str(target)]) == 1
+            assert dir_snapshot(target) == before
+            assert len(list(target.iterdir())) == len(before)
+
+    def test_repair_in_place_leaves_only_the_pairs(self, tmp_path):
+        corpus = tmp_path / "in"
+        self.write_pairs(corpus, {"a": "Beta syndrome is rare."})
+        assert run_cli(["repair", "--in", str(corpus), "--out", str(corpus)]) == 0
+        assert sorted(p.name for p in corpus.iterdir()) == ["a.ann", "a.txt"]
 
 
 class TestStatsCommand:
@@ -234,6 +258,21 @@ class TestEncodeDecodeScore:
         assert report.read_text(encoding="utf-8") == (
             "bad\ttriple text holds a tab or line feed\ta b produces c\n"
         )
+
+    @pytest.mark.parametrize("name", ["x\ty.txt", "x\ny.txt"])
+    def test_file_name_unfit_for_a_doc_id_is_an_error(self, tmp_path, capsys, name):
+        generations = tmp_path / "gen"
+        generations.mkdir()
+        for file_name in (name, "good.txt"):
+            (generations / file_name).write_text("d @Sign@ e @Disease@ @IS_A@ @END@", encoding="utf-8")
+        pred, report = tmp_path / "p.tsv", tmp_path / "skips.txt"
+        code = run_cli([
+            "decode", "--in", str(generations), "--out", str(pred),
+            "--schema", "seq2rel", "--raw", "--report", str(report),
+        ])
+        assert code == 1
+        assert "holds a tab or line feed" in capsys.readouterr().err
+        assert not pred.exists() and not report.exists()
 
     def test_custom_noun_map(self, mini_corpus_dir, tmp_path):
         fixed = tmp_path / "fixed"
