@@ -53,7 +53,6 @@ from .standoff import (
     AnnotatedDocument,
     EntityMention,
     RelationInstance,
-    TextDocument,
     load_corpus_dir,
     parse_document,
     read_document_pair,
@@ -85,7 +84,6 @@ __all__ = [
     "SplitError",
     "SplitSpec",
     "StandoffParseError",
-    "TextDocument",
     "ToolkitError",
     "Triple",
     "build_prompt",

@@ -154,15 +154,10 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    in_dir = Path(args.input_dir)
-    if not in_dir.is_dir():
-        raise ToolkitError(f"not a directory: {in_dir}")
     noun_map = _load_noun_map(args.noun_map)
     triples_by_doc = {}
     report_lines = []
-    for path in sorted(in_dir.iterdir()):
-        if not path.is_file() or path.name.startswith("."):
-            continue
+    for path in standoff.input_files(args.input_dir):
         doc_id = path.stem
         if not scoring_mod.tsv_field_ok(doc_id):
             # the file name is the doc id of every record decode writes

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import FlattenError
-from .standoff import AnnotatedDocument, EntityMention, TextDocument, read_file, write_file
+from .standoff import AnnotatedDocument, EntityMention, read_file, write_file
 
 
 @dataclass(frozen=True)
@@ -103,19 +103,6 @@ def flatten_document(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, OffsetM
         rewritten_ids.update(e.id for e in cluster)
     regions.sort(key=lambda r: r[0])
 
-    # covering-span clusters have gap-free hulls, so no outside entity can
-    # reach into a region; guard against it anyway rather than corrupt spans
-    for ent in doc.entities:
-        if ent.id in rewritten_ids:
-            continue
-        for fs, fe in ent.fragments:
-            for start, end, members in regions:
-                if max(fs, start) < min(fe, end):
-                    raise FlattenError(
-                        f"{doc.doc_id}: entity {ent.id} interleaves with rewritten group "
-                        f"containing {members[0].id}"
-                    )
-
     pieces: list[str] = []
     pairs: list[tuple[tuple[int, int], tuple[int, int] | None]] = []
     new_fragments: dict[str, tuple[int, int]] = {}
@@ -154,6 +141,8 @@ def flatten_document(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, OffsetM
         for os_, oe, delta in copied_stretches:
             if os_ <= fs and fe <= oe:
                 return (fs + delta, fe + delta)
+        # covering-span clusters have gap-free hulls, so no outside entity can
+        # reach into a rewritten group; fail rather than corrupt spans if one does
         raise FlattenError(f"{doc.doc_id}: fragment {fragment} outside any copied stretch")
 
     entities = []
@@ -163,12 +152,7 @@ def flatten_document(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, OffsetM
         else:
             entities.append(replace(ent, fragments=tuple(shift(f) for f in ent.fragments)))
 
-    new_doc = replace(
-        doc,
-        document=TextDocument(doc.doc_id, "".join(pieces)),
-        entities=tuple(entities),
-    )
-    return new_doc, OffsetMap(tuple(pairs))
+    return replace(doc, text="".join(pieces), entities=tuple(entities)), OffsetMap(tuple(pairs))
 
 
 def write_offset_map(offset_map: OffsetMap, path: str | Path) -> None:

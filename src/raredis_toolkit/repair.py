@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import RepairError
-from .standoff import AnnotatedDocument, EntityMention, compute_unresolved, join_records, write_file
+from .standoff import AnnotatedDocument, EntityMention, format_offsets, join_records, write_file
 
 RULE_RELATION_ARGUMENT = "relation_argument"
 RULE_SPAN_BOUNDARY = "span_boundary"
@@ -48,18 +48,11 @@ class RepairLog:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def by_rule(self, rule: str) -> list[RepairEntry]:
-        return [e for e in self.entries if e.rule == rule]
-
     def lines(self) -> list[str]:
         return [
             f"{self.doc_id} {e.rule} {e.target_id} {e.before} -> {e.after}"
             for e in self.entries
         ]
-
-
-def _offsets_str(fragments: tuple[tuple[int, int], ...]) -> str:
-    return ";".join(f"{s} {e}" for s, e in fragments)
 
 
 def fix_fragment_order(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, RepairLog]:
@@ -75,14 +68,14 @@ def fix_fragment_order(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, Repai
         for (_, prev_end), (next_start, _) in zip(ordered, ordered[1:]):
             if prev_end > next_start:
                 raise RepairError(
-                    f"{doc.doc_id}: entity {ent.id} has overlapping fragments {_offsets_str(ordered)}"
+                    f"{doc.doc_id}: entity {ent.id} has overlapping fragments {format_offsets(ordered)}"
                 )
         if ordered != ent.fragments:
             fixed = replace(ent, fragments=ordered)
             fixed = replace(fixed, surface_text=fixed.slice_text(doc.text))
             entries.append(
                 RepairEntry(
-                    RULE_FRAGMENT_ORDER, ent.id, _offsets_str(ent.fragments), _offsets_str(ordered)
+                    RULE_FRAGMENT_ORDER, ent.id, format_offsets(ent.fragments), format_offsets(ordered)
                 )
             )
             entities.append(fixed)
@@ -106,7 +99,7 @@ def _fix_entity_span(text: str, ent: EntityMention) -> tuple[EntityMention, Repa
     *head, (last_start, last_end) = ent.fragments
 
     def described(e: EntityMention) -> str:
-        return f"{_offsets_str(e.fragments)}|{e.surface_text}"
+        return f"{format_offsets(e.fragments)}|{e.surface_text}"
 
     if slices == ent.surface_text:
         # offsets and recorded surface agree but may both stop one character
@@ -155,16 +148,15 @@ def fix_relation_arguments(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, R
     stays dangling and is logged with after = "UNRESOLVED"; such relations
     are excluded from downstream encoding and scoring.
     """
-    entity_ids = {e.id for e in doc.entities}
     entries = []
     relations = []
     for rel in doc.relations:
         new_refs = {}
         for slot, ref in (("Arg1", rel.subject_ref), ("Arg2", rel.object_ref)):
-            if ref in entity_ids:
+            if ref in doc.entity_map:
                 continue
             stripped = ref[:-1]
-            if _TRAILING_ZERO_RE.match(ref) and stripped in entity_ids:
+            if _TRAILING_ZERO_RE.match(ref) and stripped in doc.entity_map:
                 new_refs[slot] = stripped
                 entries.append(RepairEntry(RULE_RELATION_ARGUMENT, rel.id, ref, stripped))
             else:
@@ -179,8 +171,7 @@ def fix_relation_arguments(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, R
             )
         else:
             relations.append(rel)
-    rels = tuple(relations)
-    out = replace(doc, relations=rels, unresolved_refs=compute_unresolved(doc.entities, rels))
+    out = replace(doc, relations=tuple(relations))
     return out, RepairLog(doc.doc_id, tuple(entries))
 
 

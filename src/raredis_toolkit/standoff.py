@@ -10,6 +10,7 @@ whatever the annotation file says; defect correction lives in `repair`.
 
 from __future__ import annotations
 
+import logging
 import os
 import re
 import shutil
@@ -20,6 +21,8 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import StandoffParseError, ToolkitError
+
+logger = logging.getLogger(__name__)
 
 ENTITY_TYPES = (
     "disease",
@@ -89,20 +92,6 @@ def normalize_predicate(label: str) -> str | None:
 
 
 @dataclass(frozen=True)
-class TextDocument:
-    doc_id: str
-    text: str
-
-    def __post_init__(self):
-        if not self.doc_id:
-            raise ValueError("doc_id must be non-empty")
-
-    @property
-    def length(self) -> int:
-        return len(self.text)
-
-
-@dataclass(frozen=True)
 class EntityMention:
     """A typed entity given by one or more character-offset fragments."""
 
@@ -139,28 +128,31 @@ class RelationInstance:
 
 @dataclass(frozen=True)
 class AnnotatedDocument:
-    """A text plus its entity mentions and relation instances.
+    """A text plus its entity mentions and relation instances."""
 
-    unresolved_refs lists (relation id, argument slot, entity id) for every
-    relation argument that does not name an entity of this document.
-    """
-
-    document: TextDocument
+    doc_id: str
+    text: str
     entities: tuple[EntityMention, ...]
     relations: tuple[RelationInstance, ...]
-    unresolved_refs: tuple[tuple[str, str, str], ...] = ()
 
-    @property
-    def doc_id(self) -> str:
-        return self.document.doc_id
-
-    @property
-    def text(self) -> str:
-        return self.document.text
+    def __post_init__(self):
+        if not self.doc_id:
+            raise ValueError("doc_id must be non-empty")
 
     @cached_property
     def entity_map(self) -> dict[str, EntityMention]:
         return {e.id: e for e in self.entities}
+
+    @cached_property
+    def unresolved_refs(self) -> tuple[tuple[str, str, str], ...]:
+        """(relation id, argument slot, entity id) for every relation
+        argument that does not name an entity of this document."""
+        return tuple(
+            (rel.id, slot, ref)
+            for rel in self.relations
+            for slot, ref in (("Arg1", rel.subject_ref), ("Arg2", rel.object_ref))
+            if ref not in self.entity_map
+        )
 
     def resolved_relations(self) -> list[tuple[RelationInstance, EntityMention, EntityMention]]:
         """Relations whose two arguments both resolve, with their entities."""
@@ -171,19 +163,6 @@ class AnnotatedDocument:
             if subj is not None and obj is not None:
                 out.append((rel, subj, obj))
         return out
-
-
-def compute_unresolved(
-    entities: tuple[EntityMention, ...], relations: tuple[RelationInstance, ...]
-) -> tuple[tuple[str, str, str], ...]:
-    ids = {e.id for e in entities}
-    out = []
-    for rel in relations:
-        if rel.subject_ref not in ids:
-            out.append((rel.id, "Arg1", rel.subject_ref))
-        if rel.object_ref not in ids:
-            out.append((rel.id, "Arg2", rel.object_ref))
-    return tuple(out)
 
 
 def read_file(path: str | Path) -> str:
@@ -236,7 +215,6 @@ def parse_document(text_content: str, ann_content: str, doc_id: str) -> Annotate
     Raises StandoffParseError (with the 1-based line number) on malformed
     lines, unknown type labels, offsets outside the text, and duplicate ids.
     """
-    document = TextDocument(doc_id, text_content)
     entities: list[EntityMention] = []
     relations: list[RelationInstance] = []
     seen_ids: set[str] = set()
@@ -266,11 +244,11 @@ def parse_document(text_content: str, ann_content: str, doc_id: str) -> Annotate
             for pair in mid.group("offsets").split(";"):
                 start_s, end_s = pair.split()
                 start, end = int(start_s), int(end_s)
-                if not 0 <= start < end <= document.length:
+                if not 0 <= start < end <= len(text_content):
                     raise StandoffParseError(
                         line_no,
                         f"invalid offsets {start} {end} "
-                        f"(need 0 <= start < end <= document length {document.length})",
+                        f"(need 0 <= start < end <= document length {len(text_content)})",
                         doc_id,
                     )
                 fragments.append((start, end))
@@ -306,9 +284,12 @@ def parse_document(text_content: str, ann_content: str, doc_id: str) -> Annotate
         else:
             raise StandoffParseError(line_no, f"unsupported line type {ann_id[:1]!r}", doc_id)
 
-    ents = tuple(entities)
-    rels = tuple(relations)
-    return AnnotatedDocument(document, ents, rels, compute_unresolved(ents, rels))
+    return AnnotatedDocument(doc_id, text_content, tuple(entities), tuple(relations))
+
+
+def format_offsets(fragments: tuple[tuple[int, int], ...]) -> str:
+    """The .ann offsets field: `<start> <end>` per fragment, joined by ";"."""
+    return ";".join(f"{s} {e}" for s, e in fragments)
 
 
 def serialize_document(doc: AnnotatedDocument) -> tuple[str, str]:
@@ -320,8 +301,10 @@ def serialize_document(doc: AnnotatedDocument) -> tuple[str, str]:
                 f"{doc.doc_id}: entity {ent.id} surface text contains a tab "
                 "(an .ann surface may hold no tab or newline)"
             )
-        offsets = ";".join(f"{s} {e}" for s, e in ent.fragments)
-        lines.append(f"{ent.id}\t{ENTITY_TYPE_LABELS[ent.entity_type]} {offsets}\t{ent.surface_text}")
+        lines.append(
+            f"{ent.id}\t{ENTITY_TYPE_LABELS[ent.entity_type]} {format_offsets(ent.fragments)}"
+            f"\t{ent.surface_text}"
+        )
     for rel in doc.relations:
         lines.append(
             f"{rel.id}\t{PREDICATE_LABELS[rel.predicate]} Arg1:{rel.subject_ref} Arg2:{rel.object_ref}"
@@ -329,32 +312,37 @@ def serialize_document(doc: AnnotatedDocument) -> tuple[str, str]:
     return doc.text, join_records(lines, doc.doc_id)
 
 
-def read_document_pair(txt_path: str | Path, ann_path: str | Path | None = None) -> AnnotatedDocument:
+def read_document_pair(txt_path: str | Path) -> AnnotatedDocument:
     """Load one <doc_id>.txt / <doc_id>.ann pair (UTF-8)."""
     txt_path = Path(txt_path)
-    if ann_path is None:
-        ann_path = txt_path.with_suffix(".ann")
-    return parse_document(read_file(txt_path), read_file(ann_path), txt_path.stem)
+    return parse_document(read_file(txt_path), read_file(txt_path.with_suffix(".ann")), txt_path.stem)
+
+
+def input_files(path: str | Path) -> list[Path]:
+    """The inputs in a directory, sorted: regular files whose names do not
+    start with "." (hidden files such as macOS "._<name>" companions,
+    staging directories and subdirectories are never inputs)."""
+    if not Path(path).is_dir():
+        raise ToolkitError(f"not a directory: {path}")
+    with os.scandir(path) as entries:
+        return sorted(Path(e.path) for e in entries if e.is_file() and not e.name.startswith("."))
 
 
 def load_corpus_dir(path: str | Path, strict_pairs: bool = True) -> list[AnnotatedDocument]:
     """Load every .txt/.ann pair in a directory, sorted by doc_id.
 
     An orphan .txt or .ann raises ToolkitError when strict_pairs is set;
-    otherwise the orphan is skipped.
+    otherwise the orphans are skipped with one logged warning.
     """
-    path = Path(path)
-    if not path.is_dir():
-        raise ToolkitError(f"not a directory: {path}")
-    txts = {p.stem: p for p in path.glob("*.txt")}
-    anns = {p.stem: p for p in path.glob("*.ann")}
-    orphans = sorted(set(txts) ^ set(anns))
-    if orphans and strict_pairs:
-        raise ToolkitError(f"unpaired .txt/.ann files: {', '.join(orphans)}")
-    docs = []
-    for doc_id in sorted(set(txts) & set(anns)):
-        docs.append(read_document_pair(txts[doc_id], anns[doc_id]))
-    return docs
+    files = input_files(path)
+    txts = {p.stem: p for p in files if p.suffix == ".txt"}
+    anns = {p.stem for p in files if p.suffix == ".ann"}
+    orphans = sorted(set(txts) ^ anns)
+    if orphans:
+        if strict_pairs:
+            raise ToolkitError(f"unpaired .txt/.ann files: {', '.join(orphans)}")
+        logger.warning("skipping unpaired .txt/.ann files: %s", ", ".join(orphans))
+    return [read_document_pair(txts[doc_id]) for doc_id in sorted(set(txts) & anns)]
 
 
 def write_corpus_dir(docs: list[AnnotatedDocument], path: str | Path) -> None:

@@ -15,8 +15,6 @@ from raredis_toolkit.standoff import (
     AnnotatedDocument,
     EntityMention,
     RelationInstance,
-    TextDocument,
-    compute_unresolved,
 )
 
 WORDS = [
@@ -73,8 +71,7 @@ def random_document(
                 predicate = rng.choice([p for p in PREDICATES if p != "anaphora"])
             relations.append(RelationInstance(f"R{r + 1}", predicate, entities[si].id, entities[oi].id))
 
-    ents, rels = tuple(entities), tuple(relations)
-    return AnnotatedDocument(TextDocument(doc_id, text), ents, rels, compute_unresolved(ents, rels))
+    return AnnotatedDocument(doc_id, text, tuple(entities), tuple(relations))
 
 
 def synthetic_corpus(seed: int, size: int, **kwargs) -> list[AnnotatedDocument]:
@@ -93,8 +90,7 @@ def corrupt_relation_argument(doc: AnnotatedDocument, rng: random.Random) -> Ann
         return doc
     relations = list(doc.relations)
     relations[idx] = RelationInstance(rel.id, rel.predicate, rel.subject_ref, bad)
-    rels = tuple(relations)
-    return AnnotatedDocument(doc.document, doc.entities, rels, compute_unresolved(doc.entities, rels))
+    return AnnotatedDocument(doc.doc_id, doc.text, doc.entities, tuple(relations))
 
 
 def corrupt_trailing_char(doc: AnnotatedDocument, rng: random.Random) -> AnnotatedDocument:
@@ -115,7 +111,7 @@ def corrupt_trailing_char(doc: AnnotatedDocument, rng: random.Random) -> Annotat
     surface = " ".join(doc.text[s:e] for s, e in fragments)
     entities = list(doc.entities)
     entities[i] = EntityMention(ent.id, ent.entity_type, fragments, surface)
-    return AnnotatedDocument(doc.document, tuple(entities), doc.relations, doc.unresolved_refs)
+    return AnnotatedDocument(doc.doc_id, doc.text, tuple(entities), doc.relations)
 
 
 def corrupt_fragment_order(doc: AnnotatedDocument, rng: random.Random) -> AnnotatedDocument:
@@ -129,4 +125,4 @@ def corrupt_fragment_order(doc: AnnotatedDocument, rng: random.Random) -> Annota
     surface = " ".join(doc.text[s:e] for s, e in fragments)
     entities = list(doc.entities)
     entities[i] = EntityMention(ent.id, ent.entity_type, fragments, surface)
-    return AnnotatedDocument(doc.document, tuple(entities), doc.relations, doc.unresolved_refs)
+    return AnnotatedDocument(doc.doc_id, doc.text, tuple(entities), doc.relations)

@@ -1,4 +1,5 @@
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,78 @@ class TestStatsCommand:
         assert stats["documents"] == 5
         assert stats["entities"]["sign"] == 4
         assert stats["relations"]["produces"] == 4
+
+
+# the start of a macOS AppleDouble "._<name>" file, which is not UTF-8
+APPLEDOUBLE = b"\x00\x05\x16\x07\x00\x02\x00\x00Mac OS X        \xff\xfe"
+
+
+class TestCorpusInputs:
+    """Only regular files whose names do not start with "." are inputs."""
+
+    @staticmethod
+    def documents_counted(mini_corpus_dir, capsys) -> int:
+        assert run_cli(["stats", "--in", str(mini_corpus_dir)]) == 0
+        row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("documents"))
+        return int(row.split()[1])
+
+    def test_appledouble_companion_is_not_an_orphan(self, mini_corpus_dir, capsys):
+        (mini_corpus_dir / "._rickets.txt").write_bytes(APPLEDOUBLE)
+        assert self.documents_counted(mini_corpus_dir, capsys) == 5
+
+    def test_directories_named_like_a_pair_are_not_read(self, mini_corpus_dir, capsys):
+        (mini_corpus_dir / "dir.txt").mkdir()
+        (mini_corpus_dir / "dir.ann").mkdir()
+        assert self.documents_counted(mini_corpus_dir, capsys) == 5
+
+    def test_decode_uses_the_same_rule(self, tmp_path, capsys):
+        generations = tmp_path / "gen"
+        generations.mkdir()
+        (generations / "d.txt").write_text("d @Sign@ e @Disease@ @IS_A@ @END@", encoding="utf-8")
+        (generations / "._d.txt").write_bytes(APPLEDOUBLE)
+        (generations / "sub.txt").mkdir()
+        pred = tmp_path / "p.tsv"
+        assert run_cli(["decode", "--in", str(generations), "--out", str(pred), "--schema", "seq2rel"]) == 0
+        assert pred.read_text(encoding="utf-8") == "d\td\tsign\tis_a\te\tdisease\n"
+        assert "from 1 generations" in capsys.readouterr().out
+
+
+class TestLenientPairs:
+    @staticmethod
+    def add_orphans(corpus: Path) -> None:
+        (corpus / "rickets.ann").unlink()
+        (corpus / "extra.ann").write_text("", encoding="utf-8")
+
+    def test_warns_with_the_names_the_strict_error_gives(self, mini_corpus_dir, caplog, capsys):
+        self.add_orphans(mini_corpus_dir)
+        assert run_cli(["stats", "--in", str(mini_corpus_dir)]) == 1
+        assert "unpaired .txt/.ann files: extra, rickets" in capsys.readouterr().err
+        with caplog.at_level(logging.WARNING):
+            assert run_cli(["stats", "--in", str(mini_corpus_dir), "--lenient-pairs"]) == 0
+        lenient_out = capsys.readouterr().out
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipping unpaired .txt/.ann files: extra, rickets"
+        ]
+        # stdout is what a corpus without the orphans gives
+        (mini_corpus_dir / "rickets.txt").unlink()
+        (mini_corpus_dir / "extra.ann").unlink()
+        caplog.clear()
+        assert run_cli(["stats", "--in", str(mini_corpus_dir)]) == 0
+        assert capsys.readouterr().out == lenient_out
+        assert caplog.records == []
+
+    def test_errors_docs_warns_too(self, mini_corpus_dir, tmp_path, caplog):
+        self.add_orphans(mini_corpus_dir)
+        write_triples_file({}, tmp_path / "gold.tsv")
+        with caplog.at_level(logging.WARNING):
+            code = run_cli([
+                "errors", "--gold", str(tmp_path / "gold.tsv"), "--pred", str(tmp_path / "gold.tsv"),
+                "--audit", str(tmp_path / "audit.jsonl"), "--docs", str(mini_corpus_dir),
+            ])
+        assert code == 0
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipping unpaired .txt/.ann files: extra, rickets"
+        ]
 
 
 class TestSplitCommand:

@@ -72,9 +72,7 @@ class TestClassifyShape:
             baseline = {e.id: classify_shape(e, doc) for e in doc.entities}
             shuffled_entities = list(doc.entities)
             rng.shuffle(shuffled_entities)
-            shuffled = AnnotatedDocument(
-                doc.document, tuple(shuffled_entities), doc.relations, doc.unresolved_refs
-            )
+            shuffled = AnnotatedDocument(doc.doc_id, doc.text, tuple(shuffled_entities), doc.relations)
             for ent in shuffled.entities:
                 assert classify_shape(ent, shuffled) == baseline[ent.id]
 

@@ -1,5 +1,6 @@
 import random
 import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,6 @@ from raredis_toolkit.standoff import (
     AnnotatedDocument,
     EntityMention,
     RelationInstance,
-    TextDocument,
-    compute_unresolved,
     load_corpus_dir,
     normalize_entity_type,
     normalize_predicate,
@@ -97,6 +96,26 @@ class TestParse:
     def test_fragment_order_preserved_verbatim(self):
         doc = parse_document("x" * 50, "T1\tSIGN 30 35;10 15\tba dc\n", "d")
         assert doc.entities[0].fragments == ((30, 35), (10, 15))
+
+
+class TestDerivedReferences:
+    def test_replaced_relations_give_their_own_unresolved_refs(self, rickets_doc):
+        assert rickets_doc.unresolved_refs == (("R5", "Arg2", "T90"),)
+        r2 = rickets_doc.relations[0]
+        doc = replace(rickets_doc, relations=(r2, RelationInstance("R7", "produces", "T3", "T2")))
+        assert doc.unresolved_refs == (("R7", "Arg1", "T3"),)
+
+    def test_dropping_an_argument_entity_leaves_its_relation_unresolved(self, rickets_doc):
+        assert rickets_doc.unresolved_refs == (("R5", "Arg2", "T90"),)
+        kept = tuple(e for e in rickets_doc.entities if e.id != "T2")
+        doc = replace(rickets_doc, entities=kept)
+        assert doc.unresolved_refs == (("R2", "Arg2", "T2"), ("R5", "Arg2", "T90"))
+
+    def test_derived_refs_do_not_enter_equality(self, rickets_doc):
+        text, ann = serialize_document(rickets_doc)
+        fresh = parse_document(text, ann, "rickets")
+        assert rickets_doc.unresolved_refs  # cached on one side only
+        assert fresh == rickets_doc and hash(fresh) == hash(rickets_doc)
 
 
 class TestTypeNormalization:
@@ -190,10 +209,7 @@ def annotated_documents(draw):
         RelationInstance(f"R{i + 1}", draw(st.sampled_from(PREDICATES)), "T1", "T2")
         for i in range(draw(st.integers(0, 1)))
     )
-    entities = tuple(entities)
-    return AnnotatedDocument(
-        TextDocument("d", text), entities, relations, compute_unresolved(entities, relations)
-    )
+    return AnnotatedDocument("d", text, tuple(entities), relations)
 
 
 class TestLineBreakRoundTrip:
