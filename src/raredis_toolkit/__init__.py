@@ -8,6 +8,7 @@ from .corpus import (
     SplitSpec,
     classify_shape,
     corpus_statistics,
+    document_shapes,
     split_corpus,
 )
 from .errors import (
@@ -93,6 +94,7 @@ __all__ = [
     "corpus_statistics",
     "decode_target",
     "decode_target_report",
+    "document_shapes",
     "encode_corpus",
     "encode_target",
     "fix_fragment_order",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,32 +19,50 @@ SHAPE_NESTED = "nested"
 SHAPE_CLASSES = (SHAPE_FLAT, SHAPE_DISCONTINUOUS, SHAPE_OVERLAPPED, SHAPE_NESTED)
 
 
-def _strictly_contains(outer: tuple[int, int], inner: tuple[int, int]) -> bool:
-    return outer[0] <= inner[0] and inner[1] <= outer[1] and outer != inner
-
-
-def _overlaps(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return max(a[0], b[0]) < min(a[1], b[1])
-
-
-def classify_shape(entity: EntityMention, doc: AnnotatedDocument) -> str:
-    """Assign exactly one shape class to an entity.
+def document_shapes(doc: AnnotatedDocument) -> dict[str, str]:
+    """Assign exactly one shape class to every entity of a document, by id.
 
     Precedence: discontinuous (>= 2 fragments) beats nested (covering span
     strictly inside another entity's covering span) beats overlapped (shares
     any character with another covering span, identical spans included)
-    beats flat. Comparisons use covering spans, so the result is stable
-    under reordering of the other entities.
+    beats flat. Comparisons use covering spans, so the result does not depend
+    on the order of the entities.
+
+    One sort and one sweep over the distinct covering spans, in (start
+    ascending, end descending) order: every span that strictly contains the
+    current one comes before it, so the running maximum of their ends says
+    whether it is nested; a span before it overlaps it exactly when that
+    maximum passes its start, and a span after it exactly when the next one
+    begins before its end. Fragments are non-empty, as `parse_document`
+    requires.
     """
-    if entity.is_discontinuous:
-        return SHAPE_DISCONTINUOUS
-    span = entity.covering_span
-    others = [e.covering_span for e in doc.entities if e.id != entity.id]
-    if any(_strictly_contains(other, span) for other in others):
-        return SHAPE_NESTED
-    if any(_overlaps(other, span) for other in others):
-        return SHAPE_OVERLAPPED
-    return SHAPE_FLAT
+    spans = [e.covering_span for e in doc.entities]
+    counts = Counter(spans)
+    ordered = sorted(counts, key=lambda span: (span[0], -span[1]))
+    shape_of_span = {}
+    reach = -1  # the largest end of the spans before the current one
+    for i, (start, end) in enumerate(ordered):
+        if reach >= end:
+            shape = SHAPE_NESTED
+        elif (
+            counts[start, end] > 1
+            or reach > start
+            or (i + 1 < len(ordered) and ordered[i + 1][0] < end)
+        ):
+            shape = SHAPE_OVERLAPPED
+        else:
+            shape = SHAPE_FLAT
+        shape_of_span[start, end] = shape
+        reach = max(reach, end)
+    return {
+        e.id: SHAPE_DISCONTINUOUS if e.is_discontinuous else shape_of_span[span]
+        for e, span in zip(doc.entities, spans)
+    }
+
+
+def classify_shape(entity: EntityMention, doc: AnnotatedDocument) -> str:
+    """The shape class `document_shapes` gives `entity` in `doc`."""
+    return document_shapes(doc)[entity.id]
 
 
 @dataclass(frozen=True)
@@ -78,9 +97,10 @@ def corpus_statistics(split: list[AnnotatedDocument]) -> CorpusStats:
     relation_counts = {p: 0 for p in PREDICATES}
     shape_counts = {s: 0 for s in SHAPE_CLASSES}
     for doc in split:
+        shapes = document_shapes(doc)
         for ent in doc.entities:
             entity_counts[ent.entity_type] += 1
-            shape_counts[classify_shape(ent, doc)] += 1
+            shape_counts[shapes[ent.id]] += 1
         for rel in doc.relations:
             relation_counts[rel.predicate] += 1
     return CorpusStats(len(split), entity_counts, relation_counts, shape_counts)

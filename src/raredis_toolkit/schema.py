@@ -184,7 +184,7 @@ def normalize_generation(generation: str) -> str:
     hyphens and forward slashes and inside round brackets, and rewrites the
     predicted noun "synonyms" to "synonym" in rel_is sentences.
     """
-    s = re.sub(r"\s+", " ", generation).strip()
+    s = " ".join(generation.split())
     s = re.sub(r" ?- ?", "-", s)
     s = re.sub(r" ?/ ?", "/", s)
     s = s.replace("( ", "(").replace(" )", ")")

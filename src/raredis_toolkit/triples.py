@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -36,7 +35,7 @@ class Triple:
 
 def normalize_text(text: str) -> str:
     """Scoring normalization: lowercase, collapse whitespace, strip ends."""
-    return re.sub(r"\s+", " ", text).strip().lower()
+    return " ".join(text.split()).lower()
 
 
 def triple_key(triple: Triple, strict_case: bool = False, type_agnostic: bool = False) -> tuple:

@@ -31,6 +31,7 @@ def random_document(
     rng: random.Random,
     doc_id: str,
     max_entities: int = 6,
+    min_entities: int = 0,
     allow_discontinuous: bool = True,
 ) -> AnnotatedDocument:
     n_words = rng.randint(8, 40)
@@ -46,7 +47,7 @@ def random_document(
         return (starts[i], starts[j - 1] + len(words[j - 1]))
 
     entities = []
-    for k in range(rng.randint(0, max_entities)):
+    for k in range(rng.randint(min_entities, max_entities)):
         etype = rng.choice(ENTITY_TYPES)
         if allow_discontinuous and rng.random() < 0.2:
             i = rng.randint(0, n_words - 5)

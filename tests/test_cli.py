@@ -421,3 +421,16 @@ class TestExitCodes:
         ])
         assert code == 1
         assert "noun map" in capsys.readouterr().err
+
+    def test_directory_as_input_file_is_fatal_not_a_traceback(self, tmp_path, capsys):
+        code = run_cli(["score", "--gold", str(tmp_path), "--pred", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path}: ")
+
+    def test_directory_as_output_file_is_fatal_not_a_traceback(self, mini_corpus_dir, tmp_path, capsys):
+        out_dir = tmp_path / "stats"
+        out_dir.mkdir()
+        code = run_cli(["stats", "--in", str(mini_corpus_dir), "--out", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {out_dir}: ")
+        assert not any(out_dir.iterdir())

@@ -1,19 +1,70 @@
+"""Shapes, statistics and splits.
+
+The oracle below is the all-pairs shape classification that
+corpus.document_shapes replaced: each entity compared with every other one.
+"""
+
 import random
+import time
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raredis_toolkit.corpus import (
+    SHAPE_CLASSES,
     SplitSpec,
     classify_shape,
     corpus_statistics,
+    document_shapes,
     format_stats,
     read_manifest,
     split_corpus,
     write_manifest,
 )
 from raredis_toolkit.errors import SplitError
-from raredis_toolkit.standoff import AnnotatedDocument, parse_document
+from raredis_toolkit.flatten import flatten_document
+from raredis_toolkit.standoff import AnnotatedDocument, EntityMention, parse_document
 from synth import synthetic_corpus
+
+
+def _strictly_contains(outer: tuple[int, int], inner: tuple[int, int]) -> bool:
+    return outer[0] <= inner[0] and inner[1] <= outer[1] and outer != inner
+
+
+def _overlaps(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    return max(a[0], b[0]) < min(a[1], b[1])
+
+
+def oracle_shape(entity: EntityMention, doc: AnnotatedDocument) -> str:
+    if entity.is_discontinuous:
+        return "discontinuous"
+    span = entity.covering_span
+    others = [e.covering_span for e in doc.entities if e.id != entity.id]
+    if any(_strictly_contains(other, span) for other in others):
+        return "nested"
+    if any(_overlaps(other, span) for other in others):
+        return "overlapped"
+    return "flat"
+
+
+def oracle_shape_counts(docs: list[AnnotatedDocument]) -> dict[str, int]:
+    counts = Counter(oracle_shape(e, doc) for doc in docs for e in doc.entities)
+    return {shape: counts[shape] for shape in SHAPE_CLASSES}
+
+
+# fragments of 1-4 characters starting in 0..12: identical, touching and
+# nested spans are all common
+_fragment = st.tuples(st.integers(0, 12), st.integers(1, 4)).map(lambda p: (p[0], p[0] + p[1]))
+_documents = st.lists(st.lists(_fragment, min_size=1, max_size=3), min_size=1, max_size=9).map(
+    lambda entities: AnnotatedDocument(
+        "d",
+        "x" * 16,
+        tuple(EntityMention(f"T{i}", "sign", tuple(f), "x") for i, f in enumerate(entities, start=1)),
+        (),
+    )
+)
 
 
 def doc_of(ann: str, text: str = "x" * 100) -> AnnotatedDocument:
@@ -75,6 +126,56 @@ class TestClassifyShape:
             shuffled = AnnotatedDocument(doc.doc_id, doc.text, tuple(shuffled_entities), doc.relations)
             for ent in shuffled.entities:
                 assert classify_shape(ent, shuffled) == baseline[ent.id]
+
+
+class TestDocumentShapesMatchAllPairs:
+    @settings(max_examples=500, deadline=None)
+    @given(_documents)
+    def test_same_shape_for_every_entity(self, doc):
+        assert document_shapes(doc) == {e.id: oracle_shape(e, doc) for e in doc.entities}
+
+    @pytest.mark.parametrize(
+        "docs",
+        [
+            synthetic_corpus(seed=79, size=200),
+            synthetic_corpus(seed=83, size=20, min_entities=100, max_entities=120),
+        ],
+        ids=["synthetic", "dense"],
+    )
+    def test_corpus_statistics_counts_the_oracle_shapes(self, docs):
+        assert corpus_statistics(docs).shape_counts == oracle_shape_counts(docs)
+
+
+SCALE_ENTITIES = 60
+MAX_RATIO = 3.0
+
+
+def _flatten_all(docs: list[AnnotatedDocument]) -> None:
+    for doc in docs:
+        flatten_document(doc)
+
+
+def _time_ratio(run, small: list[AnnotatedDocument], large: list[AnnotatedDocument]) -> float:
+    """min-of-3 time(large) / min-of-3 time(small), the two timed alternately
+    so that a slow spell of the host lands on both."""
+    best = [float("inf"), float("inf")]
+    for _ in range(3):
+        for i, docs in enumerate((small, large)):
+            start = time.perf_counter()
+            run(docs)
+            best[i] = min(best[i], time.perf_counter() - start)
+    return best[1] / best[0]
+
+
+class TestCorpusLayersScaleLinearly:
+    @pytest.mark.parametrize("run", [corpus_statistics, _flatten_all], ids=["stats", "flatten"])
+    def test_doubling_the_entities_at_most_triples_the_time(self, run):
+        small, large = (
+            synthetic_corpus(seed=89, size=20, min_entities=n, max_entities=n)
+            for n in (SCALE_ENTITIES, 2 * SCALE_ENTITIES)
+        )
+        ratio = _time_ratio(run, small, large)
+        assert ratio < MAX_RATIO, f"time x{ratio:.2f} when the entities per document double"
 
 
 class TestStatistics:

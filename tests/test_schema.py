@@ -1,4 +1,5 @@
 import logging
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -298,6 +299,32 @@ class TestNormalizeGeneration:
     def test_idempotent(self, s):
         once = normalize_generation(s)
         assert normalize_generation(once) == once
+
+
+# every character `\s` matches in a str pattern, which str.split() splits on
+REGEX_WHITESPACE = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+    + "".join(map(chr, range(0x2000, 0x200B)))
+    + "\u2028\u2029\u202f\u205f\u3000"
+)
+
+
+class TestWhitespaceCollapse:
+    r"""normalize_text and normalize_generation collapse whitespace exactly as
+    `re.sub(r"\s+", " ", text).strip()` did."""
+
+    def test_alphabet_holds_every_regex_whitespace_character(self):
+        every_code_point = "".join(map(chr, range(0x110000)))
+        assert "".join(re.findall(r"\s", every_code_point)) == REGEX_WHITESPACE
+
+    # İ, ß and É change under lower(), İ into two code points
+    @given(st.text(alphabet=REGEX_WHITESPACE + "aZİßÉ-/()", max_size=40))
+    @settings(max_examples=500, deadline=None)
+    def test_same_as_the_regex_spelling(self, text):
+        collapsed = re.sub(r"\s+", " ", text).strip()
+        assert normalize_text(text) == collapsed.lower()
+        # the later steps see the same string only if the first step gave it
+        assert normalize_generation(text) == normalize_generation(collapsed)
 
 
 class TestEncodedCorpus:
