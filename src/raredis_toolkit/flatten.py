@@ -11,11 +11,26 @@ synthetic).
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import FlattenError
+from .errors import FlattenError, ToolkitError
 from .standoff import AnnotatedDocument, EntityMention, read_file, write_file
+
+
+def _first_holding(entries: Sequence[tuple[tuple[int, int], object]], start: int, end: int) -> int | None:
+    """Index of the first `((s, e), _)` entry with s <= start and end <= e.
+
+    The intervals are ordered and do not overlap, so their starts and ends
+    both ascend: the first interval ending at or after `end` is the only
+    candidate, because every later one starts no earlier than it does.
+    """
+    i = bisect_left(entries, end, key=lambda entry: entry[0][1])
+    if i < len(entries) and entries[i][0][0] <= start:
+        return i
+    return None
 
 
 @dataclass(frozen=True)
@@ -42,14 +57,16 @@ class OffsetMap:
         return len(self.pairs) == 1 and self.pairs[0][0] == self.pairs[0][1]
 
     def to_original(self, start: int, end: int) -> tuple[int, int] | None:
-        """Translate a rewritten span back, or None if it crosses synthetic text."""
-        for (ns, ne), original in self.pairs:
-            if ns <= start and end <= ne:
-                if original is None:
-                    return None
-                os_, _ = original
-                return (os_ + (start - ns), os_ + (end - ns))
-        return None
+        """Translate a rewritten span back, or None if it crosses synthetic text.
+
+        The first pair holding the span answers, so an empty span on a
+        boundary between two pairs resolves through the earlier one.
+        """
+        i = _first_holding(self.pairs, start, end)
+        if i is None or self.pairs[i][1] is None:
+            return None
+        (ns, _), (os_, _) = self.pairs[i]
+        return (os_ + (start - ns), os_ + (end - ns))
 
     def to_dict(self) -> dict:
         return {
@@ -65,6 +82,12 @@ class OffsetMap:
             (tuple(entry["rewritten"]), tuple(entry["original"]) if entry["original"] else None)
             for entry in payload["pairs"]
         )
+        # to_original bisects, so a map read from outside must keep the order
+        previous_end = 0
+        for (ns, ne), _ in pairs:
+            if not previous_end <= ns <= ne:
+                raise ToolkitError(f"offset map pairs must be ordered and non-overlapping, at {[ns, ne]}")
+            previous_end = ne
         return cls(pairs)
 
 
@@ -106,7 +129,7 @@ def flatten_document(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, OffsetM
     pieces: list[str] = []
     pairs: list[tuple[tuple[int, int], tuple[int, int] | None]] = []
     new_fragments: dict[str, tuple[int, int]] = {}
-    copied_stretches: list[tuple[int, int, int]] = []  # (orig_start, orig_end, delta)
+    copied_stretches: list[tuple[tuple[int, int], int]] = []  # ((orig_start, orig_end), delta)
     orig_pos = 0
     new_pos = 0
 
@@ -120,7 +143,7 @@ def flatten_document(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, OffsetM
 
     for start, end, members in regions:
         if orig_pos < start:
-            copied_stretches.append((orig_pos, start, new_pos - orig_pos))
+            copied_stretches.append(((orig_pos, start), new_pos - orig_pos))
             emit(text[orig_pos:start], (orig_pos, start))
         for i, ent in enumerate(members):
             if i:
@@ -133,14 +156,15 @@ def flatten_document(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, OffsetM
             new_fragments[ent.id] = (render_start, new_pos)
         orig_pos = end
     if orig_pos < len(text):
-        copied_stretches.append((orig_pos, len(text), new_pos - orig_pos))
+        copied_stretches.append(((orig_pos, len(text)), new_pos - orig_pos))
         emit(text[orig_pos:], (orig_pos, len(text)))
 
     def shift(fragment: tuple[int, int]) -> tuple[int, int]:
         fs, fe = fragment
-        for os_, oe, delta in copied_stretches:
-            if os_ <= fs and fe <= oe:
-                return (fs + delta, fe + delta)
+        i = _first_holding(copied_stretches, fs, fe)
+        if i is not None:
+            delta = copied_stretches[i][1]
+            return (fs + delta, fe + delta)
         # covering-span clusters have gap-free hulls, so no outside entity can
         # reach into a rewritten group; fail rather than corrupt spans if one does
         raise FlattenError(f"{doc.doc_id}: fragment {fragment} outside any copied stretch")

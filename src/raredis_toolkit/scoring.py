@@ -324,6 +324,16 @@ def write_error_records(records: list[ErrorRecord], path: str | Path) -> None:
     write_file(path, join_records(lines, path))
 
 
+def _type_field(label: str, path: str | Path, line_no: int) -> str | None:
+    """A triples-TSV type field: empty is unknown (None), else a known label."""
+    if not label:
+        return None
+    entity_type = normalize_entity_type(label)
+    if entity_type is None:
+        raise ToolkitError(f"{path}:{line_no}: unknown entity type {label!r}")
+    return entity_type
+
+
 def read_triples_file(path: str | Path) -> dict[str, list[Triple]]:
     """Tab-separated triples: doc_id, subject text, subject type, predicate,
     object text, object type. Empty type fields mean the type is unknown."""
@@ -338,17 +348,10 @@ def read_triples_file(path: str | Path) -> dict[str, list[Triple]]:
         pred = normalize_predicate(predicate)
         if pred is None:
             raise ToolkitError(f"{path}:{line_no}: unknown predicate {predicate!r}")
-
-        def typ(label: str, line_no=line_no) -> str | None:
-            if not label:
-                return None
-            t = normalize_entity_type(label)
-            if t is None:
-                raise ToolkitError(f"{path}:{line_no}: unknown entity type {label!r}")
-            return t
-
+        s_typ = _type_field(s_type, path, line_no)
+        o_typ = _type_field(o_type, path, line_no)
         try:
-            triple = Triple(s_text, typ(s_type), pred, o_text, typ(o_type))
+            triple = Triple(s_text, s_typ, pred, o_text, o_typ)
         except ValueError as exc:
             raise ToolkitError(f"{path}:{line_no}: {exc}") from exc
         out.setdefault(doc_id, []).append(triple)

@@ -17,7 +17,7 @@ import shutil
 import tempfile
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 from .errors import StandoffParseError, ToolkitError
@@ -72,23 +72,34 @@ _PREDICATE_ALIASES = {p: p for p in PREDICATES}
 _PREDICATE_ALIASES["increase_risk_of"] = "increases_risk_of"
 
 
+_LABEL_SEPARATORS = re.compile(r"[\s\-]+")
+
+
+def _label_key(label: str) -> str:
+    """Lower-cased label with each run of spaces and hyphens as one underscore."""
+    return _LABEL_SEPARATORS.sub("_", label.strip().lower())
+
+
+# Both lookups are memoized per spelling. The bound matters: seq2rel decoding
+# passes every @Name@ token of model output through them.
+@lru_cache(maxsize=1024)
 def normalize_entity_type(label: str) -> str | None:
     """Map a type label spelling to its canonical name, or None if unknown.
 
     Case-insensitive; spaces and hyphens count as underscores, and the
     underscore-free spelling is accepted too (e.g. SKINRAREDISEASE).
     """
-    key = re.sub(r"[\s\-]+", "_", label.strip().lower())
+    key = _label_key(label)
     hit = _ENTITY_TYPE_ALIASES.get(key)
     if hit is None:
         hit = _ENTITY_TYPE_ALIASES.get(key.replace("_", ""))
     return hit
 
 
+@lru_cache(maxsize=1024)
 def normalize_predicate(label: str) -> str | None:
     """Map a relation label spelling to its canonical name, or None."""
-    key = re.sub(r"[\s\-]+", "_", label.strip().lower())
-    return _PREDICATE_ALIASES.get(key)
+    return _PREDICATE_ALIASES.get(_label_key(label))
 
 
 @dataclass(frozen=True)

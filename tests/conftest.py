@@ -1,4 +1,5 @@
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,21 @@ from raredis_toolkit.standoff import parse_document
 
 # characters str.splitlines() breaks on, plus tab and the record separator
 LINE_BREAK_ALPHABET = "ab \t\n\r\x85\u2028\x0b\x0c\x1c\x1d\x1e"
+
+# Scaling bounds: doubling a layer's input may at most triple its time.
+MAX_SCALE_RATIO = 3.0
+
+
+def time_ratio(run, small, large) -> float:
+    """min-of-3 time of run(large) / min-of-3 time of run(small), the two
+    timed alternately so that a slow spell of the host lands on both."""
+    best = [float("inf"), float("inf")]
+    for _ in range(3):
+        for i, arg in enumerate((small, large)):
+            start = time.perf_counter()
+            run(arg)
+            best[i] = min(best[i], time.perf_counter() - start)
+    return best[1] / best[0]
 
 
 def _offsets(text: str, phrase: str, occurrence: int = 0) -> tuple[int, int]:

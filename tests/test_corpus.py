@@ -5,7 +5,6 @@ corpus.document_shapes replaced: each entity compared with every other one.
 """
 
 import random
-import time
 from collections import Counter
 
 import pytest
@@ -26,6 +25,7 @@ from raredis_toolkit.corpus import (
 from raredis_toolkit.errors import SplitError
 from raredis_toolkit.flatten import flatten_document
 from raredis_toolkit.standoff import AnnotatedDocument, EntityMention, parse_document
+from conftest import MAX_SCALE_RATIO, time_ratio
 from synth import synthetic_corpus
 
 
@@ -147,7 +147,7 @@ class TestDocumentShapesMatchAllPairs:
 
 
 SCALE_ENTITIES = 60
-MAX_RATIO = 3.0
+SCALE_REGIONS = 1000
 
 
 def _flatten_all(docs: list[AnnotatedDocument]) -> None:
@@ -155,16 +155,27 @@ def _flatten_all(docs: list[AnnotatedDocument]) -> None:
         flatten_document(doc)
 
 
-def _time_ratio(run, small: list[AnnotatedDocument], large: list[AnnotatedDocument]) -> float:
-    """min-of-3 time(large) / min-of-3 time(small), the two timed alternately
-    so that a slow spell of the host lands on both."""
-    best = [float("inf"), float("inf")]
-    for _ in range(3):
-        for i, docs in enumerate((small, large)):
-            start = time.perf_counter()
-            run(docs)
-            best[i] = min(best[i], time.perf_counter() - start)
-    return best[1] / best[0]
+def many_regions_doc(n: int) -> AnnotatedDocument:
+    """n disjoint two-fragment entities, each its own rewritten region with a
+    copied stretch after it, then n flat entities after all of them."""
+    words = [f"w{i}" for i in range(5 * n)]
+    starts = [0]
+    for word in words[:-1]:
+        starts.append(starts[-1] + len(word) + 1)
+
+    def span(i: int) -> tuple[int, int]:
+        return (starts[i], starts[i] + len(words[i]))
+
+    text = " ".join(words)
+    entities = []
+    for k in range(n):
+        fragments = (span(4 * k), span(4 * k + 2))
+        surface = " ".join(text[s:e] for s, e in fragments)
+        entities.append(EntityMention(f"T{k + 1}", "sign", fragments, surface))
+    for k in range(n):
+        s, e = span(4 * n + k)
+        entities.append(EntityMention(f"T{n + k + 1}", "disease", ((s, e),), text[s:e]))
+    return AnnotatedDocument("regions", text, tuple(entities), ())
 
 
 class TestCorpusLayersScaleLinearly:
@@ -174,8 +185,16 @@ class TestCorpusLayersScaleLinearly:
             synthetic_corpus(seed=89, size=20, min_entities=n, max_entities=n)
             for n in (SCALE_ENTITIES, 2 * SCALE_ENTITIES)
         )
-        ratio = _time_ratio(run, small, large)
-        assert ratio < MAX_RATIO, f"time x{ratio:.2f} when the entities per document double"
+        ratio = time_ratio(run, small, large)
+        assert ratio < MAX_SCALE_RATIO, f"time x{ratio:.2f} when the entities per document double"
+
+    def test_flatten_with_many_regions_at_most_triples_the_time(self):
+        """Overlapping entities form one region; this shape makes one per
+        discontinuous entity, so every flat entity after them is shifted
+        past all the copied stretches."""
+        small, large = ([many_regions_doc(n)] for n in (SCALE_REGIONS, 2 * SCALE_REGIONS))
+        ratio = time_ratio(_flatten_all, small, large)
+        assert ratio < MAX_SCALE_RATIO, f"time x{ratio:.2f} when the regions double"
 
 
 class TestStatistics:

@@ -6,7 +6,6 @@ same regular expressions, tried at every start position by finditer.
 
 import random
 import re
-import time
 from unittest import mock
 
 import pytest
@@ -22,6 +21,7 @@ from raredis_toolkit.schema import (
     normalize_generation,
 )
 from raredis_toolkit.standoff import ENTITY_TYPES, PREDICATES, parse_document
+from conftest import MAX_SCALE_RATIO, time_ratio
 
 _SPAN = r"[^.]+?"
 _TYPES = "|".join(sorted(TYPE_WORDS.values(), key=len, reverse=True))
@@ -122,7 +122,6 @@ class TestScanMatchesFinditer:
 # --- scaling ----------------------------------------------------------------
 
 SCALE_WORDS = 2000
-MAX_RATIO = 3.0
 
 _rng = random.Random(20231123)
 _VOCAB = [
@@ -155,23 +154,11 @@ def _looping(kind: str, words: int) -> str:
     return " ".join([unit] * max(1, words // len(unit.split())))
 
 
-def _time_ratio(small: str, large: str, kind: str) -> float:
-    """min-of-3 time(large) / min-of-3 time(small), the two timed alternately
-    so that a slow spell of the host lands on both."""
-    best = [float("inf"), float("inf")]
-    for _ in range(3):
-        for i, generation in enumerate((small, large)):
-            start = time.perf_counter()
-            decode_target_report(generation, kind)
-            best[i] = min(best[i], time.perf_counter() - start)
-    return best[1] / best[0]
-
-
 class TestDecodeScalesLinearly:
     @pytest.mark.parametrize("build", [_random_words, _looping], ids=["period_free", "looping"])
     @pytest.mark.parametrize("kind", SCHEMA_KINDS)
     def test_doubling_the_generation_at_most_triples_the_time(self, kind, build):
         small, large = build(kind, SCALE_WORDS), build(kind, 2 * SCALE_WORDS)
         assert "." not in small + large
-        ratio = _time_ratio(small, large, kind)
-        assert ratio < MAX_RATIO, f"{kind}: time x{ratio:.2f} when the generation doubles"
+        ratio = time_ratio(lambda generation: decode_target_report(generation, kind), small, large)
+        assert ratio < MAX_SCALE_RATIO, f"{kind}: time x{ratio:.2f} when the generation doubles"

@@ -1,8 +1,22 @@
-import pytest
+"""Flattening discontinuous entities, and the offset map it returns.
 
+The oracles below are the linear scans that flatten_document's `shift` and
+OffsetMap.to_original ran before both became one bisect (`_first_holding`):
+the first interval holding the span answers.
+"""
+
+import json
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from raredis_toolkit import flatten
+from raredis_toolkit.errors import FlattenError, ToolkitError
 from raredis_toolkit.flatten import OffsetMap, flatten_document, read_offset_map, write_offset_map
-from raredis_toolkit.standoff import parse_document
-from synth import synthetic_corpus
+from raredis_toolkit.standoff import AnnotatedDocument, EntityMention, parse_document
+from synth import random_document, synthetic_corpus
 
 COORDINATED = "weakness in the muscles of the arms and weakness in the muscles of the legs"
 
@@ -93,8 +107,98 @@ class TestOffsetMapIO:
         write_offset_map(offset_map, tmp_path / "m.json")
         assert read_offset_map(tmp_path / "m.json") == offset_map
 
+    @pytest.mark.parametrize(
+        "pairs", [[[5, 10], [0, 5]], [[0, 6], [5, 10]], [[4, 2]]], ids=["unordered", "overlapping", "inverted"]
+    )
+    def test_unordered_map_rejected(self, pairs, tmp_path):
+        payload = {"pairs": [{"rewritten": rw, "original": None} for rw in pairs]}
+        (tmp_path / "m.json").write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ToolkitError, match="ordered and non-overlapping"):
+            read_offset_map(tmp_path / "m.json")
+
     def test_identity_map(self):
         m = OffsetMap.identity(10)
         assert m.is_identity
         assert m.to_original(3, 7) == (3, 7)
         assert OffsetMap.identity(0).is_identity
+
+
+def oracle_to_original(offset_map: OffsetMap, start: int, end: int) -> tuple[int, int] | None:
+    for (ns, ne), original in offset_map.pairs:
+        if ns <= start and end <= ne:
+            if original is None:
+                return None
+            os_, _ = original
+            return (os_ + (start - ns), os_ + (end - ns))
+    return None
+
+
+def oracle_first_holding(entries, start: int, end: int) -> int | None:
+    """shift's scan over the copied stretches, returning the stretch's index."""
+    for i, ((os_, oe), _) in enumerate(entries):
+        if os_ <= start and end <= oe:
+            return i
+    return None
+
+
+@st.composite
+def offset_maps(draw, gaps: bool = False):
+    """Ordered intervals of length 0-3, touching or (with gaps) spaced apart;
+    each maps to an original interval or is synthetic."""
+    pairs = []
+    pos = 0
+    for length in draw(st.lists(st.integers(0, 3), max_size=8)):
+        pos += draw(st.integers(0, 2)) if gaps else 0
+        original = draw(st.none() | st.integers(0, 50).map(lambda o, n=length: (o, o + n)))
+        pairs.append(((pos, pos + length), original))
+        pos += length
+    return OffsetMap(tuple(pairs))
+
+
+def spans_near(offset_map: OffsetMap) -> list[tuple[int, int]]:
+    """Every span whose ends sit on, beside or between interval bounds,
+    empty and inverted spans included."""
+    bounds = {b for (ns, ne), _ in offset_map.pairs for b in (ns, ne)} | {0}
+    points = sorted({p + d for p in bounds for d in (-1, 0, 1)})
+    return [(start, end) for start in points for end in points]
+
+
+class TestLookupMatchesLinearScan:
+    @settings(max_examples=300, deadline=None)
+    @given(offset_maps())
+    def test_to_original(self, offset_map):
+        for start, end in spans_near(offset_map):
+            assert offset_map.to_original(start, end) == oracle_to_original(offset_map, start, end)
+
+    @settings(max_examples=300, deadline=None)
+    @given(offset_maps(gaps=True))
+    def test_first_holding_over_stretches_with_gaps(self, offset_map):
+        entries = offset_map.pairs
+        for start, end in spans_near(offset_map):
+            assert flatten._first_holding(entries, start, end) == oracle_first_holding(entries, start, end)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(0, 30))
+    def test_flatten_document(self, rng, max_entities):
+        doc = random_document(rng, "d", max_entities=max_entities)
+        with mock.patch.object(flatten, "_first_holding", oracle_first_holding):
+            expected = flatten_document(doc)
+        assert flatten_document(doc) == expected
+
+    def test_empty_span_on_a_boundary_resolves_through_the_earlier_pair(self):
+        offset_map = OffsetMap((((0, 5), (10, 15)), ((5, 10), (30, 35))))
+        assert offset_map.to_original(5, 5) == (15, 15)
+        assert offset_map.to_original(5, 6) == (30, 31)
+        synthetic_first = OffsetMap((((0, 5), None), ((5, 10), (30, 35))))
+        assert synthetic_first.to_original(5, 5) is None
+
+    def test_fragment_outside_every_stretch_raises(self):
+        # T2 starts in the stretch copied after T1's region and runs past the
+        # end of the text, so no stretch holds it
+        text = "aaaa bbbb cccc dd"
+        entities = (
+            EntityMention("T1", "sign", ((0, 4), (10, 14)), "aaaa cccc"),
+            EntityMention("T2", "sign", ((15, 20),), "dd"),
+        )
+        with pytest.raises(FlattenError, match="outside any copied stretch"):
+            flatten_document(AnnotatedDocument("d", text, entities, ()))

@@ -27,7 +27,7 @@ from raredis_toolkit.scoring import (
 )
 from raredis_toolkit.standoff import ENTITY_TYPES, PREDICATES
 from raredis_toolkit.triples import Triple
-from conftest import LINE_BREAK_ALPHABET
+from conftest import LINE_BREAK_ALPHABET, MAX_SCALE_RATIO, time_ratio
 
 A = Triple("alpha syndrome", "rare_disease", "produces", "tremor", "sign")
 B = Triple("alpha syndrome", "rare_disease", "is_a", "metabolic disorder", "disease")
@@ -317,3 +317,54 @@ class TestTriplesFileIO:
                 return
             write_triples_file(data, path)
             assert read_triples_file(path) == data
+
+
+def distinct_triples_by_doc(seed: int, docs: int, per_doc: int) -> dict[str, list[Triple]]:
+    """Gold-like triples: every one distinct, in documents of per_doc each."""
+    rng = random.Random(seed)
+    words = ["tremor", "fever", "rash", "pain", "Weakness", "ataxia", "nodules"]
+    return {
+        f"doc{d:03d}": [
+            Triple(
+                f"{rng.choice(words)} {i}",
+                rng.choice(ENTITY_TYPES),
+                rng.choice(PREDICATES),
+                f"{rng.choice(words)} {rng.randrange(10**6)}",
+                rng.choice(ENTITY_TYPES),
+            )
+            for i in range(per_doc)
+        ]
+        for d in range(docs)
+    }
+
+
+def predicted_from(gold_by_doc: dict[str, list[Triple]], seed: int) -> dict[str, list[Triple]]:
+    """Half of each document's gold triples kept, the rest with a new object."""
+    rng = random.Random(seed)
+    return {
+        doc_id: [
+            t if rng.random() < 0.5 else Triple(t.subject_text, t.subject_type, t.predicate,
+                                                 f"spurious {i}", t.object_type)
+            for i, t in enumerate(triples)
+        ]
+        for doc_id, triples in gold_by_doc.items()
+    }
+
+
+class TestReadAndScoreScaleLinearly:
+    def test_doubling_the_records_at_most_triples_the_time(self, tmp_path):
+        paths = []
+        for docs in (100, 200):
+            path = tmp_path / f"triples{docs}.tsv"
+            write_triples_file(distinct_triples_by_doc(7, docs, 20), path)
+            paths.append(path)
+        ratio = time_ratio(read_triples_file, *paths)
+        assert ratio < MAX_SCALE_RATIO, f"time x{ratio:.2f} when the records double"
+
+    def test_doubling_the_triples_per_document_at_most_triples_the_time(self):
+        small, large = (
+            (gold, predicted_from(gold, 11))
+            for gold in (distinct_triples_by_doc(13, 20, n) for n in (60, 120))
+        )
+        ratio = time_ratio(lambda pair: score_corpus(*pair), small, large)
+        assert ratio < MAX_SCALE_RATIO, f"time x{ratio:.2f} when the triples per document double"

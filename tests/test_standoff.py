@@ -1,4 +1,5 @@
 import random
+import re
 import tempfile
 from dataclasses import replace
 
@@ -6,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from raredis_toolkit import standoff
 from raredis_toolkit.errors import StandoffParseError, ToolkitError
+from raredis_toolkit.schema import ENTITY_TOKENS, PREDICATE_TOKENS, decode_target_report
 from raredis_toolkit.standoff import (
+    ENTITY_TYPE_LABELS,
     ENTITY_TYPES,
     PREDICATES,
     AnnotatedDocument,
@@ -20,7 +24,7 @@ from raredis_toolkit.standoff import (
     serialize_document,
     write_corpus_dir,
 )
-from conftest import LINE_BREAK_ALPHABET
+from conftest import LINE_BREAK_ALPHABET, MAX_SCALE_RATIO, time_ratio
 from synth import synthetic_corpus
 
 
@@ -147,6 +151,95 @@ class TestTypeNormalization:
     )
     def test_predicate_labels(self, label, expected):
         assert normalize_predicate(label) == expected
+
+
+def oracle_entity_type(label: str) -> str | None:
+    """The uncached lookup, spelled with the regex as before memoization."""
+    key = re.sub(r"[\s\-]+", "_", label.strip().lower())
+    hit = standoff._ENTITY_TYPE_ALIASES.get(key)
+    if hit is None:
+        hit = standoff._ENTITY_TYPE_ALIASES.get(key.replace("_", ""))
+    return hit
+
+
+def oracle_predicate(label: str) -> str | None:
+    return standoff._PREDICATE_ALIASES.get(re.sub(r"[\s\-]+", "_", label.strip().lower()))
+
+
+_SPELLINGS = sorted(
+    {*ENTITY_TYPES, *ENTITY_TYPE_LABELS.values(), *PREDICATES}
+    | {token.strip("@") for token in (*ENTITY_TOKENS.values(), *PREDICATE_TOKENS.values())}
+)
+_SEPARATORS = [" ", "\t", "-", "_", "", "  ", " - ", "\u2028", "\x85", "\u3000"]
+_CASINGS = (str.lower, str.upper, str.title, str.swapcase, str)
+
+
+@st.composite
+def spelled_labels(draw) -> str:
+    """A known spelling's words rejoined by arbitrary separators, padded, recased."""
+    first, *rest = draw(st.sampled_from(_SPELLINGS)).split("_")
+    label = first + "".join(draw(st.sampled_from(_SEPARATORS)) + word for word in rest)
+    pad = st.sampled_from(["", " ", "\t", "\u3000", "-", "_"])
+    return draw(st.sampled_from(_CASINGS))(draw(pad) + label + draw(pad))
+
+
+# whole spellings, their words, separators, and characters whose lower()
+# changes length (İ) or whose case changes do (ß)
+_LABEL_PIECES = (
+    _SPELLINGS
+    + sorted({word for spelling in _SPELLINGS for word in spelling.split("_")})
+    + _SEPARATORS
+    + ["İ", "ß", "x"]
+)
+labels = spelled_labels() | st.lists(
+    st.tuples(st.sampled_from(_LABEL_PIECES), st.sampled_from(_CASINGS)), max_size=6
+).map(lambda parts: "".join(case(piece) for piece, case in parts))
+
+
+class TestLabelMemo:
+    @settings(max_examples=500, deadline=None)
+    @given(labels)
+    def test_both_lookups_equal_the_uncached_spelling(self, label):
+        for _ in range(2):  # a miss, then a hit
+            assert normalize_entity_type(label) == oracle_entity_type(label)
+            assert normalize_predicate(label) == oracle_predicate(label)
+
+    def test_alphabet_reaches_every_canonical_name(self):
+        assert {oracle_entity_type(s) for s in _SPELLINGS} >= set(ENTITY_TYPES)
+        assert {oracle_predicate(s) for s in _SPELLINGS} >= set(PREDICATES)
+
+    @pytest.mark.parametrize("lookup", [normalize_entity_type, normalize_predicate])
+    def test_cache_stays_within_its_bound(self, lookup):
+        maxsize = lookup.cache_info().maxsize
+        assert maxsize is not None
+        for i in range(5000):
+            assert lookup(f"unknown label {i}") is None
+        assert lookup.cache_info().currsize <= maxsize
+
+    def test_unknown_seq2rel_token_still_reported_when_warm(self):
+        generation = "aplasia @Bogus@ fever @Sign@ @PRODUCES@"
+        for _ in range(2):
+            _, report = decode_target_report(generation, "seq2rel")
+            assert ("@Bogus@", "unknown special token") in report
+        assert normalize_entity_type.cache_info().hits > 0
+
+
+class TestParseScalesLinearly:
+    def test_doubling_the_entities_at_most_triples_the_time(self):
+        small, large = (
+            [
+                (doc.doc_id, *serialize_document(doc))
+                for doc in synthetic_corpus(seed=97, size=20, min_entities=n, max_entities=n)
+            ]
+            for n in (60, 120)
+        )
+
+        def parse_all(pairs):
+            for doc_id, text, ann in pairs:
+                parse_document(text, ann, doc_id)
+
+        ratio = time_ratio(parse_all, small, large)
+        assert ratio < MAX_SCALE_RATIO, f"time x{ratio:.2f} when the entities per document double"
 
 
 class TestSerialize:
