@@ -1,14 +1,17 @@
 """Command-line entry point: repair, stats, split, flatten, encode, decode,
 score, and errors over directories of .txt/.ann pairs.
 
-Exit codes: 0 success, 1 fatal error, 2 usage error. Runs are deterministic
-given the same flags and seed; input directories are never modified.
+Each cmd_* yields its outputs for standoff.write_outputs, which writes all or
+none. Exit codes: 0 success, 1 fatal error, 2 usage error. Runs are
+deterministic given the same flags and seed; input directories are never
+modified.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -54,17 +57,13 @@ def _load_noun_map(path: str | None) -> dict[str, str] | None:
     return schema_mod.validate_noun_map(json.loads(standoff.read_file(path)))
 
 
-def cmd_repair(args) -> int:
+def cmd_repair(args):
     docs = _load_corpus(args)
-    repaired = []
-    logs = []
-    for doc in docs:
-        fixed, log = repair_mod.repair_all(doc)
-        repaired.append(fixed)
-        logs.append(log)
-    standoff.write_corpus_dir(repaired, args.output_dir)
+    results = [repair_mod.repair_all(doc) for doc in docs]
+    yield from standoff.corpus_files((fixed for fixed, _ in results), args.output_dir)
+    logs = [log for _, log in results]
     if args.log:
-        repair_mod.write_repair_log(logs, args.log)
+        yield args.log, repair_mod.repair_log_text(logs, args.log)
     summary = repair_mod.summarize_repairs(list(zip(docs, logs)))
     print(
         f"repaired {len(docs)} documents: "
@@ -75,20 +74,17 @@ def cmd_repair(args) -> int:
         f"{summary.entities_fragment_reordered} fragment lists reordered, "
         f"{summary.relations_unresolvable} relations left unresolvable"
     )
-    return 0
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args):
     docs = _load_corpus(args)
-    stats = corpus_mod.corpus_statistics(docs)
-    name = Path(args.input_dir).name or "corpus"
-    print(corpus_mod.format_stats({name: stats}), end="")
+    stats = {Path(args.input_dir).name or "corpus": corpus_mod.corpus_statistics(docs)}
     if args.out_json:
-        corpus_mod.write_stats_json({name: stats}, args.out_json)
-    return 0
+        yield args.out_json, corpus_mod.stats_json(stats)
+    print(corpus_mod.format_stats(stats), end="")
 
 
-def cmd_split(args) -> int:
+def cmd_split(args):
     docs = _load_corpus(args)
     if args.train_list or args.dev_list or args.test_list:
         if not (args.train_list and args.dev_list and args.test_list):
@@ -109,51 +105,47 @@ def cmd_split(args) -> int:
     else:
         raise ToolkitError("split needs either --ratios or the three --*-list flags")
 
-    out = Path(args.output_dir)
-    for name, split in zip(("train", "dev", "test"), corpus_mod.split_corpus(docs, spec)):
-        standoff.write_corpus_dir(split, out / name)
-        corpus_mod.write_manifest(split, out / f"{name}.txt")
+    splits = list(zip(("train", "dev", "test"), corpus_mod.split_corpus(docs, spec)))
+    for name, split in splits:
+        yield from standoff.corpus_files(split, os.path.join(args.output_dir, name))
+        manifest = os.path.join(args.output_dir, f"{name}.txt")
+        yield manifest, corpus_mod.manifest_text(split, manifest)
+    for name, split in splits:
         print(f"{name}: {len(split)} documents")
-    return 0
 
 
-def cmd_flatten(args) -> int:
+def cmd_flatten(args):
     docs = _load_corpus(args)
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    flattened = []
+    yield args.output_dir, None  # made even for a corpus of no documents
     for doc in docs:
         flat, offset_map = flatten_mod.flatten_document(doc)
-        flattened.append(flat)
-        flatten_mod.write_offset_map(offset_map, out / f"{doc.doc_id}.offsets.json")
-    standoff.write_corpus_dir(flattened, out)
+        yield from standoff.corpus_files([flat], args.output_dir)
+        sidecar = os.path.join(args.output_dir, f"{doc.doc_id}.offsets.json")
+        yield sidecar, flatten_mod.offset_map_json(offset_map)
     print(f"flattened {len(docs)} documents")
-    return 0
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args):
     docs = _load_corpus(args)
     noun_map = _load_noun_map(args.noun_map)
     examples = schema_mod.encode_corpus(
         docs, args.schema, noun_map=noun_map, copy_instruct=args.copy_instruct
     )
     out = Path(args.out_file)
-    out.parent.mkdir(parents=True, exist_ok=True)
     records = (
         json.dumps({"doc_id": ex.doc_id, "source": ex.source, "target": ex.target}, ensure_ascii=False)
         for ex in examples
     )
-    standoff.write_file(out, standoff.join_records(records, out))
+    yield out, standoff.join_records(records, out)
     if args.schema == schema_mod.SCHEMA_SEQ2REL:
         vocab_path = out.parent / "special_tokens.txt"
-        standoff.write_file(vocab_path, standoff.join_records(schema_mod.special_tokens(), vocab_path))
+        yield vocab_path, standoff.join_records(schema_mod.special_tokens(), vocab_path)
         print(f"wrote {len(examples)} examples to {out} and tokens to {vocab_path}")
     else:
         print(f"wrote {len(examples)} examples to {out}")
-    return 0
 
 
-def cmd_decode(args) -> int:
+def cmd_decode(args):
     noun_map = _load_noun_map(args.noun_map)
     triples_by_doc = {}
     report_lines = []
@@ -178,15 +170,14 @@ def cmd_decode(args) -> int:
         report_lines.extend(
             f"{doc_id}\t{reason}\t{' '.join(segment.split())}" for segment, reason in skipped
         )
-    scoring_mod.write_triples_file(triples_by_doc, args.out_file)
+    yield args.out_file, scoring_mod.triples_text(triples_by_doc, args.out_file)
     if args.report:
-        standoff.write_file(args.report, standoff.join_records(report_lines, args.report))
+        yield args.report, standoff.join_records(report_lines, args.report)
     total = sum(len(v) for v in triples_by_doc.values())
     print(
         f"decoded {total} triples from {len(triples_by_doc)} generations "
         f"({len(report_lines)} segments skipped)"
     )
-    return 0
 
 
 def _read_scored_files(args):
@@ -195,18 +186,17 @@ def _read_scored_files(args):
     return gold, pred
 
 
-def cmd_score(args) -> int:
+def cmd_score(args):
     gold, pred = _read_scored_files(args)
     report = scoring_mod.score_corpus(
         gold, pred, strict_case=args.strict_case, type_agnostic=args.type_agnostic
     )
-    print(scoring_mod.format_report(report), end="")
     if args.out_json:
-        standoff.write_file(args.out_json, json.dumps(report.to_dict(), indent=2) + "\n")
-    return 0
+        yield args.out_json, json.dumps(report.to_dict(), indent=2) + "\n"
+    print(scoring_mod.format_report(report), end="")
 
 
-def cmd_errors(args) -> int:
+def cmd_errors(args):
     gold, pred = _read_scored_files(args)
     texts = {}
     if args.docs:
@@ -224,14 +214,13 @@ def cmd_errors(args) -> int:
                 type_agnostic=args.type_agnostic,
             )
         )
-    scoring_mod.write_error_records(records, args.audit)
+    yield args.audit, scoring_mod.error_records_text(records, args.audit)
     counts: dict[str, int] = {}
     for record in records:
         counts[record.category] = counts.get(record.category, 0) + 1
     for category in sorted(counts):
         print(f"{category}: {counts[category]}")
     print(f"wrote {len(records)} error records to {args.audit}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,7 +296,8 @@ def run_cli(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        standoff.write_outputs(args.func(args))
+        return 0
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc.filename}", file=sys.stderr)
         return 1

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .errors import SplitError
 from .standoff import ENTITY_TYPES, PREDICATES, AnnotatedDocument, EntityMention
-from .standoff import join_records, read_file, split_records, write_file
+from .standoff import join_records, read_file, split_records
 
 SHAPE_FLAT = "flat"
 SHAPE_DISCONTINUOUS = "discontinuous"
@@ -128,9 +128,9 @@ def format_stats(stats_by_split: dict[str, CorpusStats]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_stats_json(stats_by_split: dict[str, CorpusStats], path: str | Path) -> None:
+def stats_json(stats_by_split: dict[str, CorpusStats]) -> str:
     payload = {name: stats.to_dict() for name, stats in stats_by_split.items()}
-    write_file(path, json.dumps(payload, indent=2) + "\n")
+    return json.dumps(payload, indent=2) + "\n"
 
 
 @dataclass(frozen=True)
@@ -199,6 +199,5 @@ def read_manifest(path: str | Path) -> tuple[str, ...]:
     return tuple(line.strip() for line in lines if line.strip())
 
 
-def write_manifest(docs: list[AnnotatedDocument], path: str | Path) -> None:
-    ids = sorted(doc.doc_id for doc in docs)
-    write_file(path, join_records(ids, path))
+def manifest_text(docs: list[AnnotatedDocument], where: str | Path) -> str:
+    return join_records(sorted(doc.doc_id for doc in docs), where)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import FlattenError, ToolkitError
-from .standoff import AnnotatedDocument, EntityMention, read_file, write_file
+from .standoff import AnnotatedDocument, EntityMention, read_file
 
 
 def _first_holding(entries: Sequence[tuple[tuple[int, int], object]], start: int, end: int) -> int | None:
@@ -179,8 +179,8 @@ def flatten_document(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, OffsetM
     return replace(doc, text="".join(pieces), entities=tuple(entities)), OffsetMap(tuple(pairs))
 
 
-def write_offset_map(offset_map: OffsetMap, path: str | Path) -> None:
-    write_file(path, json.dumps(offset_map.to_dict(), indent=2) + "\n")
+def offset_map_json(offset_map: OffsetMap) -> str:
+    return json.dumps(offset_map.to_dict(), indent=2) + "\n"
 
 
 def read_offset_map(path: str | Path) -> OffsetMap:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import RepairError
-from .standoff import AnnotatedDocument, EntityMention, format_offsets, join_records, write_file
+from .standoff import AnnotatedDocument, EntityMention, format_offsets, join_records
 
 RULE_RELATION_ARGUMENT = "relation_argument"
 RULE_SPAN_BOUNDARY = "span_boundary"
@@ -232,7 +232,6 @@ def summarize_repairs(docs_with_logs: list[tuple[AnnotatedDocument, RepairLog]])
     )
 
 
-def write_repair_log(logs: list[RepairLog], path: str | Path) -> None:
+def repair_log_text(logs: list[RepairLog], where: str | Path) -> str:
     """Line-oriented audit file: `<doc_id> <rule> <target_id> <before> -> <after>`."""
-    lines = [line for log in logs for line in log.lines()]
-    write_file(path, join_records(lines, path))
+    return join_records((line for log in logs for line in log.lines()), where)

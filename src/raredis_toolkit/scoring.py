@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import ToolkitError
 from .standoff import PREDICATES, normalize_entity_type, normalize_predicate
-from .standoff import join_records, read_file, split_records, write_file
+from .standoff import join_records, read_file, split_records, write_outputs
 from .triples import Triple, distinct_triples, normalize_text, triple_key
 
 ERROR_PARTIAL_MATCH = "partial_match"
@@ -318,10 +318,9 @@ def categorize_errors(
     return records
 
 
-def write_error_records(records: list[ErrorRecord], path: str | Path) -> None:
+def error_records_text(records: list[ErrorRecord], where: str | Path) -> str:
     """Line-oriented audit file, one JSON record per line."""
-    lines = (json.dumps(record.to_dict(), ensure_ascii=False) for record in records)
-    write_file(path, join_records(lines, path))
+    return join_records((json.dumps(r.to_dict(), ensure_ascii=False) for r in records), where)
 
 
 def _type_field(label: str, path: str | Path, line_no: int) -> str | None:
@@ -370,7 +369,7 @@ def triple_writable(t: Triple) -> bool:
     return tsv_field_ok(t.subject_text) and tsv_field_ok(t.object_text)
 
 
-def write_triples_file(triples_by_doc: dict[str, list[Triple]], path: str | Path) -> None:
+def triples_text(triples_by_doc: dict[str, list[Triple]], where: str | Path) -> str:
     lines = []
     for doc_id in sorted(triples_by_doc):
         if not tsv_field_ok(doc_id):
@@ -387,4 +386,8 @@ def write_triples_file(triples_by_doc: dict[str, list[Triple]], path: str | Path
                 t.object_type or "",
             )
             lines.append("\t".join(fields))
-    write_file(path, join_records(lines, path))
+    return join_records(lines, where)
+
+
+def write_triples_file(triples_by_doc: dict[str, list[Triple]], path: str | Path) -> None:
+    write_outputs([(path, triples_text(triples_by_doc, path))])

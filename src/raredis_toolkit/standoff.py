@@ -182,12 +182,6 @@ def read_file(path: str | Path) -> str:
         return handle.read()
 
 
-def write_file(path: str | Path, content: str) -> None:
-    """Write content as UTF-8, line endings exactly as given."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(content)
-
-
 def split_records(content: str) -> list[str]:
     r"""Records separated by "\n" only (U+2028, form feed, ... are content),
     each stripped of one trailing "\r". Inverts join_records."""
@@ -356,35 +350,73 @@ def load_corpus_dir(path: str | Path, strict_pairs: bool = True) -> list[Annotat
     return [read_document_pair(txts[doc_id]) for doc_id in sorted(set(txts) & anns)]
 
 
-def write_corpus_dir(docs: list[AnnotatedDocument], path: str | Path) -> None:
-    """Write documents back as <doc_id>.txt / <doc_id>.ann pairs.
+def corpus_files(docs: Iterable[AnnotatedDocument], path: str | Path):
+    """write_outputs items for a corpus directory: the directory, then each
+    document's <doc_id>.txt and <doc_id>.ann, serialized as they are taken."""
+    yield path, None
+    for doc in docs:
+        text, ann = serialize_document(doc)
+        yield os.path.join(path, f"{doc.doc_id}.txt"), text
+        yield os.path.join(path, f"{doc.doc_id}.ann"), ann
 
-    All or none: a document that fails to serialize or write leaves `path`
-    as it was, so `path` may be the directory the documents were read from.
-    A new file is written in place and removed on a failure; a file that
-    would replace an existing one is written into a hidden staging
-    directory inside `path` and renamed over it, one file at a time, only
-    once every document is written.
+
+def write_corpus_dir(docs: Iterable[AnnotatedDocument], path: str | Path) -> None:
+    """Write documents as <doc_id>.txt / <doc_id>.ann pairs, all or none."""
+    write_outputs(corpus_files(docs, path))
+
+
+def write_outputs(items: Iterable[tuple[str | Path, str | None]]) -> None:
+    """Write every (path, content) item, all or none; content None names a directory.
+
+    Items are taken one at a time. A new file or directory, missing parents
+    included, is made in place; a file that replaces an existing one is
+    written into a hidden ".staging-*" directory beside it and renamed over
+    it after the last item. So a failure, even while the items are generated,
+    removes what was made and changes no existing file. A target that is an
+    existing directory, or a file two items name, is an error.
     """
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=path))
-    created = []
+    written: dict[str, dict[str, bool]] = {}  # directory -> {file name: made in place}
+    staging: dict[str, str] = {}  # directory -> its staging directory
+    made: list[str] = []  # the topmost directory of each chain of new ones
     try:
-        for doc in docs:
-            text, ann = serialize_document(doc)
-            for name, content in ((f"{doc.doc_id}.txt", text), (f"{doc.doc_id}.ann", ann)):
-                target = path / name
-                if target.exists():
-                    write_file(staging / name, content)
-                else:
-                    created.append(name)
-                    write_file(target, content)
-        for name in os.listdir(staging):
-            os.replace(staging / name, path / name)
+        for path, content in items:
+            target = os.path.abspath(path)
+            full, name = (target, "") if content is None else os.path.split(target)
+            names = written.get(full)
+            if names is None:
+                names = written[full] = {}
+                if not os.path.isdir(full):
+                    top = full
+                    while not os.path.exists(os.path.dirname(top)):
+                        top = os.path.dirname(top)
+                    os.makedirs(full)
+                    made.append(top)
+            if content is None:
+                continue
+            if name in names:
+                raise ToolkitError(f"{path}: named by two outputs of one run")
+            try:  # creating the file is its one existence check
+                handle = open(target, "x", encoding="utf-8", newline="")
+                names[name] = True
+            except FileExistsError:
+                if os.path.isdir(target):
+                    raise ToolkitError(f"{path}: is a directory, not a file") from None
+                names[name] = False
+                if full not in staging:
+                    staging[full] = tempfile.mkdtemp(prefix=".staging-", dir=full)
+                handle = open(os.path.join(staging[full], name), "w", encoding="utf-8", newline="")
+            with handle:
+                handle.write(content)
+        for full, staged in staging.items():
+            for name in os.listdir(staged):
+                os.replace(os.path.join(staged, name), os.path.join(full, name))
     except BaseException:
-        for name in created:
-            (path / name).unlink(missing_ok=True)
+        for full, names in written.items():
+            for name in [n for n, new in names.items() if new]:
+                Path(full, name).unlink(missing_ok=True)
+        for top in made:
+            shutil.rmtree(top, ignore_errors=True)
         raise
     finally:
-        shutil.rmtree(staging, ignore_errors=True)
+        for staged in staging.values():
+            shutil.rmtree(staged, ignore_errors=True)

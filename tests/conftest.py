@@ -15,6 +15,14 @@ LINE_BREAK_ALPHABET = "ab \t\n\r\x85\u2028\x0b\x0c\x1c\x1d\x1e"
 MAX_SCALE_RATIO = 3.0
 
 
+def tree_snapshot(root: Path) -> dict[str, bytes | None]:
+    """Every file's bytes and every directory (None) under root, hidden ones
+    too, by path relative to root."""
+    return {
+        str(p.relative_to(root)): None if p.is_dir() else p.read_bytes() for p in sorted(root.rglob("*"))
+    }
+
+
 def time_ratio(run, small, large) -> float:
     """min-of-3 time of run(large) / min-of-3 time of run(small), the two
     timed alternately so that a slow spell of the host lands on both."""

@@ -5,10 +5,12 @@ from pathlib import Path
 import pytest
 
 from raredis_toolkit.cli import run_cli
+from raredis_toolkit.corpus import SplitSpec, split_corpus
 from raredis_toolkit.schema import occurrence_ordered_triples
 from raredis_toolkit.scoring import write_triples_file
 from raredis_toolkit.standoff import load_corpus_dir
 from raredis_toolkit.triples import Triple
+from conftest import tree_snapshot
 
 
 def dir_snapshot(path: Path) -> dict[str, bytes]:
@@ -57,7 +59,7 @@ class TestRepairCommand:
         self.write_pairs(corpus, self.FAILING)
         out = tmp_path / "fixed"
         assert run_cli(["repair", "--in", str(corpus), "--out", str(out)]) == 1
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_failed_write_keeps_same_named_files(self, tmp_path):
         corpus = tmp_path / "in"
@@ -434,3 +436,137 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {out_dir}: ")
         assert not any(out_dir.iterdir())
+
+
+def fails_leaving_tree_unchanged(root: Path, argv: list, capsys) -> str:
+    """Run argv, which must exit 1 and leave root as it was; return stderr."""
+    before = tree_snapshot(root)
+    assert run_cli([str(a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    after = tree_snapshot(root)
+    assert not [p for p in after if ".staging-" in p]
+    assert after == before
+    return err
+
+
+def generations_dir(root: Path) -> Path:
+    generations = root / "gen"
+    generations.mkdir()
+    (generations / "d.txt").write_text("junk @PRODUCES@ d @Sign@ e @Disease@ @IS_A@ @END@", encoding="utf-8")
+    return generations
+
+
+class TestFailedRunsWriteNothing:
+    """Every command writes all of its outputs or none: a run that exits 1
+    leaves the whole tree as it was, directories included."""
+
+    @staticmethod
+    def corpus(root: Path) -> Path:
+        corpus = root / "in"
+        corpus.mkdir()
+        for i in range(8):
+            (corpus / f"d{i}.txt").write_text("Beta syndrome is rare.", encoding="utf-8")
+            (corpus / f"d{i}.ann").write_text("T1\tDISEASE 0 4\tBeta\n", encoding="utf-8")
+        return corpus
+
+    @staticmethod
+    def make_unwritable(corpus: Path, doc_id: str) -> None:
+        """Its .ann surface then ends in a carriage return: it parses, and
+        cannot be written back."""
+        (corpus / f"{doc_id}.ann").write_bytes(b"T1\tDISEASE 0 4\tBeta\r\r\n")
+
+    def test_split_writes_no_split(self, tmp_path, capsys):
+        corpus = self.corpus(tmp_path)
+        spec = SplitSpec(mode="ratio", ratios=(0.5, 0.25, 0.25), seed=1)
+        last = split_corpus(load_corpus_dir(corpus), spec)[2][-1].doc_id
+        self.make_unwritable(corpus, last)  # so train and dev are written first
+        err = fails_leaving_tree_unchanged(tmp_path, [
+            "split", "--in", corpus, "--out", tmp_path / "new" / "splits",
+            "--ratios", "0.5,0.25,0.25", "--seed", "1",
+        ], capsys)
+        assert f"{last}:1: a record may not" in err
+
+    def test_flatten_writes_no_sidecar(self, tmp_path, capsys):
+        corpus = self.corpus(tmp_path)
+        self.make_unwritable(corpus, "d7")
+        fails_leaving_tree_unchanged(tmp_path, ["flatten", "--in", corpus, "--out", tmp_path / "flat"], capsys)
+
+    def test_repair_log_on_a_directory(self, mini_corpus_dir, tmp_path, capsys):
+        (tmp_path / "log").mkdir()
+        argv = ["repair", "--in", mini_corpus_dir, "--out", tmp_path / "fixed", "--log", tmp_path / "log"]
+        err = fails_leaving_tree_unchanged(tmp_path, argv, capsys)
+        assert err == f"error: {tmp_path / 'log'}: is a directory, not a file\n"
+
+    def test_repair_in_place_with_a_bad_log_replaces_nothing(self, mini_corpus_dir, tmp_path, capsys):
+        (tmp_path / "log").mkdir()
+        argv = ["repair", "--in", mini_corpus_dir, "--out", mini_corpus_dir, "--log", tmp_path / "log"]
+        fails_leaving_tree_unchanged(tmp_path, argv, capsys)
+        # the same run with a good log does change the corpus
+        assert run_cli([str(a) for a in argv[:-1]] + [str(tmp_path / "repairs.txt")]) == 0
+        assert "rickets relation_argument" in (tmp_path / "repairs.txt").read_text(encoding="utf-8")
+
+    def test_encode_special_tokens_on_a_directory(self, mini_corpus_dir, tmp_path, capsys):
+        (tmp_path / "enc" / "special_tokens.txt").mkdir(parents=True)
+        argv = ["encode", "--in", mini_corpus_dir, "--out", tmp_path / "enc" / "train.jsonl", "--schema", "seq2rel"]
+        fails_leaving_tree_unchanged(tmp_path, argv, capsys)
+
+    def test_decode_report_on_a_directory(self, tmp_path, capsys):
+        generations = generations_dir(tmp_path)
+        (tmp_path / "skips").mkdir()
+        argv = ["decode", "--in", generations, "--out", tmp_path / "p.tsv", "--schema", "seq2rel",
+                "--report", tmp_path / "skips"]
+        fails_leaving_tree_unchanged(tmp_path, argv, capsys)
+
+
+class TestOutputsNameDistinctFiles:
+    """Two outputs of one run may not name one file: the run exits 1 and
+    writes nothing, where the second output used to overwrite the first."""
+
+    def test_encode_out_named_like_the_token_vocabulary(self, mini_corpus_dir, tmp_path, capsys):
+        out = tmp_path / "d" / "special_tokens.txt"
+        argv = ["encode", "--in", mini_corpus_dir, "--out", out, "--schema", "seq2rel"]
+        err = fails_leaving_tree_unchanged(tmp_path, argv, capsys)
+        assert err == f"error: {out}: named by two outputs of one run\n"
+
+    def test_decode_report_named_like_the_triples(self, tmp_path, capsys):
+        generations = generations_dir(tmp_path)
+        out = tmp_path / "p.tsv"
+        argv = ["decode", "--in", generations, "--out", out, "--schema", "seq2rel", "--report", out]
+        err = fails_leaving_tree_unchanged(tmp_path, argv, capsys)
+        assert err == f"error: {out}: named by two outputs of one run\n"
+
+    @pytest.mark.parametrize("fresh", [True, False])
+    def test_repair_log_named_like_a_repaired_document(self, mini_corpus_dir, tmp_path, capsys, fresh):
+        out = tmp_path / "fixed"
+        if not fresh:  # the clash is then between two replacements
+            assert run_cli(["repair", "--in", str(mini_corpus_dir), "--out", str(out)]) == 0
+        log = out / "rickets.txt"
+        argv = ["repair", "--in", mini_corpus_dir, "--out", out, "--log", log]
+        err = fails_leaving_tree_unchanged(tmp_path, argv, capsys)
+        assert err == f"error: {log}: named by two outputs of one run\n"
+
+
+class TestMissingParentsAreMade:
+    @pytest.mark.parametrize("command", ["stats", "score", "errors", "decode", "repair"])
+    def test_output_under_missing_directories(self, mini_corpus_dir, tmp_path, capsys, command):
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("d\td\tsign\tis_a\te\tdisease\n", encoding="utf-8")
+        new = tmp_path / "a" / "b"
+        argv = {
+            "stats": ["stats", "--in", mini_corpus_dir, "--out", new / "stats.json"],
+            "score": ["score", "--gold", gold, "--pred", gold, "--out", new / "score.json"],
+            "errors": ["errors", "--gold", gold, "--pred", gold, "--audit", new / "audit.jsonl"],
+            "decode": ["decode", "--in", generations_dir(tmp_path), "--out", new / "p.tsv",
+                       "--schema", "seq2rel", "--report", new / "c" / "skips.tsv"],
+            "repair": ["repair", "--in", mini_corpus_dir, "--out", tmp_path / "fixed", "--log", new / "log.txt"],
+        }[command]
+        assert run_cli([str(a) for a in argv]) == 0
+        assert capsys.readouterr().err == ""
+        written = sorted(str(p.relative_to(new)) for p in new.rglob("*") if p.is_file())
+        assert written == {
+            "stats": ["stats.json"],
+            "score": ["score.json"],
+            "errors": ["audit.jsonl"],
+            "decode": ["c/skips.tsv", "p.tsv"],
+            "repair": ["log.txt"],
+        }[command]

@@ -18,13 +18,13 @@ from raredis_toolkit.corpus import (
     corpus_statistics,
     document_shapes,
     format_stats,
+    manifest_text,
     read_manifest,
     split_corpus,
-    write_manifest,
 )
 from raredis_toolkit.errors import SplitError
 from raredis_toolkit.flatten import flatten_document
-from raredis_toolkit.standoff import AnnotatedDocument, EntityMention, parse_document
+from raredis_toolkit.standoff import AnnotatedDocument, EntityMention, parse_document, write_outputs
 from conftest import MAX_SCALE_RATIO, time_ratio
 from synth import synthetic_corpus
 
@@ -293,5 +293,5 @@ class TestSplit:
 
     def test_manifest_round_trip(self, tmp_path):
         docs = synthetic_corpus(seed=73, size=5)
-        write_manifest(docs, tmp_path / "m.txt")
+        write_outputs([(tmp_path / "m.txt", manifest_text(docs, tmp_path / "m.txt"))])
         assert read_manifest(tmp_path / "m.txt") == tuple(sorted(d.doc_id for d in docs))

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from raredis_toolkit import flatten
 from raredis_toolkit.errors import FlattenError, ToolkitError
-from raredis_toolkit.flatten import OffsetMap, flatten_document, read_offset_map, write_offset_map
-from raredis_toolkit.standoff import AnnotatedDocument, EntityMention, parse_document
+from raredis_toolkit.flatten import OffsetMap, flatten_document, offset_map_json, read_offset_map
+from raredis_toolkit.standoff import AnnotatedDocument, EntityMention, parse_document, write_outputs
 from synth import random_document, synthetic_corpus
 
 COORDINATED = "weakness in the muscles of the arms and weakness in the muscles of the legs"
@@ -104,7 +104,7 @@ class TestInvariants:
 class TestOffsetMapIO:
     def test_json_round_trip(self, weakness_doc, tmp_path):
         _, offset_map = flatten_document(weakness_doc)
-        write_offset_map(offset_map, tmp_path / "m.json")
+        write_outputs([(tmp_path / "m.json", offset_map_json(offset_map))])
         assert read_offset_map(tmp_path / "m.json") == offset_map
 
     @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import random
 import re
 import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +24,9 @@ from raredis_toolkit.standoff import (
     parse_document,
     serialize_document,
     write_corpus_dir,
+    write_outputs,
 )
-from conftest import LINE_BREAK_ALPHABET, MAX_SCALE_RATIO, time_ratio
+from conftest import LINE_BREAK_ALPHABET, MAX_SCALE_RATIO, time_ratio, tree_snapshot
 from synth import synthetic_corpus
 
 
@@ -287,6 +289,72 @@ class TestDirectoryIO:
             load_corpus_dir(d)
         assert load_corpus_dir(d, strict_pairs=False) == []
 
+
+
+class TestWriteOutputs:
+    @pytest.fixture
+    def existing(self, tmp_path) -> Path:
+        (tmp_path / "d").mkdir()
+        (tmp_path / "d" / "old.txt").write_text("old", encoding="utf-8")
+        return tmp_path / "d"
+
+    def test_writes_new_and_replaced_files_and_directories(self, existing):
+        write_outputs([
+            (existing / "old.txt", "replaced"),
+            (existing / "new.txt", "new"),
+            (existing / "a" / "b", None),
+            (existing / "c" / "e.txt", "deep"),
+        ])
+        assert tree_snapshot(existing) == {
+            "a": None, "a/b": None, "c": None, "c/e.txt": b"deep", "new.txt": b"new", "old.txt": b"replaced",
+        }
+
+    @pytest.mark.parametrize("fault", [ToolkitError, KeyboardInterrupt])
+    def test_a_fault_while_generating_undoes_everything(self, existing, fault):
+        before = tree_snapshot(existing)
+
+        def items():
+            yield existing / "old.txt", "replaced"
+            # a replacement waits for the last item; a new file is made at once
+            assert (existing / "old.txt").read_text(encoding="utf-8") == "old"
+            yield existing / "new.txt", "new"
+            assert (existing / "new.txt").exists()
+            yield existing / "x" / "y" / "z.txt", "deep"
+            yield existing / "e", None
+            raise fault("stop")
+
+        with pytest.raises(fault):
+            write_outputs(items())
+        assert tree_snapshot(existing) == before
+
+    def test_one_file_named_twice_is_an_error(self, existing, monkeypatch):
+        monkeypatch.chdir(existing.parent)
+        before = tree_snapshot(existing)
+        for first, second in (("d/new.txt", "d/../d/new.txt"), ("d/old.txt", existing / "old.txt")):
+            with pytest.raises(ToolkitError, match="named by two outputs of one run"):
+                write_outputs([(first, "1"), (second, "2")])
+            assert tree_snapshot(existing) == before
+
+    def test_a_directory_target_is_an_error(self, existing):
+        (existing / "sub").mkdir()
+        before = tree_snapshot(existing)
+        with pytest.raises(ToolkitError, match="is a directory, not a file"):
+            write_outputs([(existing / "old.txt", "replaced"), (existing / "sub", "text")])
+        assert tree_snapshot(existing) == before
+
+    def test_only_standoff_writes_to_disk(self):
+        """Every command's files go through write_outputs: no other module
+        opens, makes, replaces or writes a file."""
+        package = Path(standoff.__file__).parent
+        calls = ("write_file(", "open(", ".mkdir(", "os.mkdir(", "os.makedirs(", "os.replace(")
+        offenders = [
+            f"{path.name}: {call}"
+            for path in sorted(package.glob("*.py"))
+            if path.name != "standoff.py"
+            for call in calls
+            if call in path.read_text(encoding="utf-8")
+        ]
+        assert offenders == []
 
 
 @st.composite
