@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -44,7 +45,7 @@ def _add_schema_args(parser):
         "--schema",
         required=True,
         type=lambda s: s.replace("-", "_"),
-        choices=["seq2rel", "rel_is", "natural_lang"],
+        choices=schema_mod.SCHEMA_KINDS,
         metavar="{seq2rel|rel-is|natural-lang}",
         help="target schema",
     )
@@ -215,9 +216,7 @@ def cmd_errors(args):
             )
         )
     yield args.audit, scoring_mod.error_records_text(records, args.audit)
-    counts: dict[str, int] = {}
-    for record in records:
-        counts[record.category] = counts.get(record.category, 0) + 1
+    counts = Counter(record.category for record in records)
     for category in sorted(counts):
         print(f"{category}: {counts[category]}")
     print(f"wrote {len(records)} error records to {args.audit}")

@@ -100,35 +100,6 @@ def score(
     return score_corpus({"": gold}, {"": predicted}, strict_case, type_agnostic)
 
 
-def score_document(
-    gold: list[Triple],
-    predicted: list[Triple],
-    strict_case: bool = False,
-    type_agnostic: bool = False,
-) -> dict[str, PrfRow]:
-    gold_keys = {triple_key(t, strict_case, type_agnostic) for t in gold}
-    pred_keys = {triple_key(t, strict_case, type_agnostic) for t in predicted}
-    # the predicate sits after the subject text, and its types when kept
-    at = 1 if type_agnostic else 2
-    counts = {p: [0, 0, 0] for p in PREDICATES}  # tp, fp, fn
-    for k in pred_keys:
-        counts[k[at]][0 if k in gold_keys else 1] += 1
-    for k in gold_keys - pred_keys:
-        counts[k[at]][2] += 1
-    return {p: PrfRow(*c) for p, c in counts.items()}
-
-
-def merge_reports(per_document: list[dict[str, PrfRow]]) -> ScoreReport:
-    """Pool per-document counts, then recompute the ratios."""
-    totals = {p: [0, 0, 0] for p in PREDICATES}
-    for rows in per_document:
-        for predicate, row in rows.items():
-            totals[predicate][0] += row.tp
-            totals[predicate][1] += row.fp
-            totals[predicate][2] += row.fn
-    return ScoreReport({p: PrfRow(*counts) for p, counts in totals.items()})
-
-
 def score_corpus(
     gold_by_doc: dict[str, list[Triple]],
     pred_by_doc: dict[str, list[Triple]],
@@ -136,17 +107,17 @@ def score_corpus(
     type_agnostic: bool = False,
 ) -> ScoreReport:
     """Micro-pooled scoring across documents; duplicates collapse per document."""
-    reports = []
-    for doc_id in sorted(set(gold_by_doc) | set(pred_by_doc)):
-        reports.append(
-            score_document(
-                gold_by_doc.get(doc_id, []),
-                pred_by_doc.get(doc_id, []),
-                strict_case=strict_case,
-                type_agnostic=type_agnostic,
-            )
-        )
-    return merge_reports(reports)
+    # the predicate sits after the subject text, and its types when kept
+    at = 1 if type_agnostic else 2
+    counts = {p: [0, 0, 0] for p in PREDICATES}  # tp, fp, fn
+    for doc_id in gold_by_doc.keys() | pred_by_doc.keys():
+        gold_keys = {triple_key(t, strict_case, type_agnostic) for t in gold_by_doc.get(doc_id, [])}
+        pred_keys = {triple_key(t, strict_case, type_agnostic) for t in pred_by_doc.get(doc_id, [])}
+        for k in pred_keys:
+            counts[k[at]][0 if k in gold_keys else 1] += 1
+        for k in gold_keys - pred_keys:
+            counts[k[at]][2] += 1
+    return ScoreReport({p: PrfRow(*c) for p, c in counts.items()})
 
 
 def format_report(report: ScoreReport) -> str:
@@ -192,25 +163,11 @@ def _sort_key(t: Triple) -> tuple:
     return (t.subject_text, t.subject_type or "", t.predicate, t.object_text, t.object_type or "")
 
 
-def _jaccard(a: str, b: str) -> float:
-    ta, tb = set(a.split()), set(b.split())
-    if not ta and not tb:
+def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
+    """Token Jaccard of two texts' token sets; two empty sets are identical."""
+    if not a and not b:
         return 1.0
-    return len(ta & tb) / len(ta | tb)
-
-
-def _pair_jaccard(fp: Triple, fn: Triple) -> float:
-    return (_jaccard(fp.subject_text, fn.subject_text) + _jaccard(fp.object_text, fn.object_text)) / 2
-
-
-def _spans_coordination(predicted_text: str, fns: list[Triple], role: str) -> bool:
-    """Predicted text looks like two gold entities merged across an 'and'."""
-    if "and" not in predicted_text.split():
-        return False
-    gold_texts = {
-        getattr(t, role) for t in fns if _jaccard(getattr(t, role), predicted_text) >= PARTIAL_MATCH_JACCARD
-    }
-    return len(gold_texts) >= 2
+    return len(a & b) / len(a | b)
 
 
 def categorize_errors(
@@ -229,41 +186,45 @@ def categorize_errors(
     """
     gold_c = distinct_triples(gold, strict_case, type_agnostic)
     pred_c = distinct_triples(predicted, strict_case, type_agnostic)
-
-    def unmatched(keys, firsts: dict[tuple, Triple]) -> list[Triple]:
-        # the keys are distinct, so collapse_duplicates only normalizes texts
-        return sorted(collapse_duplicates([firsts[k] for k in keys], strict_case, type_agnostic), key=_sort_key)
-
-    fps = unmatched(pred_c.keys() - gold_c.keys(), pred_c)
-    fns = unmatched(gold_c.keys() - pred_c.keys(), gold_c)
-    all_fns = list(fns)
+    # the keys are distinct, so collapse_duplicates only normalizes texts
+    fps, fns = (
+        sorted(collapse_duplicates([ours[k] for k in ours.keys() - theirs.keys()], strict_case, type_agnostic),
+               key=_sort_key)
+        for ours, theirs in ((pred_c, gold_c), (gold_c, pred_c))
+    )
+    if not fps and not fns:  # spares normalizing doc_text below
+        return []
     records: list[ErrorRecord] = []
 
-    # 1. exact texts and predicate, wrong entity type(s)
-    remaining_fns = list(fns)
-    unpaired_fps = []
+    # 1. exact texts and predicate, wrong entity type(s). FP and FN keys are
+    # disjoint, so equal texts and predicate already mean different types;
+    # under type_agnostic the key holds no types, so no pair qualifies.
+    by_texts: dict[tuple, list[Triple]] = {}
+    for fn in reversed(fns):  # each bucket pops its first FN in sorted order
+        by_texts.setdefault((fn.subject_text, fn.predicate, fn.object_text), []).append(fn)
+    paired: set[int] = set()  # ids of the FPs and FNs a record holds
     for fp in fps:
-        hit = next(
-            (
-                fn
-                for fn in remaining_fns
-                if fn.subject_text == fp.subject_text
-                and fn.object_text == fp.object_text
-                and fn.predicate == fp.predicate
-                and (fn.subject_type != fp.subject_type or fn.object_type != fp.object_type)
-            ),
-            None,
-        )
-        if hit is not None:
-            remaining_fns.remove(hit)
-            records.append(ErrorRecord(doc_id, ERROR_TYPE_MISMATCH, predicted=fp, gold=hit))
-        else:
-            unpaired_fps.append(fp)
-    fps, fns = unpaired_fps, remaining_fns
+        bucket = by_texts.get((fp.subject_text, fp.predicate, fp.object_text))
+        if bucket:
+            fn = bucket.pop()
+            paired.update((id(fp), id(fn)))
+            records.append(ErrorRecord(doc_id, ERROR_TYPE_MISMATCH, predicted=fp, gold=fn))
 
-    # 2. same predicate and types, entity texts overlapping at >= the threshold
+    # 2. same predicate and types, entity texts overlapping at >= the threshold;
+    # a candidate with a side already paired, in stage 1 or here, is skipped
+    tokens = {text: frozenset(text.split()) for t in fps + fns for text in (t.subject_text, t.object_text)}
+
+    def spans_coordination(predicted_text: str, role: str) -> bool:
+        """Predicted text looks like two gold entities merged across an 'and'."""
+        pt = tokens[predicted_text]
+        if "and" not in pt:
+            return False
+        gold_texts = {getattr(t, role) for t in fns}
+        return sum(_jaccard(tokens[g], pt) >= PARTIAL_MATCH_JACCARD for g in gold_texts) >= 2
+
     candidates = []
     for fp in fps:
+        fp_subject, fp_object = tokens[fp.subject_text], tokens[fp.object_text]
         for fn in fns:
             if fp.predicate != fn.predicate:
                 continue
@@ -271,50 +232,39 @@ def categorize_errors(
                 fp.subject_type != fn.subject_type or fp.object_type != fn.object_type
             ):
                 continue
-            js = _jaccard(fp.subject_text, fn.subject_text)
-            jo = _jaccard(fp.object_text, fn.object_text)
+            js = _jaccard(fp_subject, tokens[fn.subject_text])
+            jo = _jaccard(fp_object, tokens[fn.object_text])
             if min(js, jo) >= PARTIAL_MATCH_JACCARD:
-                candidates.append((_pair_jaccard(fp, fn), fp, fn))
+                candidates.append(((js + jo) / 2, fp, fn))
     candidates.sort(key=lambda c: (-c[0], _sort_key(c[1]), _sort_key(c[2])))
-    consumed_fp: set[int] = set()
-    consumed_fn: set[int] = set()
     for _, fp, fn in candidates:
-        if id(fp) in consumed_fp or id(fn) in consumed_fn:
+        if id(fp) in paired or id(fn) in paired:
             continue
-        consumed_fp.add(id(fp))
-        consumed_fn.add(id(fn))
+        paired.update((id(fp), id(fn)))
         category = ERROR_PARTIAL_MATCH
-        if fp.subject_text != fn.subject_text and _spans_coordination(
-            fp.subject_text, all_fns, "subject_text"
-        ):
-            category = ERROR_DISCONTINUOUS_MERGE
-        elif fp.object_text != fn.object_text and _spans_coordination(
-            fp.object_text, all_fns, "object_text"
+        if (fp.subject_text != fn.subject_text and spans_coordination(fp.subject_text, "subject_text")) or (
+            fp.object_text != fn.object_text and spans_coordination(fp.object_text, "object_text")
         ):
             category = ERROR_DISCONTINUOUS_MERGE
         records.append(ErrorRecord(doc_id, category, predicted=fp, gold=fn))
-    fps = [fp for fp in fps if id(fp) not in consumed_fp]
-    fns = [fn for fn in fns if id(fn) not in consumed_fn]
+    fps = [fp for fp in fps if id(fp) not in paired]
 
-    # 3. remaining false positives: hallucinated if a span is absent from the text
-    if doc_text is None:
-        reference = None
-    elif strict_case:
-        reference = " ".join(doc_text.split())
-    else:
-        reference = normalize_text(doc_text)
+    # 3. remaining false positives: hallucinated if a span is absent from the
+    # text, whitespace runs collapsed on both sides
+    def squash(text: str) -> str:
+        return " ".join(text.split())
+
+    reference = None if doc_text is None else squash(doc_text)
+    if reference is not None and not strict_case:
+        reference = reference.lower()
     for fp in fps:
-        if reference is not None and (
-            " ".join(fp.subject_text.split()) not in reference
-            or " ".join(fp.object_text.split()) not in reference
-        ):
-            records.append(ErrorRecord(doc_id, ERROR_HALLUCINATED_SPAN, predicted=fp))
-        else:
-            records.append(ErrorRecord(doc_id, ERROR_SPURIOUS, predicted=fp))
+        absent = reference is not None and (
+            squash(fp.subject_text) not in reference or squash(fp.object_text) not in reference
+        )
+        records.append(ErrorRecord(doc_id, ERROR_HALLUCINATED_SPAN if absent else ERROR_SPURIOUS, predicted=fp))
 
     # 4. whatever gold remains was simply missed
-    for fn in fns:
-        records.append(ErrorRecord(doc_id, ERROR_MISSING, gold=fn))
+    records.extend(ErrorRecord(doc_id, ERROR_MISSING, gold=fn) for fn in fns if id(fn) not in paired)
     return records
 
 

@@ -24,10 +24,10 @@ def tree_snapshot(root: Path) -> dict[str, bytes | None]:
 
 
 def time_ratio(run, small, large) -> float:
-    """min-of-3 time of run(large) / min-of-3 time of run(small), the two
+    """min-of-5 time of run(large) / min-of-5 time of run(small), the two
     timed alternately so that a slow spell of the host lands on both."""
     best = [float("inf"), float("inf")]
-    for _ in range(3):
+    for _ in range(5):
         for i, arg in enumerate((small, large)):
             start = time.perf_counter()
             run(arg)

@@ -1,6 +1,15 @@
+"""Scoring and error categories.
+
+The oracle below is the categorize_errors that keyed its exact-text pairing
+and tokenized texts once per call: a linear scan of the remaining false
+negatives for each false positive, with every Jaccard computed from the raw
+texts. The rewrite must give the same records in the same order.
+"""
+
 import random
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,16 +26,16 @@ from raredis_toolkit.scoring import (
     ERROR_TYPE_MISMATCH,
     categorize_errors,
     collapse_duplicates,
+    PARTIAL_MATCH_JACCARD,
+    ErrorRecord,
     format_report,
-    merge_reports,
     read_triples_file,
     score,
     score_corpus,
-    score_document,
     write_triples_file,
 )
 from raredis_toolkit.standoff import ENTITY_TYPES, PREDICATES
-from raredis_toolkit.triples import Triple
+from raredis_toolkit.triples import Triple, distinct_triples, normalize_text
 from conftest import LINE_BREAK_ALPHABET, MAX_SCALE_RATIO, time_ratio
 
 A = Triple("alpha syndrome", "rare_disease", "produces", "tremor", "sign")
@@ -166,11 +175,9 @@ class TestScore:
         assert (report.micro.tp, report.micro.fn) == (1, 1)
         assert report.micro.recall == 0.5
 
-    def test_merge_reports_pools_counts(self):
-        r1 = score_document([A], [A])
-        r2 = score_document([B], [C])
-        merged = merge_reports([r1, r2])
-        assert (merged.micro.tp, merged.micro.fp, merged.micro.fn) == (1, 1, 1)
+    def test_score_corpus_pools_counts_across_documents(self):
+        pooled = score_corpus({"d1": [A], "d2": [B]}, {"d1": [A], "d2": [C]}).micro
+        assert (pooled.tp, pooled.fp, pooled.fn) == (1, 1, 1)
 
     def test_report_table_has_micro_and_six_predicate_rows(self):
         table = format_report(score([A, B], [A, C]))
@@ -259,6 +266,181 @@ class TestErrorCategories:
         m = score(gold, pred).micro
         assert sum(1 for r in records if r.predicted is not None) == m.fp
         assert sum(1 for r in records if r.gold is not None) == m.fn
+
+
+def _oracle_sort_key(t: Triple) -> tuple:
+    return (t.subject_text, t.subject_type or "", t.predicate, t.object_text, t.object_type or "")
+
+
+def _oracle_jaccard(a: str, b: str) -> float:
+    ta, tb = set(a.split()), set(b.split())
+    if not ta and not tb:
+        return 1.0
+    return len(ta & tb) / len(ta | tb)
+
+
+def _oracle_pair_jaccard(fp: Triple, fn: Triple) -> float:
+    return (_oracle_jaccard(fp.subject_text, fn.subject_text) + _oracle_jaccard(fp.object_text, fn.object_text)) / 2
+
+
+def _oracle_spans_coordination(predicted_text: str, fns: list[Triple], role: str) -> bool:
+    if "and" not in predicted_text.split():
+        return False
+    gold_texts = {
+        getattr(t, role) for t in fns if _oracle_jaccard(getattr(t, role), predicted_text) >= PARTIAL_MATCH_JACCARD
+    }
+    return len(gold_texts) >= 2
+
+
+def oracle_categorize_errors(
+    gold: list[Triple],
+    predicted: list[Triple],
+    doc_text: str | None = None,
+    doc_id: str = "",
+    strict_case: bool = False,
+    type_agnostic: bool = False,
+) -> list[ErrorRecord]:
+    gold_c = distinct_triples(gold, strict_case, type_agnostic)
+    pred_c = distinct_triples(predicted, strict_case, type_agnostic)
+
+    def unmatched(keys, firsts: dict[tuple, Triple]) -> list[Triple]:
+        return sorted(collapse_duplicates([firsts[k] for k in keys], strict_case, type_agnostic), key=_oracle_sort_key)
+
+    fps = unmatched(pred_c.keys() - gold_c.keys(), pred_c)
+    fns = unmatched(gold_c.keys() - pred_c.keys(), gold_c)
+    all_fns = list(fns)
+    records: list[ErrorRecord] = []
+
+    remaining_fns = list(fns)
+    unpaired_fps = []
+    for fp in fps:
+        hit = next(
+            (
+                fn
+                for fn in remaining_fns
+                if fn.subject_text == fp.subject_text
+                and fn.object_text == fp.object_text
+                and fn.predicate == fp.predicate
+                and (fn.subject_type != fp.subject_type or fn.object_type != fp.object_type)
+            ),
+            None,
+        )
+        if hit is not None:
+            remaining_fns.remove(hit)
+            records.append(ErrorRecord(doc_id, ERROR_TYPE_MISMATCH, predicted=fp, gold=hit))
+        else:
+            unpaired_fps.append(fp)
+    fps, fns = unpaired_fps, remaining_fns
+
+    candidates = []
+    for fp in fps:
+        for fn in fns:
+            if fp.predicate != fn.predicate:
+                continue
+            if not type_agnostic and (
+                fp.subject_type != fn.subject_type or fp.object_type != fn.object_type
+            ):
+                continue
+            js = _oracle_jaccard(fp.subject_text, fn.subject_text)
+            jo = _oracle_jaccard(fp.object_text, fn.object_text)
+            if min(js, jo) >= PARTIAL_MATCH_JACCARD:
+                candidates.append((_oracle_pair_jaccard(fp, fn), fp, fn))
+    candidates.sort(key=lambda c: (-c[0], _oracle_sort_key(c[1]), _oracle_sort_key(c[2])))
+    consumed_fp: set[int] = set()
+    consumed_fn: set[int] = set()
+    for _, fp, fn in candidates:
+        if id(fp) in consumed_fp or id(fn) in consumed_fn:
+            continue
+        consumed_fp.add(id(fp))
+        consumed_fn.add(id(fn))
+        category = ERROR_PARTIAL_MATCH
+        if fp.subject_text != fn.subject_text and _oracle_spans_coordination(
+            fp.subject_text, all_fns, "subject_text"
+        ):
+            category = ERROR_DISCONTINUOUS_MERGE
+        elif fp.object_text != fn.object_text and _oracle_spans_coordination(
+            fp.object_text, all_fns, "object_text"
+        ):
+            category = ERROR_DISCONTINUOUS_MERGE
+        records.append(ErrorRecord(doc_id, category, predicted=fp, gold=fn))
+    fps = [fp for fp in fps if id(fp) not in consumed_fp]
+    fns = [fn for fn in fns if id(fn) not in consumed_fn]
+
+    if doc_text is None:
+        reference = None
+    elif strict_case:
+        reference = " ".join(doc_text.split())
+    else:
+        reference = normalize_text(doc_text)
+    for fp in fps:
+        if reference is not None and (
+            " ".join(fp.subject_text.split()) not in reference
+            or " ".join(fp.object_text.split()) not in reference
+        ):
+            records.append(ErrorRecord(doc_id, ERROR_HALLUCINATED_SPAN, predicted=fp))
+        else:
+            records.append(ErrorRecord(doc_id, ERROR_SPURIOUS, predicted=fp))
+
+    for fn in fns:
+        records.append(ErrorRecord(doc_id, ERROR_MISSING, gold=fn))
+    return records
+
+
+# shared tokens so that texts overlap, coordinate with "and" and differ in case
+ENTITY_TEXTS = st.lists(st.sampled_from(["a", "A", "b", "and", "a b"]), min_size=1, max_size=3).flatmap(
+    lambda words: st.sampled_from([" ", "  "]).map(lambda sep: sep.join(words))
+)
+TYPES = st.sampled_from([None, "sign", "disease"])
+
+
+@st.composite
+def error_cases(draw, texts=ENTITY_TEXTS):
+    """Gold and predicted triples over shared tokens. Some on each side copy
+    one of a few common triples: as is, with their texts' case changed or
+    with new types, so duplicates and near misses occur within and across
+    the two sides."""
+    triples = st.builds(Triple, texts, TYPES, st.sampled_from(["produces", "is_a"]), texts, TYPES)
+    common = draw(st.lists(triples, min_size=1, max_size=3))
+
+    def copy(t: Triple, case, retype: bool, subject_type, object_type) -> Triple:
+        t = replace(t, subject_text=case(t.subject_text), object_text=case(t.object_text))
+        return replace(t, subject_type=subject_type, object_type=object_type) if retype else t
+
+    copies = st.builds(
+        copy, st.sampled_from(common), st.sampled_from([str, str.upper, str.swapcase]), st.booleans(), TYPES, TYPES
+    )
+    gold = draw(st.lists(triples | copies, max_size=8))
+    predicted = draw(st.lists(triples | copies, max_size=8))
+    doc_text = draw(st.none() | st.sampled_from(["a b and A", "A  b", "b and  a b", ""]))
+    return gold, predicted, doc_text, draw(st.booleans()), draw(st.booleans())
+
+
+def _outcome(categorize, gold, predicted, doc_text, strict_case, type_agnostic):
+    try:
+        records = categorize(gold, predicted, doc_text, "d", strict_case, type_agnostic)
+    except ValueError as exc:
+        return "raised", str(exc)
+    return "records", [r.to_dict() for r in records]
+
+
+class TestErrorsMatchOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(error_cases())
+    def test_same_records_in_the_same_order(self, case):
+        assert _outcome(categorize_errors, *case) == _outcome(oracle_categorize_errors, *case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(error_cases(texts=ENTITY_TEXTS | st.just(" ")))
+    def test_blank_texts_match_the_oracle(self, case):
+        # a blank text normalizes to "", which Triple rejects
+        assert _outcome(categorize_errors, *case) == _outcome(oracle_categorize_errors, *case)
+
+    @pytest.mark.parametrize("categorize", [categorize_errors, oracle_categorize_errors])
+    def test_blank_unmatched_text_raises_in_default_mode(self, categorize):
+        blank = Triple(" ", "sign", "produces", "a", "sign")
+        with pytest.raises(ValueError, match="non-empty"):
+            categorize([], [blank])
+        assert [r.category for r in categorize([], [blank], strict_case=True)] == [ERROR_SPURIOUS]
 
 
 class TestTriplesFileIO:
