@@ -22,20 +22,15 @@ from .flatten import OffsetMap, flatten_document
 from .repair import (
     RepairLog,
     RepairSummary,
-    fix_fragment_order,
-    fix_relation_arguments,
-    fix_span_boundaries,
     repair_all,
     summarize_repairs,
 )
 from .schema import (
     DEFAULT_NOUN_MAP,
     SCHEMA_KINDS,
-    EncodedExample,
     build_prompt,
     decode_target,
     decode_target_report,
-    encode_corpus,
     encode_target,
     normalize_generation,
     special_tokens,
@@ -69,7 +64,6 @@ __all__ = [
     "CorpusStats",
     "DEFAULT_NOUN_MAP",
     "ENTITY_TYPES",
-    "EncodedExample",
     "EntityMention",
     "ErrorRecord",
     "FlattenError",
@@ -95,11 +89,7 @@ __all__ = [
     "decode_target",
     "decode_target_report",
     "document_shapes",
-    "encode_corpus",
     "encode_target",
-    "fix_fragment_order",
-    "fix_relation_arguments",
-    "fix_span_boundaries",
     "flatten_document",
     "load_corpus_dir",
     "normalize_generation",

@@ -129,21 +129,22 @@ def cmd_flatten(args):
 def cmd_encode(args):
     docs = _load_corpus(args)
     noun_map = _load_noun_map(args.noun_map)
-    examples = schema_mod.encode_corpus(
-        docs, args.schema, noun_map=noun_map, copy_instruct=args.copy_instruct
-    )
     out = Path(args.out_file)
     records = (
-        json.dumps({"doc_id": ex.doc_id, "source": ex.source, "target": ex.target}, ensure_ascii=False)
-        for ex in examples
+        {
+            "doc_id": doc.doc_id,
+            "source": schema_mod.build_prompt(doc.text, args.copy_instruct),
+            "target": schema_mod.encode_target(doc, args.schema, noun_map),
+        }
+        for doc in docs
     )
-    yield out, standoff.join_records(records, out)
+    yield out, standoff.join_records((json.dumps(r, ensure_ascii=False) for r in records), out)
     if args.schema == schema_mod.SCHEMA_SEQ2REL:
         vocab_path = out.parent / "special_tokens.txt"
         yield vocab_path, standoff.join_records(schema_mod.special_tokens(), vocab_path)
-        print(f"wrote {len(examples)} examples to {out} and tokens to {vocab_path}")
+        print(f"wrote {len(docs)} examples to {out} and tokens to {vocab_path}")
     else:
-        print(f"wrote {len(examples)} examples to {out}")
+        print(f"wrote {len(docs)} examples to {out}")
 
 
 def cmd_decode(args):

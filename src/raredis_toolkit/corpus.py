@@ -146,7 +146,7 @@ class SplitSpec:
         if self.mode == "ratio":
             if self.ratios is None:
                 raise SplitError("ratio mode requires ratios")
-            if any(r < 0 for r in self.ratios):
+            if not all(r >= 0 for r in self.ratios):  # also rejects NaN
                 raise SplitError("ratios must be non-negative")
             if abs(sum(self.ratios) - 1.0) > 1e-9:
                 raise SplitError(f"ratios must sum to 1, got {sum(self.ratios)}")

@@ -114,17 +114,13 @@ def flatten_document(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, OffsetM
     predicates are preserved exactly; only text and offsets change.
     """
     text = doc.text
-    regions = []  # (region_start, region_end, members ordered for rendering)
-    rewritten_ids: set[str] = set()
+    regions = []  # (region_start, region_end, members ordered for rendering), by start
     for cluster in _overlap_clusters(doc.entities):
         if not any(e.is_discontinuous for e in cluster):
             continue
-        start = min(e.covering_span[0] for e in cluster)
         end = max(e.covering_span[1] for e in cluster)
         members = sorted(cluster, key=lambda e: (e.first_start, e.covering_span[1], e.id))
-        regions.append((start, end, members))
-        rewritten_ids.update(e.id for e in cluster)
-    regions.sort(key=lambda r: r[0])
+        regions.append((cluster[0].covering_span[0], end, members))
 
     pieces: list[str] = []
     pairs: list[tuple[tuple[int, int], tuple[int, int] | None]] = []
@@ -171,7 +167,7 @@ def flatten_document(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, OffsetM
 
     entities = []
     for ent in doc.entities:
-        if ent.id in rewritten_ids:
+        if ent.id in new_fragments:
             entities.append(replace(ent, fragments=(new_fragments[ent.id],)))
         else:
             entities.append(replace(ent, fragments=tuple(shift(f) for f in ent.fragments)))

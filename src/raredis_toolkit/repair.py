@@ -1,6 +1,6 @@
 """Corrective procedures for known annotation defects.
 
-Three rules, applied in a fixed order:
+Three rules, which repair_all applies in one pass over a document:
 
   fragment_order     — fragments of a discontinuous entity listed out of
                        left-to-right order are sorted.
@@ -29,7 +29,7 @@ RULE_RELATION_ARGUMENT = "relation_argument"
 RULE_SPAN_BOUNDARY = "span_boundary"
 RULE_FRAGMENT_ORDER = "fragment_order"
 
-_TRAILING_ZERO_RE = re.compile(r"^T\d+0$")
+_TRAILING_ZERO_RE = re.compile(r"^(T\d+)0$")
 
 
 @dataclass(frozen=True)
@@ -55,43 +55,26 @@ class RepairLog:
         ]
 
 
-def fix_fragment_order(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, RepairLog]:
-    """Sort each entity's fragments by (start, end); rebuild surface text.
-
-    Raises RepairError if an entity's fragments overlap each other even
-    after sorting; that defect is beyond the supported rules.
-    """
-    entries = []
-    entities = []
-    for ent in doc.entities:
-        ordered = tuple(sorted(ent.fragments))
-        for (_, prev_end), (next_start, _) in zip(ordered, ordered[1:]):
-            if prev_end > next_start:
-                raise RepairError(
-                    f"{doc.doc_id}: entity {ent.id} has overlapping fragments {format_offsets(ordered)}"
-                )
-        if ordered != ent.fragments:
-            fixed = replace(ent, fragments=ordered)
-            fixed = replace(fixed, surface_text=fixed.slice_text(doc.text))
-            entries.append(
-                RepairEntry(
-                    RULE_FRAGMENT_ORDER, ent.id, format_offsets(ent.fragments), format_offsets(ordered)
-                )
+def _sort_fragments(doc: AnnotatedDocument, ent: EntityMention) -> tuple[EntityMention, RepairEntry | None]:
+    """Sort fragments by (start, end) and rebuild the surface; overlaps raise RepairError."""
+    ordered = tuple(sorted(ent.fragments))
+    for (_, prev_end), (next_start, _) in zip(ordered, ordered[1:]):
+        if prev_end > next_start:
+            raise RepairError(
+                f"{doc.doc_id}: entity {ent.id} has overlapping fragments {format_offsets(ordered)}"
             )
-            entities.append(fixed)
-        else:
-            entities.append(ent)
-    out = replace(doc, entities=tuple(entities))
-    return out, RepairLog(doc.doc_id, tuple(entries))
-
-
-def _is_word(ch: str) -> bool:
-    return ch.isalnum()
+    if ordered == ent.fragments:
+        return ent, None
+    fixed = replace(ent, fragments=ordered)
+    fixed = replace(fixed, surface_text=fixed.slice_text(doc.text))
+    return fixed, RepairEntry(
+        RULE_FRAGMENT_ORDER, ent.id, format_offsets(ent.fragments), format_offsets(ordered)
+    )
 
 
 def _ends_at_boundary(text: str, end: int) -> bool:
     # a span end splits a word when letters sit on both sides of it
-    return end >= len(text) or not (_is_word(text[end - 1]) and _is_word(text[end]))
+    return end >= len(text) or not (text[end - 1].isalnum() and text[end].isalnum())
 
 
 def _fix_entity_span(text: str, ent: EntityMention) -> tuple[EntityMention, RepairEntry | None]:
@@ -106,8 +89,8 @@ def _fix_entity_span(text: str, ent: EntityMention) -> tuple[EntityMention, Repa
         # short of the word they cover ("...diseas" for "...disease")
         if (
             last_end < len(text)
-            and _is_word(text[last_end])
-            and _is_word(text[last_end - 1])
+            and text[last_end].isalnum()
+            and text[last_end - 1].isalnum()
             and _ends_at_boundary(text, last_end + 1)
         ):
             fixed = replace(ent, fragments=(*head, (last_start, last_end + 1)))
@@ -128,59 +111,34 @@ def _fix_entity_span(text: str, ent: EntityMention) -> tuple[EntityMention, Repa
     return fixed, RepairEntry(RULE_SPAN_BOUNDARY, ent.id, described(ent), described(fixed))
 
 
-def fix_span_boundaries(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, RepairLog]:
-    """Reconcile every entity's document slice with its recorded surface text."""
-    entries = []
+def repair_all(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, RepairLog]:
+    """Fix each entity (fragment order, then span), then each relation's arguments.
+
+    A reference left dangling is logged as "UNRESOLVED". The log lists all
+    fragment_order, then span_boundary, then relation_argument entries.
+    """
+    reordered, respanned, rerouted = [], [], []
     entities = []
     for ent in doc.entities:
-        fixed, entry = _fix_entity_span(doc.text, ent)
-        entities.append(fixed)
-        if entry is not None:
-            entries.append(entry)
-    out = replace(doc, entities=tuple(entities))
-    return out, RepairLog(doc.doc_id, tuple(entries))
-
-
-def fix_relation_arguments(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, RepairLog]:
-    """Strip one trailing zero from dangling entity references.
-
-    Applies only when the stripped id exists in the document. Anything else
-    stays dangling and is logged with after = "UNRESOLVED"; such relations
-    are excluded from downstream encoding and scoring.
-    """
-    entries = []
+        ent, order_entry = _sort_fragments(doc, ent)
+        ent, span_entry = _fix_entity_span(doc.text, ent)
+        entities.append(ent)
+        reordered.append(order_entry)
+        respanned.append(span_entry)
+    known = {ent.id for ent in entities}  # ids never change; doc.entity_map would stay cached on the input
     relations = []
     for rel in doc.relations:
-        new_refs = {}
-        for slot, ref in (("Arg1", rel.subject_ref), ("Arg2", rel.object_ref)):
-            if ref in doc.entity_map:
-                continue
-            stripped = ref[:-1]
-            if _TRAILING_ZERO_RE.match(ref) and stripped in doc.entity_map:
-                new_refs[slot] = stripped
-                entries.append(RepairEntry(RULE_RELATION_ARGUMENT, rel.id, ref, stripped))
-            else:
-                entries.append(RepairEntry(RULE_RELATION_ARGUMENT, rel.id, ref, "UNRESOLVED"))
-        if new_refs:
-            relations.append(
-                replace(
-                    rel,
-                    subject_ref=new_refs.get("Arg1", rel.subject_ref),
-                    object_ref=new_refs.get("Arg2", rel.object_ref),
-                )
-            )
-        else:
-            relations.append(rel)
-    out = replace(doc, relations=tuple(relations))
-    return out, RepairLog(doc.doc_id, tuple(entries))
-
-
-def repair_all(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, RepairLog]:
-    """fix_fragment_order, then fix_span_boundaries, then fix_relation_arguments."""
-    doc, log1 = fix_fragment_order(doc)
-    doc, log2 = fix_span_boundaries(doc)
-    doc, log3 = fix_relation_arguments(doc)
-    return doc, RepairLog(doc.doc_id, log1.entries + log2.entries + log3.entries)
+        fixed_refs = {}
+        for slot, ref in (("subject_ref", rel.subject_ref), ("object_ref", rel.object_ref)):
+            if ref not in known:
+                zero = _TRAILING_ZERO_RE.match(ref)
+                after = zero[1] if zero and zero[1] in known else "UNRESOLVED"
+                rerouted.append(RepairEntry(RULE_RELATION_ARGUMENT, rel.id, ref, after))
+                if after != "UNRESOLVED":
+                    fixed_refs[slot] = after
+        relations.append(replace(rel, **fixed_refs) if fixed_refs else rel)
+    out = replace(doc, entities=tuple(entities), relations=tuple(relations))
+    return out, RepairLog(doc.doc_id, tuple(e for e in reordered + respanned + rerouted if e))
 
 
 @dataclass(frozen=True)

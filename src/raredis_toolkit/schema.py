@@ -18,7 +18,6 @@ from __future__ import annotations
 import logging
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .standoff import (
     ENTITY_TYPES,
@@ -36,22 +35,8 @@ SCHEMA_REL_IS = "rel_is"
 SCHEMA_NATURAL_LANG = "natural_lang"
 SCHEMA_KINDS = (SCHEMA_SEQ2REL, SCHEMA_REL_IS, SCHEMA_NATURAL_LANG)
 
-ENTITY_TOKENS = {
-    "disease": "@Disease@",
-    "rare_disease": "@RareDisease@",
-    "symptom": "@Symptom@",
-    "sign": "@Sign@",
-    "anaphor": "@Anaphor@",
-    "rare_skin_disease": "@RareSkinDisease@",
-}
-PREDICATE_TOKENS = {
-    "produces": "@PRODUCES@",
-    "increases_risk_of": "@INCREASES_RISK_OF@",
-    "is_a": "@IS_A@",
-    "is_acron": "@IS_ACRON@",
-    "is_synon": "@IS_SYNON@",
-    "anaphora": "@ANAPHORA@",
-}
+ENTITY_TOKENS = {t: "@" + t.title().replace("_", "") + "@" for t in ENTITY_TYPES}
+PREDICATE_TOKENS = {p: "@" + p.upper() + "@" for p in PREDICATES}
 NOREL_TOKEN = "@NOREL@"
 END_TOKEN = "@END@"
 
@@ -424,25 +409,3 @@ def decode_target(
     triples, _ = decode_target_report(generation, kind, noun_map)
     return triples
 
-
-@dataclass(frozen=True)
-class EncodedExample:
-    doc_id: str
-    source: str
-    target: str
-
-
-def encode_corpus(
-    docs: list[AnnotatedDocument],
-    kind: str,
-    noun_map: dict[str, str] | None = None,
-    copy_instruct: bool = False,
-) -> list[EncodedExample]:
-    return [
-        EncodedExample(
-            doc.doc_id,
-            build_prompt(doc.text, copy_instruct),
-            encode_target(doc, kind, noun_map),
-        )
-        for doc in docs
-    ]

@@ -24,25 +24,8 @@ from .errors import StandoffParseError, ToolkitError
 
 logger = logging.getLogger(__name__)
 
-ENTITY_TYPES = (
-    "disease",
-    "rare_disease",
-    "symptom",
-    "sign",
-    "anaphor",
-    "rare_skin_disease",
-)
-
-PREDICATES = (
-    "produces",
-    "increases_risk_of",
-    "is_a",
-    "is_acron",
-    "is_synon",
-    "anaphora",
-)
-
-# Spellings written back out; the corpus files use these.
+# Canonical names and the spellings written back out; the corpus files use
+# these. Every other label table derives from these two.
 ENTITY_TYPE_LABELS = {
     "disease": "DISEASE",
     "rare_disease": "RAREDISEASE",
@@ -59,17 +42,19 @@ PREDICATE_LABELS = {
     "is_synon": "is_synon",
     "anaphora": "anaphora",
 }
+ENTITY_TYPES = tuple(ENTITY_TYPE_LABELS)
+PREDICATES = tuple(PREDICATE_LABELS)
 
-_ENTITY_TYPE_ALIASES: dict[str, str] = {}
-for _t in ENTITY_TYPES:
-    _ENTITY_TYPE_ALIASES[_t] = _t
-    _ENTITY_TYPE_ALIASES[_t.replace("_", "")] = _t
-# "skin rare disease" and SKINRAREDISEASE name the same type, reordered
-_ENTITY_TYPE_ALIASES["skin_rare_disease"] = "rare_skin_disease"
-_ENTITY_TYPE_ALIASES["skinraredisease"] = "rare_skin_disease"
-
-_PREDICATE_ALIASES = {p: p for p in PREDICATES}
-_PREDICATE_ALIASES["increase_risk_of"] = "increases_risk_of"
+# Entity types are looked up by their underscore-free spelling, so SKINRAREDISEASE
+# and "skin rare disease" both name rare_skin_disease.
+_ENTITY_TYPE_ALIASES = {
+    spelling.lower().replace("_", ""): name
+    for name, label in ENTITY_TYPE_LABELS.items()
+    for spelling in (name, label)
+}
+_PREDICATE_ALIASES = {
+    spelling: name for name, label in PREDICATE_LABELS.items() for spelling in (name, label.lower())
+}
 
 
 _LABEL_SEPARATORS = re.compile(r"[\s\-]+")
@@ -89,11 +74,7 @@ def normalize_entity_type(label: str) -> str | None:
     Case-insensitive; spaces and hyphens count as underscores, and the
     underscore-free spelling is accepted too (e.g. SKINRAREDISEASE).
     """
-    key = _label_key(label)
-    hit = _ENTITY_TYPE_ALIASES.get(key)
-    if hit is None:
-        hit = _ENTITY_TYPE_ALIASES.get(key.replace("_", ""))
-    return hit
+    return _ENTITY_TYPE_ALIASES.get(_label_key(label).replace("_", ""))
 
 
 @lru_cache(maxsize=1024)

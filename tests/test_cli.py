@@ -182,6 +182,15 @@ class TestSplitCommand:
             ids.extend(manifest)
         assert sorted(ids) == ["balanti", "empty", "rickets", "storage", "weakness"]
 
+    def test_nan_ratio_is_an_error_naming_the_ratios(self, mini_corpus_dir, tmp_path, capsys):
+        out = tmp_path / "splits"
+        code = run_cli([
+            "split", "--in", str(mini_corpus_dir), "--out", str(out), "--ratios", "nan,0.5,0.5",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: ratios must be non-negative\n"
+        assert not out.exists()
+
     def test_file_list_mode(self, mini_corpus_dir, tmp_path):
         lists = tmp_path / "lists"
         lists.mkdir()

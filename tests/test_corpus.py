@@ -24,9 +24,10 @@ from raredis_toolkit.corpus import (
 )
 from raredis_toolkit.errors import SplitError
 from raredis_toolkit.flatten import flatten_document
+from raredis_toolkit.repair import repair_all
 from raredis_toolkit.standoff import AnnotatedDocument, EntityMention, parse_document, write_outputs
 from conftest import MAX_SCALE_RATIO, time_ratio
-from synth import synthetic_corpus
+from synth import corrupt_fragment_order, corrupt_relation_argument, corrupt_trailing_char, synthetic_corpus
 
 
 def _strictly_contains(outer: tuple[int, int], inner: tuple[int, int]) -> bool:
@@ -178,11 +179,29 @@ def many_regions_doc(n: int) -> AnnotatedDocument:
     return AnnotatedDocument("regions", text, tuple(entities), ())
 
 
+def _repair_all(docs: list[AnnotatedDocument]) -> None:
+    for doc in docs:
+        repair_all(doc)
+
+
+def _corrupted(docs: list[AnnotatedDocument]) -> list[AnnotatedDocument]:
+    """Each document with one defect for every repair rule."""
+    rng = random.Random(97)
+    return [
+        corrupt_relation_argument(corrupt_trailing_char(corrupt_fragment_order(doc, rng), rng), rng)
+        for doc in docs
+    ]
+
+
 class TestCorpusLayersScaleLinearly:
-    @pytest.mark.parametrize("run", [corpus_statistics, _flatten_all], ids=["stats", "flatten"])
-    def test_doubling_the_entities_at_most_triples_the_time(self, run):
+    @pytest.mark.parametrize(
+        "run, prepare",
+        [(corpus_statistics, list), (_flatten_all, list), (_repair_all, _corrupted)],
+        ids=["stats", "flatten", "repair"],
+    )
+    def test_doubling_the_entities_at_most_triples_the_time(self, run, prepare):
         small, large = (
-            synthetic_corpus(seed=89, size=20, min_entities=n, max_entities=n)
+            prepare(synthetic_corpus(seed=89, size=20, min_entities=n, max_entities=n))
             for n in (SCALE_ENTITIES, 2 * SCALE_ENTITIES)
         )
         ratio = time_ratio(run, small, large)
@@ -263,6 +282,11 @@ class TestSplit:
     def test_ratios_must_sum_to_one(self):
         with pytest.raises(SplitError, match="sum to 1"):
             SplitSpec(mode="ratio", ratios=(0.5, 0.2, 0.2))
+
+    def test_nan_ratio_is_rejected(self):
+        # NaN compares false both ways, so neither "< 0" nor the sum check catches it
+        with pytest.raises(SplitError, match="non-negative"):
+            SplitSpec(mode="ratio", ratios=(float("nan"), 0.5, 0.5))
 
     def test_file_list_mode_assigns_exactly(self):
         docs = synthetic_corpus(seed=61, size=6)

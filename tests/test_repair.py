@@ -1,4 +1,14 @@
+"""Repair rules.
+
+The oracle below is the three-pass repair that repair_all replaced: one
+whole-document pass per rule, each with its own log, the logs joined in
+rule order. The span rule itself (_fix_entity_span) did not change, so the
+oracle shares it.
+"""
+
 import random
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -7,13 +17,13 @@ from raredis_toolkit.repair import (
     RULE_FRAGMENT_ORDER,
     RULE_RELATION_ARGUMENT,
     RULE_SPAN_BOUNDARY,
-    fix_fragment_order,
-    fix_relation_arguments,
-    fix_span_boundaries,
+    RepairEntry,
+    RepairLog,
+    _fix_entity_span,
     repair_all,
     summarize_repairs,
 )
-from raredis_toolkit.standoff import parse_document, read_document_pair, write_corpus_dir
+from raredis_toolkit.standoff import format_offsets, parse_document, read_document_pair, write_corpus_dir
 from conftest import balanti_doc_pair, storage_doc_pair
 from synth import (
     corrupt_fragment_order,
@@ -21,6 +31,81 @@ from synth import (
     corrupt_trailing_char,
     synthetic_corpus,
 )
+
+
+_ORACLE_TRAILING_ZERO_RE = re.compile(r"^T\d+0$")
+
+
+def oracle_fix_fragment_order(doc):
+    entries = []
+    entities = []
+    for ent in doc.entities:
+        ordered = tuple(sorted(ent.fragments))
+        for (_, prev_end), (next_start, _) in zip(ordered, ordered[1:]):
+            if prev_end > next_start:
+                raise RepairError(
+                    f"{doc.doc_id}: entity {ent.id} has overlapping fragments {format_offsets(ordered)}"
+                )
+        if ordered != ent.fragments:
+            fixed = replace(ent, fragments=ordered)
+            fixed = replace(fixed, surface_text=fixed.slice_text(doc.text))
+            entries.append(
+                RepairEntry(
+                    RULE_FRAGMENT_ORDER, ent.id, format_offsets(ent.fragments), format_offsets(ordered)
+                )
+            )
+            entities.append(fixed)
+        else:
+            entities.append(ent)
+    out = replace(doc, entities=tuple(entities))
+    return out, RepairLog(doc.doc_id, tuple(entries))
+
+
+def oracle_fix_span_boundaries(doc):
+    entries = []
+    entities = []
+    for ent in doc.entities:
+        fixed, entry = _fix_entity_span(doc.text, ent)
+        entities.append(fixed)
+        if entry is not None:
+            entries.append(entry)
+    out = replace(doc, entities=tuple(entities))
+    return out, RepairLog(doc.doc_id, tuple(entries))
+
+
+def oracle_fix_relation_arguments(doc):
+    entries = []
+    relations = []
+    for rel in doc.relations:
+        new_refs = {}
+        for slot, ref in (("Arg1", rel.subject_ref), ("Arg2", rel.object_ref)):
+            if ref in doc.entity_map:
+                continue
+            stripped = ref[:-1]
+            if _ORACLE_TRAILING_ZERO_RE.match(ref) and stripped in doc.entity_map:
+                new_refs[slot] = stripped
+                entries.append(RepairEntry(RULE_RELATION_ARGUMENT, rel.id, ref, stripped))
+            else:
+                entries.append(RepairEntry(RULE_RELATION_ARGUMENT, rel.id, ref, "UNRESOLVED"))
+        if new_refs:
+            relations.append(
+                replace(
+                    rel,
+                    subject_ref=new_refs.get("Arg1", rel.subject_ref),
+                    object_ref=new_refs.get("Arg2", rel.object_ref),
+                )
+            )
+        else:
+            relations.append(rel)
+    out = replace(doc, relations=tuple(relations))
+    return out, RepairLog(doc.doc_id, tuple(entries))
+
+
+def oracle_repair_all(doc):
+    doc, log1 = oracle_fix_fragment_order(doc)
+    doc, log2 = oracle_fix_span_boundaries(doc)
+    doc, log3 = oracle_fix_relation_arguments(doc)
+    return doc, RepairLog(doc.doc_id, log1.entries + log2.entries + log3.entries)
 
 
 def assert_repaired_invariants(doc):
@@ -32,14 +117,14 @@ def assert_repaired_invariants(doc):
 
 class TestRelationArguments:
     def test_trailing_zero_stripped(self, rickets_doc):
-        fixed, log = fix_relation_arguments(rickets_doc)
+        fixed, log = repair_all(rickets_doc)
         assert fixed.relations[1].object_ref == "T9"
         assert fixed.unresolved_refs == ()
         assert log.entries[0].rule == RULE_RELATION_ARGUMENT
         assert (log.entries[0].before, log.entries[0].after) == ("T90", "T9")
 
     def test_no_dangling_references_is_a_no_op(self, weakness_doc):
-        fixed, log = fix_relation_arguments(weakness_doc)
+        fixed, log = repair_all(weakness_doc)
         assert fixed == weakness_doc
         assert len(log) == 0
 
@@ -52,7 +137,7 @@ class TestRelationArguments:
             "R1\tproduces Arg1:T100 Arg2:T1\n"
         )
         doc = parse_document(text, ann, "d")
-        fixed, log = fix_relation_arguments(doc)
+        fixed, log = repair_all(doc)
         assert fixed.relations[0].subject_ref == "T10"
         assert fixed.unresolved_refs == ()
         assert [(e.before, e.after) for e in log.entries] == [("T100", "T10")]
@@ -61,7 +146,7 @@ class TestRelationArguments:
         text = "alpha beta"
         ann = "T1\tSIGN 0 5\talpha\nR1\tproduces Arg1:T1 Arg2:T7\n"
         doc = parse_document(text, ann, "d")
-        fixed, log = fix_relation_arguments(doc)
+        fixed, log = repair_all(doc)
         assert fixed.unresolved_refs == (("R1", "Arg2", "T7"),)
         assert [(e.before, e.after) for e in log.entries] == [("T7", "UNRESOLVED")]
 
@@ -70,7 +155,7 @@ class TestRelationArguments:
         text = "alpha beta"
         ann = "T1\tSIGN 0 5\talpha\nR1\tproduces Arg1:T1 Arg2:T20\n"
         doc = parse_document(text, ann, "d")
-        fixed, log = fix_relation_arguments(doc)
+        fixed, log = repair_all(doc)
         assert fixed.relations[0].object_ref == "T20"
         assert log.entries[0].after == "UNRESOLVED"
 
@@ -81,14 +166,14 @@ class TestSpanBoundaries:
         doc = parse_document(text, ann, "balanti")
         start = text.index("infectious disease")
         assert doc.entities[1].fragments == ((start, start + 17),)  # one short
-        fixed, log = fix_span_boundaries(doc)
+        fixed, log = repair_all(doc)
         ent = fixed.entities[1]
         assert ent.fragments == ((start, start + 18),)
         assert ent.surface_text == "infectious disease"
         assert log.entries[0].rule == RULE_SPAN_BOUNDARY
 
     def test_consistent_span_unchanged(self, weakness_doc):
-        fixed, log = fix_span_boundaries(weakness_doc)
+        fixed, log = repair_all(weakness_doc)
         assert fixed == weakness_doc
         assert len(log) == 0
 
@@ -96,7 +181,7 @@ class TestSpanBoundaries:
         # constructed off-by-one: offsets capture the space after the word
         text = "the rash spreads fast"
         doc = parse_document(text, "T1\tSIGN 4 9\trash\n", "d")
-        fixed, log = fix_span_boundaries(doc)
+        fixed, log = repair_all(doc)
         assert fixed.entities[0].fragments == ((4, 8),)
         assert fixed.entities[0].surface_text == "rash"
         assert len(log) == 1
@@ -104,7 +189,7 @@ class TestSpanBoundaries:
     def test_larger_mismatch_falls_back_to_surface_rewrite(self):
         text = "the rash spreads fast"
         doc = parse_document(text, "T1\tSIGN 4 8\tcompletely different\n", "d")
-        fixed, log = fix_span_boundaries(doc)
+        fixed, log = repair_all(doc)
         assert fixed.entities[0].surface_text == "rash"
         assert fixed.entities[0].fragments == ((4, 8),)
         assert len(log) == 1
@@ -114,7 +199,7 @@ class TestSpanBoundaries:
         # equals surface, so nothing to rewrite
         text = "severe paralysis occurs"
         doc = parse_document(text, "T1\tSIGN 7 14\tparalys\n", "d")
-        fixed, log = fix_span_boundaries(doc)
+        fixed, log = repair_all(doc)
         assert fixed == doc
         assert len(log) == 0
 
@@ -123,14 +208,14 @@ class TestFragmentOrder:
     def test_reversed_fragments_sorted(self):
         text, ann = storage_doc_pair()
         doc = parse_document(text, ann, "storage")
-        fixed, log = fix_fragment_order(doc)
+        fixed, log = repair_all(doc)
         ent = fixed.entities[0]
         assert ent.fragments == tuple(sorted(doc.entities[0].fragments))
         assert ent.surface_text == "accumulation of gangliosides"
         assert log.entries[0].rule == RULE_FRAGMENT_ORDER
 
     def test_sorted_input_unchanged(self, weakness_doc):
-        fixed, log = fix_fragment_order(weakness_doc)
+        fixed, log = repair_all(weakness_doc)
         assert fixed == weakness_doc
         assert len(log) == 0
 
@@ -140,13 +225,13 @@ class TestFragmentOrder:
         offsets = ";".join(f"{s} {e}" for s, e in shuffled)
         surface = " ".join(text[s:e] for s, e in shuffled)
         doc = parse_document(text, f"T1\tSIGN {offsets}\t{surface}\n", "d")
-        fixed, _ = fix_fragment_order(doc)
+        fixed, _ = repair_all(doc)
         assert list(fixed.entities[0].fragments) == sorted(shuffled)
 
     def test_overlapping_fragments_raise(self):
         doc = parse_document("a" * 50, "T1\tSIGN 10 20;15 25\taaa\n", "d")
         with pytest.raises(RepairError, match="T1"):
-            fix_fragment_order(doc)
+            repair_all(doc)
 
 
 class TestRepairAll:
@@ -203,6 +288,41 @@ class TestRepairAll:
             assert len(fixed.relations) == len(doc.relations)
             assert [e.entity_type for e in fixed.entities] == [e.entity_type for e in doc.entities]
             assert [r.predicate for r in fixed.relations] == [r.predicate for r in doc.relations]
+
+
+class TestOnePassEqualsThreePasses:
+    def test_documents_and_log_entries_equal_the_oracle(self):
+        # each corruptor applied zero to two times, so one document can carry
+        # several defects of each rule, on entities in any order
+        rng = random.Random(17)
+        corruptors = (corrupt_fragment_order, corrupt_trailing_char, corrupt_relation_argument)
+        docs = synthetic_corpus(seed=19, size=300) + synthetic_corpus(
+            seed=31, size=30, min_entities=20, max_entities=40
+        )
+        interleaved = 0
+        for doc in docs:
+            for corrupt in corruptors:
+                for _ in range(rng.randrange(3)):
+                    doc = corrupt(doc, rng)
+            fixed, log = repair_all(doc)
+            expected, expected_log = oracle_repair_all(doc)
+            assert fixed == expected
+            assert log.doc_id == expected_log.doc_id
+            entries = [(e.rule, e.target_id, e.before, e.after) for e in log.entries]
+            assert entries == [(e.rule, e.target_id, e.before, e.after) for e in expected_log.entries]
+            rules = [e.rule for e in log.entries]
+            interleaved += RULE_FRAGMENT_ORDER in rules and RULE_SPAN_BOUNDARY in rules
+        # the log order is only tested where one document has entries of both entity rules
+        assert interleaved >= 20
+
+    def test_both_raise_on_overlapping_fragments(self):
+        doc = parse_document("a" * 50, "T1\tSIGN 10 20;15 25\taaa\n", "d")
+        messages = []
+        for repair in (repair_all, oracle_repair_all):
+            with pytest.raises(RepairError) as caught:
+                repair(doc)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
 
 
 class TestSummary:

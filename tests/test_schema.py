@@ -13,7 +13,6 @@ from raredis_toolkit.schema import (
     build_prompt,
     decode_target,
     decode_target_report,
-    encode_corpus,
     encode_target,
     normalize_generation,
     occurrence_ordered_triples,
@@ -332,16 +331,16 @@ class TestWhitespaceCollapse:
 
 class TestEncodedCorpus:
     def test_examples_carry_prompt_and_target(self, rickets_doc):
-        examples = encode_corpus([rickets_doc], "seq2rel", copy_instruct=True)
-        assert examples[0].doc_id == "rickets"
-        assert examples[0].source.startswith("From the given abstract")
-        assert examples[0].target.endswith("@END@")
+        assert rickets_doc.doc_id == "rickets"
+        assert build_prompt(rickets_doc.text, copy_instruct=True).startswith("From the given abstract")
+        assert encode_target(rickets_doc, "seq2rel").endswith("@END@")
 
     def test_special_token_list(self):
-        tokens = special_tokens()
-        assert len(tokens) == 14
-        assert "@RareSkinDisease@" in tokens and "@INCREASES_RISK_OF@" in tokens
-        assert tokens[-2:] == ["@NOREL@", "@END@"]
+        assert special_tokens() == [
+            "@Disease@", "@RareDisease@", "@Symptom@", "@Sign@", "@Anaphor@", "@RareSkinDisease@",
+            "@PRODUCES@", "@INCREASES_RISK_OF@", "@IS_A@", "@IS_ACRON@", "@IS_SYNON@", "@ANAPHORA@",
+            "@NOREL@", "@END@",
+        ]
 
 
 def densely_related_corpus(n: int) -> list:
