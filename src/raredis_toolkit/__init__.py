@@ -6,7 +6,6 @@ from .corpus import (
     SHAPE_CLASSES,
     CorpusStats,
     SplitSpec,
-    classify_shape,
     corpus_statistics,
     document_shapes,
     split_corpus,
@@ -83,7 +82,6 @@ __all__ = [
     "Triple",
     "build_prompt",
     "categorize_errors",
-    "classify_shape",
     "collapse_duplicates",
     "corpus_statistics",
     "decode_target",

@@ -23,6 +23,7 @@ from . import schema as schema_mod
 from . import scoring as scoring_mod
 from . import standoff
 from .errors import ToolkitError
+from .triples import collapse_whitespace
 
 
 def _load_corpus(args) -> list:
@@ -55,7 +56,10 @@ def _add_schema_args(parser):
 def _load_noun_map(path: str | None) -> dict[str, str] | None:
     if path is None:
         return None
-    return schema_mod.validate_noun_map(json.loads(standoff.read_file(path)))
+    try:
+        return schema_mod.validate_noun_map(json.loads(standoff.read_file(path)))
+    except ValueError as exc:  # malformed JSON and undecodable bytes too
+        raise ToolkitError(f"{path}: {exc}") from None
 
 
 def cmd_repair(args):
@@ -170,7 +174,7 @@ def cmd_decode(args):
         triples_by_doc[doc_id] = kept
         # a raw generation's segments may hold line breaks; the report keeps one per line
         report_lines.extend(
-            f"{doc_id}\t{reason}\t{' '.join(segment.split())}" for segment, reason in skipped
+            f"{doc_id}\t{reason}\t{collapse_whitespace(segment)}" for segment, reason in skipped
         )
     yield args.out_file, scoring_mod.triples_text(triples_by_doc, args.out_file)
     if args.report:

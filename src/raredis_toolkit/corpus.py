@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import SplitError
-from .standoff import ENTITY_TYPES, PREDICATES, AnnotatedDocument, EntityMention
+from .standoff import ENTITY_TYPES, PREDICATES, AnnotatedDocument
 from .standoff import join_records, read_file, split_records
 
 SHAPE_FLAT = "flat"
@@ -58,11 +58,6 @@ def document_shapes(doc: AnnotatedDocument) -> dict[str, str]:
         e.id: SHAPE_DISCONTINUOUS if e.is_discontinuous else shape_of_span[span]
         for e, span in zip(doc.entities, spans)
     }
-
-
-def classify_shape(entity: EntityMention, doc: AnnotatedDocument) -> str:
-    """The shape class `document_shapes` gives `entity` in `doc`."""
-    return document_shapes(doc)[entity.id]
 
 
 @dataclass(frozen=True)

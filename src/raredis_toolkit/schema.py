@@ -26,7 +26,7 @@ from .standoff import (
     normalize_entity_type,
     normalize_predicate,
 )
-from .triples import Triple, distinct_triples
+from .triples import Triple, collapse_whitespace, distinct_triples
 
 logger = logging.getLogger(__name__)
 
@@ -77,16 +77,29 @@ def special_tokens() -> list[str]:
     ] + [NOREL_TOKEN, END_TOKEN]
 
 
+# a noun as _REL_IS_PATTERN reads it back once normalize_generation collapses spaces
+_NOUN_RE = re.compile(r"[A-Za-z]+(?: [A-Za-z]+)*")
+
+
 def validate_noun_map(noun_map: dict[str, str]) -> dict[str, str]:
-    """Check a predicate -> noun map is total and keeps the fixed nouns."""
+    """Check a predicate -> noun map is total, keeps the fixed nouns, and decodes back: every noun is
+    letters in words split by single spaces, and no two predicates share a noun in any case."""
+    if not isinstance(noun_map, dict):
+        raise ValueError("noun map must be an object mapping predicates to nouns")
     missing = [p for p in PREDICATES if not noun_map.get(p)]
     if missing:
         raise ValueError(f"noun map missing predicates: {', '.join(missing)}")
     extra = [p for p in noun_map if p not in PREDICATES]
     if extra:
         raise ValueError(f"noun map has unknown predicates: {', '.join(extra)}")
+    malformed = [p for p, n in noun_map.items() if not (isinstance(n, str) and _NOUN_RE.fullmatch(n))]
+    if malformed:
+        raise ValueError(f"noun map nouns must be letters in words split by single spaces: {', '.join(malformed)}")
     if noun_map["is_a"] != "hyponym" or noun_map["is_synon"] != "synonym":
         raise ValueError('noun map must keep is_a="hyponym" and is_synon="synonym"')
+    # decoding reads "synonyms" as is_synon's noun too (see normalize_generation)
+    if len({noun.lower() for noun in noun_map.values()} | {"synonyms"}) <= len(noun_map):
+        raise ValueError('noun map gives two predicates the same noun (case-insensitive; "synonyms" is "synonym")')
     return noun_map
 
 
@@ -115,11 +128,9 @@ def occurrence_ordered_triples(doc: AnnotatedDocument) -> list[Triple]:
     return list(distinct_triples(triple for _, triple in keyed).values())
 
 
-def encode_target(
-    doc: AnnotatedDocument, kind: str, noun_map: dict[str, str] | None = None
-) -> str:
+def encode_target(doc: AnnotatedDocument, kind: str, noun_map: dict[str, str] | None = None) -> str:
     """Render a repaired document's relation set in the given schema."""
-    noun_map = validate_noun_map(noun_map or DEFAULT_NOUN_MAP)
+    noun_map = validate_noun_map(noun_map) if noun_map else DEFAULT_NOUN_MAP
     triples = occurrence_ordered_triples(doc)
 
     if kind == SCHEMA_SEQ2REL:
@@ -169,7 +180,7 @@ def normalize_generation(generation: str) -> str:
     hyphens and forward slashes and inside round brackets, and rewrites the
     predicted noun "synonyms" to "synonym" in rel_is sentences.
     """
-    s = " ".join(generation.split())
+    s = collapse_whitespace(generation)
     s = re.sub(r" ?- ?", "-", s)
     s = re.sub(r" ?/ ?", "/", s)
     s = s.replace("( ", "(").replace(" )", ")")
@@ -340,9 +351,7 @@ def _decode_by_patterns(generation, candidates, report, build) -> list[Triple]:
     return triples
 
 
-def _decode_rel_is(
-    generation: str, noun_map: dict[str, str], report: list[tuple[str, str]]
-) -> list[Triple]:
+def _decode_rel_is(generation: str, noun_map: dict[str, str], report: list[tuple[str, str]]) -> list[Triple]:
     noun_to_pred = {noun.lower(): pred for pred, noun in noun_map.items()}
     noun_to_pred.setdefault("synonyms", noun_to_pred.get("synonym", "is_synon"))
 
@@ -389,7 +398,7 @@ def decode_target_report(
     generation: str, kind: str, noun_map: dict[str, str] | None = None
 ) -> tuple[list[Triple], list[tuple[str, str]]]:
     """Decode a generation; also return (segment, reason) for skipped parts."""
-    noun_map = validate_noun_map(noun_map or DEFAULT_NOUN_MAP)
+    noun_map = validate_noun_map(noun_map) if noun_map else DEFAULT_NOUN_MAP
     report: list[tuple[str, str]] = []
     if kind == SCHEMA_SEQ2REL:
         triples = _decode_seq2rel(generation, report)
@@ -402,9 +411,7 @@ def decode_target_report(
     return triples, report
 
 
-def decode_target(
-    generation: str, kind: str, noun_map: dict[str, str] | None = None
-) -> list[Triple]:
+def decode_target(generation: str, kind: str, noun_map: dict[str, str] | None = None) -> list[Triple]:
     """Every well-formed relation unit in the generation, in order. Total."""
     triples, _ = decode_target_report(generation, kind, noun_map)
     return triples

@@ -16,7 +16,7 @@ from pathlib import Path
 from .errors import ToolkitError
 from .standoff import PREDICATES, normalize_entity_type, normalize_predicate
 from .standoff import join_records, read_file, split_records, write_outputs
-from .triples import Triple, distinct_triples, normalize_text, triple_key
+from .triples import Triple, collapse_whitespace, distinct_triples, normalize_text, triple_key
 
 ERROR_PARTIAL_MATCH = "partial_match"
 ERROR_TYPE_MISMATCH = "type_mismatch"
@@ -251,15 +251,12 @@ def categorize_errors(
 
     # 3. remaining false positives: hallucinated if a span is absent from the
     # text, whitespace runs collapsed on both sides
-    def squash(text: str) -> str:
-        return " ".join(text.split())
-
-    reference = None if doc_text is None else squash(doc_text)
+    reference = None if doc_text is None else collapse_whitespace(doc_text)
     if reference is not None and not strict_case:
         reference = reference.lower()
     for fp in fps:
-        absent = reference is not None and (
-            squash(fp.subject_text) not in reference or squash(fp.object_text) not in reference
+        absent = reference is not None and any(
+            collapse_whitespace(text) not in reference for text in (fp.subject_text, fp.object_text)
         )
         records.append(ErrorRecord(doc_id, ERROR_HALLUCINATED_SPAN if absent else ERROR_SPURIOUS, predicted=fp))
 

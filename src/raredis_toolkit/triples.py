@@ -33,9 +33,14 @@ class Triple:
                 raise ValueError(f"unknown entity type {t!r}")
 
 
+def collapse_whitespace(text: str) -> str:
+    """Every whitespace run as one space, the ends stripped."""
+    return " ".join(text.split())
+
+
 def normalize_text(text: str) -> str:
     """Scoring normalization: lowercase, collapse whitespace, strip ends."""
-    return " ".join(text.split()).lower()
+    return collapse_whitespace(text).lower()
 
 
 def triple_key(triple: Triple, strict_case: bool = False, type_agnostic: bool = False) -> tuple:

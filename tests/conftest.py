@@ -1,3 +1,4 @@
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -24,15 +25,23 @@ def tree_snapshot(root: Path) -> dict[str, bytes | None]:
 
 
 def time_ratio(run, small, large) -> float:
-    """min-of-5 time of run(large) / min-of-5 time of run(small), the two
-    timed alternately so that a slow spell of the host lands on both."""
-    best = [float("inf"), float("inf")]
-    for _ in range(5):
-        for i, arg in enumerate((small, large)):
-            start = time.perf_counter()
-            run(arg)
-            best[i] = min(best[i], time.perf_counter() - start)
-    return best[1] / best[0]
+    """Median over 7 rounds of min-of-2 time of run(large) / min-of-2 time of
+    run(small), the two timed alternately within a round.
+
+    Alternating puts a short slow spell of the host on both sides of a round.
+    A longer spell that slows only one side of some rounds skews only those
+    rounds, and the median passes them over.
+    """
+    ratios = []
+    for _ in range(7):
+        best = [float("inf"), float("inf")]
+        for _ in range(2):
+            for i, arg in enumerate((small, large)):
+                start = time.perf_counter()
+                run(arg)
+                best[i] = min(best[i], time.perf_counter() - start)
+        ratios.append(best[1] / best[0])
+    return statistics.median(ratios)
 
 
 def _offsets(text: str, phrase: str, occurrence: int = 0) -> tuple[int, int]:

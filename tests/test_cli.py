@@ -432,6 +432,31 @@ class TestExitCodes:
         ])
         assert code == 1
         assert "noun map" in capsys.readouterr().err
+        # every rejection names the file, in encode and in decode alike
+        full = dict(
+            produces="producer", increases_risk_of="risk factor", is_a="hyponym",
+            is_acron="acronym", is_synon="synonym", anaphora="anaphor",
+        )
+        cases = {
+            "not an object": json.dumps(list(full)),
+            "not text": json.dumps({**full, "anaphora": 5}),
+            "not letters": json.dumps({**full, "produces": "co-factor"}),
+            "double space": json.dumps({**full, "increases_risk_of": "risk  factor"}),
+            "shared noun": json.dumps({**full, "produces": "Anaphor"}),
+            "plural of synonym": json.dumps({**full, "produces": "synonyms"}),
+            "malformed": '{produces: "producer"}',
+        }
+        for name, content in cases.items():
+            bad.write_text(content, encoding="utf-8")
+            for command, out in (("encode", "o.jsonl"), ("decode", "o.tsv")):
+                code = run_cli([
+                    command, "--in", str(mini_corpus_dir), "--out", str(tmp_path / out),
+                    "--schema", "rel-is", "--noun-map", str(bad),
+                ])
+                err = capsys.readouterr().err
+                assert code == 1, (name, command)
+                assert err.startswith(f"error: {bad}: "), (name, command, err)
+                assert not (tmp_path / out).exists()
 
     def test_directory_as_input_file_is_fatal_not_a_traceback(self, tmp_path, capsys):
         code = run_cli(["score", "--gold", str(tmp_path), "--pred", str(tmp_path)])

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from raredis_toolkit.corpus import (
     SHAPE_CLASSES,
     SplitSpec,
-    classify_shape,
     corpus_statistics,
     document_shapes,
     format_stats,
@@ -75,7 +74,7 @@ def doc_of(ann: str, text: str = "x" * 100) -> AnnotatedDocument:
 class TestClassifyShape:
     def test_gap_makes_discontinuous(self):
         doc = doc_of("T1\tSIGN 10 20;30 40\t" + "x" * 10 + " " + "x" * 10 + "\n")
-        assert classify_shape(doc.entities[0], doc) == "discontinuous"
+        assert document_shapes(doc)["T1"] == "discontinuous"
 
     def test_inner_span_is_nested(self):
         text = "central pain syndrome"
@@ -84,25 +83,25 @@ class TestClassifyShape:
             "T2\tSYMPTOM 8 12\tpain\n"
         )
         doc = doc_of(ann, text)
-        assert classify_shape(doc.entities[1], doc) == "nested"
+        assert document_shapes(doc)["T2"] == "nested"
         # the outer entity overlaps the inner one without being contained
-        assert classify_shape(doc.entities[0], doc) == "overlapped"
+        assert document_shapes(doc)["T1"] == "overlapped"
 
     def test_only_entity_in_document_is_flat(self):
         doc = doc_of("T1\tSIGN 0 5\txxxxx\n")
-        assert classify_shape(doc.entities[0], doc) == "flat"
+        assert document_shapes(doc)["T1"] == "flat"
 
     def test_partial_overlap(self):
         ann = "T1\tSIGN 0 10\t" + "x" * 10 + "\nT2\tDISEASE 5 15\t" + "x" * 10 + "\n"
         doc = doc_of(ann)
-        assert classify_shape(doc.entities[0], doc) == "overlapped"
-        assert classify_shape(doc.entities[1], doc) == "overlapped"
+        assert document_shapes(doc)["T1"] == "overlapped"
+        assert document_shapes(doc)["T2"] == "overlapped"
 
     def test_identical_spans_with_different_types_are_overlapped(self):
         ann = "T1\tSIGN 0 10\t" + "x" * 10 + "\nT2\tDISEASE 0 10\t" + "x" * 10 + "\n"
         doc = doc_of(ann)
-        assert classify_shape(doc.entities[0], doc) == "overlapped"
-        assert classify_shape(doc.entities[1], doc) == "overlapped"
+        assert document_shapes(doc)["T1"] == "overlapped"
+        assert document_shapes(doc)["T2"] == "overlapped"
 
     def test_discontinuity_beats_nesting(self):
         ann = (
@@ -110,23 +109,21 @@ class TestClassifyShape:
             "T2\tSIGN 5 10;15 20\t" + "xxxxx xxxxx" + "\n"
         )
         doc = doc_of(ann)
-        assert classify_shape(doc.entities[1], doc) == "discontinuous"
+        assert document_shapes(doc)["T2"] == "discontinuous"
 
     def test_touching_spans_do_not_overlap(self):
         ann = "T1\tSIGN 0 10\t" + "x" * 10 + "\nT2\tDISEASE 10 20\t" + "x" * 10 + "\n"
         doc = doc_of(ann)
-        assert classify_shape(doc.entities[0], doc) == "flat"
-        assert classify_shape(doc.entities[1], doc) == "flat"
+        assert document_shapes(doc)["T1"] == "flat"
+        assert document_shapes(doc)["T2"] == "flat"
 
     def test_stable_under_reordering_of_other_entities(self):
         rng = random.Random(3)
         for doc in synthetic_corpus(seed=31, size=50):
-            baseline = {e.id: classify_shape(e, doc) for e in doc.entities}
             shuffled_entities = list(doc.entities)
             rng.shuffle(shuffled_entities)
             shuffled = AnnotatedDocument(doc.doc_id, doc.text, tuple(shuffled_entities), doc.relations)
-            for ent in shuffled.entities:
-                assert classify_shape(ent, shuffled) == baseline[ent.id]
+            assert document_shapes(shuffled) == document_shapes(doc)
 
 
 class TestDocumentShapesMatchAllPairs:
@@ -209,8 +206,9 @@ class TestCorpusLayersScaleLinearly:
 
     def test_flatten_with_many_regions_at_most_triples_the_time(self):
         """Overlapping entities form one region; this shape makes one per
-        discontinuous entity, so every flat entity after them is shifted
-        past all the copied stretches."""
+        discontinuous entity, so the sweep emits a rewritten region and a
+        copied stretch per entity before it shifts the flat entities after
+        them by the delta all of those add up to."""
         small, large = ([many_regions_doc(n)] for n in (SCALE_REGIONS, 2 * SCALE_REGIONS))
         ratio = time_ratio(_flatten_all, small, large)
         assert ratio < MAX_SCALE_RATIO, f"time x{ratio:.2f} when the regions double"

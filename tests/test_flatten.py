@@ -1,24 +1,34 @@
 """Flattening discontinuous entities, and the offset map it returns.
 
-The oracles below are the linear scans that flatten_document's `shift` and
-OffsetMap.to_original ran before both became one bisect (`_first_holding`):
-the first interval holding the span answers.
+The oracles below are OffsetMap.to_original's linear scan (the first interval
+holding the span answers) and the two-pass flatten_document that looked each
+untouched fragment up again among the copied stretches by that same scan.
 """
 
 import json
-from unittest import mock
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raredis_toolkit import flatten
 from raredis_toolkit.errors import FlattenError, ToolkitError
-from raredis_toolkit.flatten import OffsetMap, flatten_document, offset_map_json, read_offset_map
+from raredis_toolkit.flatten import (
+    OffsetMap,
+    _overlap_clusters,
+    flatten_document,
+    offset_map_json,
+    read_offset_map,
+)
 from raredis_toolkit.standoff import AnnotatedDocument, EntityMention, parse_document, write_outputs
 from synth import random_document, synthetic_corpus
 
 COORDINATED = "weakness in the muscles of the arms and weakness in the muscles of the legs"
+
+
+def identity_pairs(length: int) -> tuple:
+    """The pairs of a map that rewrites nothing: one pair, none for empty text."""
+    return (((0, length), (0, length)),) if length else ()
 
 
 class TestWorkedExamples:
@@ -37,7 +47,7 @@ class TestWorkedExamples:
     def test_document_without_discontinuity_is_untouched(self, rickets_doc):
         flat, offset_map = flatten_document(rickets_doc)
         assert flat == rickets_doc
-        assert offset_map.is_identity
+        assert offset_map.pairs == identity_pairs(len(rickets_doc.text))
 
     def test_single_discontinuous_entity_hand_computed(self):
         # hand-computed rewrite: the covered region collapses to the two
@@ -98,29 +108,7 @@ class TestInvariants:
         for _, flat, _ in flattened_corpus:
             again, offset_map = flatten_document(flat)
             assert again == flat
-            assert offset_map.is_identity
-
-
-class TestOffsetMapIO:
-    def test_json_round_trip(self, weakness_doc, tmp_path):
-        _, offset_map = flatten_document(weakness_doc)
-        write_outputs([(tmp_path / "m.json", offset_map_json(offset_map))])
-        assert read_offset_map(tmp_path / "m.json") == offset_map
-
-    @pytest.mark.parametrize(
-        "pairs", [[[5, 10], [0, 5]], [[0, 6], [5, 10]], [[4, 2]]], ids=["unordered", "overlapping", "inverted"]
-    )
-    def test_unordered_map_rejected(self, pairs, tmp_path):
-        payload = {"pairs": [{"rewritten": rw, "original": None} for rw in pairs]}
-        (tmp_path / "m.json").write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(ToolkitError, match="ordered and non-overlapping"):
-            read_offset_map(tmp_path / "m.json")
-
-    def test_identity_map(self):
-        m = OffsetMap.identity(10)
-        assert m.is_identity
-        assert m.to_original(3, 7) == (3, 7)
-        assert OffsetMap.identity(0).is_identity
+            assert offset_map.pairs == identity_pairs(len(flat.text))
 
 
 def oracle_to_original(offset_map: OffsetMap, start: int, end: int) -> tuple[int, int] | None:
@@ -139,6 +127,70 @@ def oracle_first_holding(entries, start: int, end: int) -> int | None:
         if os_ <= start and end <= oe:
             return i
     return None
+
+
+def oracle_flatten_document(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, OffsetMap]:
+    """flatten_document in two passes: rewrite the regions while recording
+    every copied stretch, then shift each untouched fragment by the delta of
+    the stretch that holds it."""
+    text = doc.text
+    regions = []  # (region_start, region_end, members ordered for rendering), by start
+    for cluster in _overlap_clusters(doc.entities):
+        if not any(e.is_discontinuous for e in cluster):
+            continue
+        end = max(e.covering_span[1] for e in cluster)
+        members = sorted(cluster, key=lambda e: (e.first_start, e.covering_span[1], e.id))
+        regions.append((cluster[0].covering_span[0], end, members))
+
+    pieces: list[str] = []
+    pairs: list[tuple[tuple[int, int], tuple[int, int] | None]] = []
+    new_fragments: dict[str, tuple[int, int]] = {}
+    copied_stretches: list[tuple[tuple[int, int], int]] = []  # ((orig_start, orig_end), delta)
+    orig_pos = 0
+    new_pos = 0
+
+    def emit(piece: str, original: tuple[int, int] | None):
+        nonlocal new_pos
+        if not piece:
+            return
+        pieces.append(piece)
+        pairs.append(((new_pos, new_pos + len(piece)), original))
+        new_pos += len(piece)
+
+    for start, end, members in regions:
+        if orig_pos < start:
+            copied_stretches.append(((orig_pos, start), new_pos - orig_pos))
+            emit(text[orig_pos:start], (orig_pos, start))
+        for i, ent in enumerate(members):
+            if i:
+                emit(" and ", None)
+            render_start = new_pos
+            for j, (fs, fe) in enumerate(ent.fragments):
+                if j:
+                    emit(" ", None)
+                emit(text[fs:fe], (fs, fe))
+            new_fragments[ent.id] = (render_start, new_pos)
+        orig_pos = end
+    if orig_pos < len(text):
+        copied_stretches.append(((orig_pos, len(text)), new_pos - orig_pos))
+        emit(text[orig_pos:], (orig_pos, len(text)))
+
+    def shift(fragment: tuple[int, int]) -> tuple[int, int]:
+        fs, fe = fragment
+        i = oracle_first_holding(copied_stretches, fs, fe)
+        if i is not None:
+            delta = copied_stretches[i][1]
+            return (fs + delta, fe + delta)
+        raise FlattenError(f"{doc.doc_id}: fragment {fragment} outside any copied stretch")
+
+    entities = []
+    for ent in doc.entities:
+        if ent.id in new_fragments:
+            entities.append(replace(ent, fragments=(new_fragments[ent.id],)))
+        else:
+            entities.append(replace(ent, fragments=tuple(shift(f) for f in ent.fragments)))
+
+    return replace(doc, text="".join(pieces), entities=tuple(entities)), OffsetMap(tuple(pairs))
 
 
 @st.composite
@@ -172,18 +224,16 @@ class TestLookupMatchesLinearScan:
 
     @settings(max_examples=300, deadline=None)
     @given(offset_maps(gaps=True))
-    def test_first_holding_over_stretches_with_gaps(self, offset_map):
-        entries = offset_map.pairs
+    def test_to_original_over_maps_with_gaps(self, offset_map):
+        """read_offset_map accepts gaps between the rewritten intervals."""
         for start, end in spans_near(offset_map):
-            assert flatten._first_holding(entries, start, end) == oracle_first_holding(entries, start, end)
+            assert offset_map.to_original(start, end) == oracle_to_original(offset_map, start, end)
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.randoms(use_true_random=False), st.integers(0, 30))
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(0, 40))
     def test_flatten_document(self, rng, max_entities):
         doc = random_document(rng, "d", max_entities=max_entities)
-        with mock.patch.object(flatten, "_first_holding", oracle_first_holding):
-            expected = flatten_document(doc)
-        assert flatten_document(doc) == expected
+        assert flatten_document(doc) == oracle_flatten_document(doc)
 
     def test_empty_span_on_a_boundary_resolves_through_the_earlier_pair(self):
         offset_map = OffsetMap((((0, 5), (10, 15)), ((5, 10), (30, 35))))
@@ -202,3 +252,60 @@ class TestLookupMatchesLinearScan:
         )
         with pytest.raises(FlattenError, match="outside any copied stretch"):
             flatten_document(AnnotatedDocument("d", text, entities, ()))
+        # a fragment starting before the text, clear of T1's region
+        before = (entities[0], EntityMention("T2", "sign", ((-2, 0),), ""))
+        with pytest.raises(FlattenError, match=r"fragment \(-2, 0\) outside any copied stretch"):
+            flatten_document(AnnotatedDocument("d", text, before, ()))
+
+
+class TestOffsetMapIO:
+    def test_json_round_trip(self, weakness_doc, tmp_path):
+        _, offset_map = flatten_document(weakness_doc)
+        write_outputs([(tmp_path / "m.json", offset_map_json(offset_map))])
+        assert read_offset_map(tmp_path / "m.json") == offset_map
+
+    @pytest.mark.parametrize(
+        "pairs", [[[5, 10], [0, 5]], [[0, 6], [5, 10]], [[4, 2]]], ids=["unordered", "overlapping", "inverted"]
+    )
+    def test_unordered_map_rejected(self, pairs, tmp_path):
+        payload = {"pairs": [{"rewritten": rw, "original": None} for rw in pairs]}
+        (tmp_path / "m.json").write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ToolkitError, match="ordered and non-overlapping") as caught:
+            read_offset_map(tmp_path / "m.json")
+        assert str(caught.value).startswith(f"{tmp_path / 'm.json'}: ")
+
+    @pytest.mark.parametrize(
+        "content, where",
+        [
+            ('{\n  "pairs": [\n    {"rewritten": [0, 5],}\n  ]\n}\n', ":3: "),
+            ('{"pair": []}', ": "),
+            ('[]', ": "),
+            ('{"pairs": [{"rewritten": [0, 5, 9], "original": null}]}', ": "),
+            ('{"pairs": [{"rewritten": [0], "original": null}]}', ": "),
+            ('{"pairs": [{"rewritten": [0, 5]}]}', ": "),
+            ('{"pairs": [{"rewritten": [0, 5], "original": [1, "6"]}]}', ": "),
+            ('{"pairs": [{"rewritten": null, "original": null}]}', ": "),
+            ('{"pairs": [[0, 5]]}', ": "),
+        ],
+        ids=["bad-json", "no-pairs", "not-an-object", "long-rewritten", "short-rewritten", "no-original",
+             "text-offset", "null-rewritten", "pair-not-an-object"],
+    )
+    def test_malformed_map_names_its_file(self, content, where, tmp_path):
+        path = tmp_path / "m.offsets.json"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(ToolkitError) as caught:
+            read_offset_map(path)
+        assert str(caught.value).startswith(f"{path}{where}")
+
+    @settings(max_examples=200, deadline=None)
+    @given(offset_maps(gaps=True))
+    def test_every_written_map_reads_back(self, tmp_path_factory, offset_map):
+        path = tmp_path_factory.getbasetemp() / "round-trip.offsets.json"
+        path.write_text(offset_map_json(offset_map), encoding="utf-8")
+        assert read_offset_map(path) == offset_map
+
+    def test_identity_map(self):
+        for text in ("x" * 10, ""):
+            _, m = flatten_document(AnnotatedDocument("d", text, (), ()))
+            assert m.pairs == identity_pairs(len(text))
+            assert m.to_original(3, 7) == ((3, 7) if text else None)
