@@ -82,15 +82,17 @@ def flatten_document(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, OffsetM
     # clusters arrive by start with disjoint hulls: an untouched one lies in the
     # stretch copied next from orig_pos, so it moves by that stretch's delta
     for cluster in _overlap_clusters(doc.entities):
+        start, end = cluster[0].covering_span[0], max(e.covering_span[1] for e in cluster)
+        if start < 0 or end > len(text):
+            fragment = next(f for e in cluster for f in e.fragments if f[0] < 0 or f[1] > len(text))
+            raise FlattenError(f"{doc.doc_id}: fragment {fragment} outside any copied stretch")
         if not any(e.is_discontinuous for e in cluster):
             delta = new_pos - orig_pos
             for ent in cluster:
                 ((fs, fe),) = ent.fragments
-                if fs < 0 or fe > len(text):
-                    raise FlattenError(f"{doc.doc_id}: fragment {(fs, fe)} outside any copied stretch")
                 new_fragments[ent.id] = (fs + delta, fe + delta)
             continue
-        if orig_pos < (start := cluster[0].covering_span[0]):
+        if orig_pos < start:
             emit(text[orig_pos:start], (orig_pos, start))
         for i, ent in enumerate(sorted(cluster, key=lambda e: (e.first_start, e.covering_span[1], e.id))):
             if i:
@@ -101,7 +103,7 @@ def flatten_document(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, OffsetM
                     emit(" ", None)
                 emit(text[fs:fe], (fs, fe))
             new_fragments[ent.id] = (render_start, new_pos)
-        orig_pos = max(e.covering_span[1] for e in cluster)
+        orig_pos = end
     emit(text[orig_pos:], (orig_pos, len(text)))
 
     entities = tuple(replace(ent, fragments=(new_fragments[ent.id],)) for ent in doc.entities)

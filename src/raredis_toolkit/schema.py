@@ -5,12 +5,12 @@ Three target schemas:
   seq2rel       — relation units with @EntityType@ / @PREDICATE@ special
                   tokens, ordered by entity occurrence, closed by @END@;
                   relation-free documents encode as @NOREL@.
-  rel_is        — "The relation between X and Y is <noun>." sentences,
-                  where <noun> is the noun form of the predicate.
+  rel_is        — one _REL_IS_SENTENCE per relation, closed by a period,
+                  naming the noun form of the predicate.
   natural_lang  — one tailored sentence pattern per relation type.
 
-Decoding is regex-based and total: malformed stretches of a generation are
-skipped and reported, never fatal.
+Decoding compiles the sentences encoding writes into regexes and is total:
+malformed stretches of a generation are skipped and reported, never fatal.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ _NL_TEMPLATES = {
     ),
     "is_a": "The {t1} {s1} is a type of {s2}, a {t2}",
 }
+_REL_IS_SENTENCE = "The relation between {s1} and {s2} is {noun}"
 
 
 def special_tokens() -> list[str]:
@@ -77,7 +78,7 @@ def special_tokens() -> list[str]:
     ] + [NOREL_TOKEN, END_TOKEN]
 
 
-# a noun as _REL_IS_PATTERN reads it back once normalize_generation collapses spaces
+# a noun as the rel_is pattern reads it back once normalize_generation collapses spaces
 _NOUN_RE = re.compile(r"[A-Za-z]+(?: [A-Za-z]+)*")
 
 
@@ -145,8 +146,7 @@ def encode_target(doc: AnnotatedDocument, kind: str, noun_map: dict[str, str] | 
 
     if kind == SCHEMA_REL_IS:
         return " ".join(
-            f"The relation between {t.subject_text} and {t.object_text} "
-            f"is {noun_map[t.predicate]}."
+            _REL_IS_SENTENCE.format(s1=t.subject_text, s2=t.object_text, noun=noun_map[t.predicate]) + "."
             for t in triples
         )
 
@@ -194,9 +194,7 @@ _AT_TOKEN_RE = re.compile(r"@([A-Za-z_]+)@")
 _QUOTE_PAIRS = (('"', '"'), ("'", "'"), ("“", "”"), ("‘", "’"), ("``", "''"))
 
 # longest first so "rare skin disease" is not read as "rare disease"
-_TYPE_WORD_ALT = "|".join(
-    sorted((TYPE_WORDS[t] for t in ENTITY_TYPES), key=len, reverse=True)
-)
+_TYPE_WORD_ALT = "|".join(sorted(TYPE_WORDS.values(), key=len, reverse=True))
 _WORD_TO_TYPE = {TYPE_WORDS[t]: t for t in ENTITY_TYPES}
 
 # Entity spans may not cross sentence boundaries, so a mangled sentence
@@ -204,50 +202,36 @@ _WORD_TO_TYPE = {TYPE_WORDS[t]: t for t in ENTITY_TYPES}
 # head and every span is period-free, so a template that fails at its first
 # head in a sentence fails at every later start in that sentence.
 _SPAN = r"[^.]+?"
+# what decoding reads each placeholder of a sentence as
+_GROUPS = {"s1": _SPAN, "s2": _SPAN, "t1": _TYPE_WORD_ALT, "t2": _TYPE_WORD_ALT, "noun": r"[A-Za-z][A-Za-z ]*?"}
 
-
-def _template(head: str, rest: str) -> tuple[re.Pattern, re.Pattern]:
-    """(the head every match starts with, the whole pattern), compiled.
-
-    rest must begin with a span; _scan relies on it.
-    """
-    return re.compile(head, re.IGNORECASE), re.compile(head + rest, re.IGNORECASE)
-
-
-_REL_IS_PATTERN = _template(
-    "the relation(?:ship)? between ",
-    rf"(?P<s1>{_SPAN}) and (?P<s2>{_SPAN}) is (?P<noun>[A-Za-z][A-Za-z ]*?)\s*(?:\.|$)",
-)
-
-_NL_PATTERNS = {
-    "produces": _template(
-        "",
-        rf"(?P<s1>{_SPAN}) is an? (?P<t1>{_TYPE_WORD_ALT}) that produces "
-        rf"(?P<s2>{_SPAN}), as an? (?P<t2>{_TYPE_WORD_ALT})\.?",
-    ),
-    "anaphora": _template(
-        "The term ",
-        rf"(?P<s2>{_SPAN}) is an anaphor that refers back to the entity "
-        rf"of the (?P<t1>{_TYPE_WORD_ALT}) (?P<s1>{_SPAN})(?:\.|$)",
-    ),
-    "is_synon": _template(
-        rf"The (?P<t1>{_TYPE_WORD_ALT}) ",
-        rf"(?P<s1>{_SPAN}) and the (?P<t2>{_TYPE_WORD_ALT}) (?P<s2>{_SPAN}) are synonyms?\.?",
-    ),
-    "is_acron": _template(
-        "The acronym ",
-        rf"(?P<s1>{_SPAN}) stands for (?P<s2>{_SPAN}), an? (?P<t2>{_TYPE_WORD_ALT})\.?",
-    ),
-    "increases_risk_of": _template(
-        rf"The presence of the (?P<t1>{_TYPE_WORD_ALT}) ",
-        rf"(?P<s1>{_SPAN}) increases the risk "
-        rf"of developing the (?P<t2>{_TYPE_WORD_ALT}) (?:of )?(?P<s2>{_SPAN})(?:\.|$)",
-    ),
-    "is_a": _template(
-        rf"The (?P<t1>{_TYPE_WORD_ALT}) ",
-        rf"(?P<s1>{_SPAN}) is a type of (?P<s2>{_SPAN}), an? (?P<t2>{_TYPE_WORD_ALT})\.?",
-    ),
+# what decoding reads beyond the words encode writes, besides "an" for "a"
+# before a type word: each phrase of a sentence and the regex it becomes
+_ALSO_READ = {
+    "relation": "relation(?:ship)?",
+    "{noun}": r"{noun}\s*",
+    "synonyms": "synonyms?",
+    "developing the {t2} ": "developing the {t2} (?:of )?",
 }
+
+
+def _template(sentence: str) -> tuple[re.Pattern, re.Pattern]:
+    """(the head every match starts with, the whole pattern), compiled from a
+    sentence encode_target writes, whose words are regex-safe. The head ends
+    before the first span, so the rest begins with a span; _scan relies on it.
+    """
+    # a closing span or noun ends at a period or the text's end; other endings may omit the period
+    closing = r"(?:\.|$)" if sentence.endswith(("{s1}", "{s2}", "{noun}")) else r"\.?"
+    for phrase, read in _ALSO_READ.items():
+        sentence = sentence.replace(phrase, read)
+    sentence = re.sub(r"\ba (?=\{t)", "an? ", sentence)
+    pattern = sentence.format(**{name: f"(?P<{name}>{body})" for name, body in _GROUPS.items()}) + closing
+    head = pattern[: pattern.index("(?P<s")]
+    return re.compile(head, re.IGNORECASE), re.compile(pattern, re.IGNORECASE)
+
+
+_REL_IS_PATTERN = _template(_REL_IS_SENTENCE)
+_NL_PATTERNS = {predicate: _template(sentence) for predicate, sentence in _NL_TEMPLATES.items()}
 
 
 def _scan(template: tuple[re.Pattern, re.Pattern], text: str) -> Iterator[re.Match]:
@@ -291,11 +275,11 @@ def _decode_seq2rel(generation: str, report: list[tuple[str, str]]) -> list[Trip
         raw = match.group(0)
         name = match.group(1)
 
-        if name.upper() == "END":
+        if raw.upper() == END_TOKEN:
             if before:
                 report.append((before, "text before the end token"))
             break
-        if name.upper() == "NOREL":
+        if raw.upper() == NOREL_TOKEN:
             if before:
                 report.append((before, "text before the no-relation token"))
             continue
@@ -377,7 +361,7 @@ def _decode_natural_lang(generation: str, report: list[tuple[str, str]]) -> list
         groups = match.groupdict()
         s1 = groups["s1"].strip()
         s2 = _strip_quotes(groups["s2"].strip())
-        if not s1 or not s2:
+        if not s1 or not s2.strip():  # quotes may hold only whitespace
             report.append((match.group(0).strip(), "empty entity span"))
             return None
         t1 = _WORD_TO_TYPE[groups["t1"].lower()] if groups.get("t1") else None

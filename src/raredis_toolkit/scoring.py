@@ -214,13 +214,16 @@ def categorize_errors(
     # a candidate with a side already paired, in stage 1 or here, is skipped
     tokens = {text: frozenset(text.split()) for t in fps + fns for text in (t.subject_text, t.object_text)}
 
+    gold_texts: dict[str, set[str]] = {}  # each role's distinct FN texts, built on first use
+
     def spans_coordination(predicted_text: str, role: str) -> bool:
         """Predicted text looks like two gold entities merged across an 'and'."""
         pt = tokens[predicted_text]
         if "and" not in pt:
             return False
-        gold_texts = {getattr(t, role) for t in fns}
-        return sum(_jaccard(tokens[g], pt) >= PARTIAL_MATCH_JACCARD for g in gold_texts) >= 2
+        if role not in gold_texts:
+            gold_texts[role] = {getattr(t, role) for t in fns}
+        return sum(_jaccard(tokens[g], pt) >= PARTIAL_MATCH_JACCARD for g in gold_texts[role]) >= 2
 
     candidates = []
     for fp in fps:
@@ -300,6 +303,8 @@ def read_triples_file(path: str | Path) -> dict[str, list[Triple]]:
             triple = Triple(s_text, s_typ, pred, o_text, o_typ)
         except ValueError as exc:
             raise ToolkitError(f"{path}:{line_no}: {exc}") from exc
+        if s_text.isspace() or o_text.isspace():  # the one rule of triple_writable a field can break
+            raise ToolkitError(f"{path}:{line_no}: triple entity texts may not be blank")
         out.setdefault(doc_id, []).append(triple)
     return out
 
@@ -311,9 +316,11 @@ def tsv_field_ok(text: str) -> bool:
 
 
 def triple_writable(t: Triple) -> bool:
-    """Whether a triple can be written as a triples-TSV record. Its
-    predicate and types are fixed labels, so only its texts can fail."""
-    return tsv_field_ok(t.subject_text) and tsv_field_ok(t.object_text)
+    """Whether a triple can be written as a triples-TSV record. Its predicate
+    and types are fixed labels, so only its texts can fail: a blank (all
+    whitespace) text is refused, as scoring would normalize it to nothing."""
+    s, o = t.subject_text, t.object_text
+    return tsv_field_ok(s) and tsv_field_ok(o) and not (s.isspace() or o.isspace())
 
 
 def triples_text(triples_by_doc: dict[str, list[Triple]], where: str | Path) -> str:
@@ -323,7 +330,7 @@ def triples_text(triples_by_doc: dict[str, list[Triple]], where: str | Path) -> 
             raise ToolkitError(f"doc id {doc_id!r} may not contain tabs or line feeds")
         for t in triples_by_doc[doc_id]:
             if not triple_writable(t):
-                raise ToolkitError(f"{doc_id}: triple texts may not contain tabs or line feeds")
+                raise ToolkitError(f"{doc_id}: triple texts may not be blank or contain tabs or line feeds")
             fields = (
                 doc_id,
                 t.subject_text,

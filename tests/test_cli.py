@@ -404,6 +404,17 @@ class TestScoreAndErrorsCommands:
         out = capsys.readouterr().out
         assert "hallucinated_span: 1" in out
 
+    @pytest.mark.parametrize("command", ["score", "errors"])
+    def test_blank_entity_text_names_the_line(self, tmp_path, capsys, command):
+        """score and errors refuse the same file, naming the line."""
+        write_triples_file({"d": [Triple("fever", "sign", "produces", "rash", "sign")]}, tmp_path / "gold.tsv")
+        pred = tmp_path / "pred.tsv"
+        pred.write_text("d\t \tsign\tproduces\tfever\tsign\n", encoding="utf-8")
+        audit = ["--audit", str(tmp_path / "audit.jsonl")] if command == "errors" else []
+        assert run_cli([command, "--gold", str(tmp_path / "gold.tsv"), "--pred", str(pred), *audit]) == 1
+        assert f"{pred}:1: triple entity texts may not be blank" in capsys.readouterr().err
+        assert not (tmp_path / "audit.jsonl").exists()
+
 
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):

@@ -6,6 +6,7 @@ same regular expressions, tried at every start position by finditer.
 
 import random
 import re
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -80,6 +81,31 @@ def oracle_decode_report(generation: str, kind: str):
 
 def _matches(found) -> list:
     return [(m.span(), m.groupdict()) for m in found]
+
+
+# --- one definition per sentence ---------------------------------------------
+
+
+class TestTemplatesAreDerived:
+    def test_each_template_is_the_oracle_pattern(self):
+        """The head and pattern compiled from each sentence encode writes are
+        the hand-written oracle above and its part before the first span."""
+        for template, oracle in ORACLE_BY_TEMPLATE.items():
+            head, pattern = (compiled.pattern for compiled in template)
+            if template is schema._REL_IS_PATTERN:  # encode writes "The", the oracle reads "the"
+                head, pattern = head[0].lower() + head[1:], pattern[0].lower() + pattern[1:]
+            assert (head, pattern) == (oracle.pattern[: oracle.pattern.index("(?P<s")], oracle.pattern)
+            assert template[0].flags == template[1].flags == oracle.flags
+
+    def test_each_fixed_phrase_is_written_once(self):
+        """A sentence's words live in its template only; no regex respells them."""
+        source = Path(schema.__file__).read_text(encoding="utf-8")
+        phrases = (
+            "The relation between", "that produces", ", as a", "is an anaphor that refers back to the entity of",
+            "The term", "are synonyms", "The acronym", "stands for", "The presence of the",
+            "increases the risk of", "is a type of",
+        )
+        assert {p: source.count(p) for p in phrases} == {p: 1 for p in phrases}
 
 
 # --- equivalence ------------------------------------------------------------

@@ -257,6 +257,17 @@ class TestLookupMatchesLinearScan:
         with pytest.raises(FlattenError, match=r"fragment \(-2, 0\) outside any copied stretch"):
             flatten_document(AnnotatedDocument("d", text, before, ()))
 
+    @pytest.mark.parametrize(
+        "fragments",
+        [((0, 4), (10, 20)), ((-3, -1), (5, 9)), ((-3, -1),)],
+        ids=["discontinuous_past_the_end", "discontinuous_before_the_start", "before_the_start"],
+    )
+    def test_every_cluster_is_bounds_checked(self, fragments):
+        # no fragment is clamped to the text or read from its end
+        entities = (EntityMention("T1", "sign", fragments, ""),)
+        with pytest.raises(FlattenError, match="outside any copied stretch"):
+            flatten_document(AnnotatedDocument("d", "aaaa bbbb cccc", entities, ()))
+
 
 class TestOffsetMapIO:
     def test_json_round_trip(self, weakness_doc, tmp_path):

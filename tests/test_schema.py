@@ -252,6 +252,16 @@ class TestDecode:
         [t] = decode_target("alpha @raredisease@ beta @SIGN@ @produces@ @end@", "seq2rel")
         assert (t.subject_type, t.object_type, t.predicate) == ("rare_disease", "sign", "produces")
 
+    def test_case_mangled_closing_tokens_still_close(self):
+        triples, report = decode_target_report("@norel@ x @Sign@ y @Sign@ @is_a@ @End@ z", "seq2rel")
+        assert [(t.subject_text, t.object_text) for t in triples] == [("x", "y")]
+        assert report == []
+
+    def test_quotes_around_only_whitespace_are_an_empty_span(self):
+        # a blank text could not be written to the triples TSV
+        triples, report = decode_target_report('The acronym X stands for " ", a sign.', "natural_lang")
+        assert (triples, [reason for _, reason in report]) == ([], ["empty entity span"])
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("kind", SCHEMA_KINDS)

@@ -465,6 +465,16 @@ class TestTriplesFileIO:
         with pytest.raises(ToolkitError, match=re.escape(f"{path}:2: triple entity texts must be non-empty")):
             read_triples_file(path)
 
+    def test_blank_text_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("d\ta\tsign\tproduces\tb\tsign\nd\ta\tsign\tproduces\t \u2028\tsign\n", encoding="utf-8")
+        with pytest.raises(ToolkitError, match=re.escape(f"{path}:2: triple entity texts may not be blank")):
+            read_triples_file(path)
+
+    def test_blank_text_is_not_written(self, tmp_path):
+        with pytest.raises(ToolkitError, match="doc_b: triple texts may not be blank"):
+            write_triples_file({"doc_a": [A], "doc_b": [replace(C, subject_text="\x1c ")]}, tmp_path / "t.tsv")
+
     @given(
         st.dictionaries(
             st.text(alphabet=LINE_BREAK_ALPHABET, max_size=4),
@@ -493,7 +503,10 @@ class TestTriplesFileIO:
         ]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.tsv"
-            if any("\t" in f or "\n" in f for f in fields):
+            blank = any(
+                text.isspace() for triples in data.values() for t in triples for text in (t.subject_text, t.object_text)
+            )
+            if blank or any("\t" in f or "\n" in f for f in fields):
                 with pytest.raises(ToolkitError):
                     write_triples_file(data, path)
                 return
