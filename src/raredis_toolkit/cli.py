@@ -204,10 +204,9 @@ def cmd_score(args):
 
 def cmd_errors(args):
     gold, pred = _read_scored_files(args)
-    texts = {}
-    if args.docs:
-        for doc in standoff.load_corpus_dir(args.docs, strict_pairs=False):
-            texts[doc.doc_id] = doc.text
+    # hallucination checks need only the texts, so no .ann is parsed
+    paths = standoff.paired_texts(args.docs, strict_pairs=False) if args.docs else []
+    texts = {txt.stem: standoff.read_file(txt) for txt in paths}
     records = []
     for doc_id in sorted(set(gold) | set(pred)):
         records.extend(

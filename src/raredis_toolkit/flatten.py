@@ -111,8 +111,16 @@ def flatten_document(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, OffsetM
 
 
 def offset_map_json(offset_map: OffsetMap) -> str:
-    pairs = [{"rewritten": list(rw), "original": list(orig) if orig else None} for rw, orig in offset_map.pairs]
-    return json.dumps({"pairs": pairs}, indent=2) + "\n"
+    """The bytes of json.dumps({"pairs": [{"rewritten": [s, e], "original": [s, e] or null}, ...]},
+    indent=2) + "\n", formatted by hand: json's indenting encoder is pure Python."""
+    def interval(iv):
+        return "null" if iv is None else f"[\n        {iv[0]},\n        {iv[1]}\n      ]"
+
+    entries = ",\n".join(
+        f'    {{\n      "rewritten": {interval(rw)},\n      "original": {interval(orig)}\n    }}'
+        for rw, orig in offset_map.pairs
+    )
+    return f'{{\n  "pairs": [\n{entries}\n  ]\n}}\n' if entries else '{\n  "pairs": []\n}\n'
 
 
 def _interval(value) -> tuple[int, int] | None:

@@ -98,7 +98,7 @@ def validate_noun_map(noun_map: dict[str, str]) -> dict[str, str]:
         raise ValueError(f"noun map nouns must be letters in words split by single spaces: {', '.join(malformed)}")
     if noun_map["is_a"] != "hyponym" or noun_map["is_synon"] != "synonym":
         raise ValueError('noun map must keep is_a="hyponym" and is_synon="synonym"')
-    # decoding reads "synonyms" as is_synon's noun too (see normalize_generation)
+    # decoding reads "synonyms" as is_synon's noun too (see _decode_rel_is)
     if len({noun.lower() for noun in noun_map.values()} | {"synonyms"}) <= len(noun_map):
         raise ValueError('noun map gives two predicates the same noun (case-insensitive; "synonyms" is "synonym")')
     return noun_map
@@ -176,16 +176,15 @@ def build_prompt(doc_text: str, copy_instruct: bool) -> str:
 def normalize_generation(generation: str) -> str:
     """Undo tokenizer spacing artifacts in a generated string. Idempotent.
 
-    Collapses whitespace runs, trims the ends, deletes single spaces next to
-    hyphens and forward slashes and inside round brackets, and rewrites the
-    predicted noun "synonyms" to "synonym" in rel_is sentences.
+    Collapses whitespace runs, trims the ends, and deletes single spaces next
+    to hyphens and forward slashes and inside round brackets.
     """
     s = collapse_whitespace(generation)
-    s = re.sub(r" ?- ?", "-", s)
-    s = re.sub(r" ?/ ?", "/", s)
-    s = s.replace("( ", "(").replace(" )", ")")
-    s = re.sub(r"\bis synonyms\b", "is synonym", s)
-    return s
+    # only single spaces are left, so each is the one space a mark may have on a side
+    for mark in "-/":
+        if mark in s:
+            s = mark.join(part.strip(" ") for part in s.split(mark))
+    return s.replace("( ", "(").replace(" )", ")")
 
 
 # --- decoding ---------------------------------------------------------------

@@ -186,10 +186,10 @@ def categorize_errors(
     """
     gold_c = distinct_triples(gold, strict_case, type_agnostic)
     pred_c = distinct_triples(predicted, strict_case, type_agnostic)
-    # the keys are distinct, so collapse_duplicates only normalizes texts
+    # what collapse_duplicates keeps: each key holds its triple's scoring texts
     fps, fns = (
-        sorted(collapse_duplicates([ours[k] for k in ours.keys() - theirs.keys()], strict_case, type_agnostic),
-               key=_sort_key)
+        sorted((replace(ours[k], subject_text=k[0], object_text=k[-1 if type_agnostic else -2])
+                for k in ours.keys() - theirs.keys()), key=_sort_key)
         for ours, theirs in ((pred_c, gold_c), (gold_c, pred_c))
     )
     if not fps and not fns:  # spares normalizing doc_text below

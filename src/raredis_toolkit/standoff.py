@@ -314,8 +314,8 @@ def input_files(path: str | Path) -> list[Path]:
         return sorted(Path(e.path) for e in entries if e.is_file() and not e.name.startswith("."))
 
 
-def load_corpus_dir(path: str | Path, strict_pairs: bool = True) -> list[AnnotatedDocument]:
-    """Load every .txt/.ann pair in a directory, sorted by doc_id.
+def paired_texts(path: str | Path, strict_pairs: bool = True) -> list[Path]:
+    """The .txt path of every .txt/.ann pair in a directory, sorted by doc_id.
 
     An orphan .txt or .ann raises ToolkitError when strict_pairs is set;
     otherwise the orphans are skipped with one logged warning.
@@ -328,7 +328,12 @@ def load_corpus_dir(path: str | Path, strict_pairs: bool = True) -> list[Annotat
         if strict_pairs:
             raise ToolkitError(f"unpaired .txt/.ann files: {', '.join(orphans)}")
         logger.warning("skipping unpaired .txt/.ann files: %s", ", ".join(orphans))
-    return [read_document_pair(txts[doc_id]) for doc_id in sorted(set(txts) & anns)]
+    return [txts[doc_id] for doc_id in sorted(set(txts) & anns)]
+
+
+def load_corpus_dir(path: str | Path, strict_pairs: bool = True) -> list[AnnotatedDocument]:
+    """Load every .txt/.ann pair in a directory (see paired_texts), sorted by doc_id."""
+    return [read_document_pair(txt) for txt in paired_texts(path, strict_pairs)]
 
 
 def corpus_files(docs: Iterable[AnnotatedDocument], path: str | Path):

@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from raredis_toolkit import standoff
 from raredis_toolkit.cli import run_cli
 from raredis_toolkit.corpus import SplitSpec, split_corpus
+from raredis_toolkit.errors import ToolkitError
 from raredis_toolkit.schema import occurrence_ordered_triples
 from raredis_toolkit.scoring import write_triples_file
 from raredis_toolkit.standoff import load_corpus_dir
@@ -403,6 +405,36 @@ class TestScoreAndErrorsCommands:
         assert sorted(r["category"] for r in rows) == ["hallucinated_span", "missing"]
         out = capsys.readouterr().out
         assert "hallucinated_span: 1" in out
+
+    def run_errors(self, tmp_path, docs, audit_name="audit.jsonl") -> bytes:
+        """The audit errors writes for one hallucinated and one missing triple."""
+        gold = Triple("Murovan disease", "rare_disease", "produces", "weakness in the muscles of the arms", "sign")
+        pred = Triple("Murovan disease", "rare_disease", "produces", "muscle glowing", "sign")
+        write_triples_file({"weakness": [gold]}, tmp_path / "gold.tsv")
+        write_triples_file({"weakness": [pred]}, tmp_path / "pred.tsv")
+        audit = tmp_path / audit_name
+        code = run_cli([
+            "errors", "--gold", str(tmp_path / "gold.tsv"), "--pred", str(tmp_path / "pred.tsv"),
+            "--audit", str(audit), "--docs", str(docs),
+        ])
+        assert code == 0
+        return audit.read_bytes()
+
+    def test_errors_docs_ignores_an_unparseable_ann(self, tmp_path, mini_corpus_dir):
+        """errors reads only the texts under --docs, so a broken .ann changes nothing."""
+        valid = self.run_errors(tmp_path, mini_corpus_dir, "valid.jsonl")
+        (mini_corpus_dir / "weakness.ann").write_text("T1\tno_such_label 0 4\tMuro\n", encoding="utf-8")
+        with pytest.raises(ToolkitError):
+            load_corpus_dir(mini_corpus_dir)
+        assert self.run_errors(tmp_path, mini_corpus_dir, "broken.jsonl") == valid
+        assert b"hallucinated_span" in valid
+
+    def test_errors_never_parses_annotations(self, tmp_path, mini_corpus_dir, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("errors parsed an .ann file")
+
+        monkeypatch.setattr(standoff, "parse_document", refuse)
+        assert b"hallucinated_span" in self.run_errors(tmp_path, mini_corpus_dir)
 
     @pytest.mark.parametrize("command", ["score", "errors"])
     def test_blank_entity_text_names_the_line(self, tmp_path, capsys, command):

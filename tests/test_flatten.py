@@ -269,6 +269,9 @@ class TestLookupMatchesLinearScan:
             flatten_document(AnnotatedDocument("d", "aaaa bbbb cccc", entities, ()))
 
 
+intervals = st.tuples(st.integers(-10, 10**6), st.integers(-10, 10**6))
+
+
 class TestOffsetMapIO:
     def test_json_round_trip(self, weakness_doc, tmp_path):
         _, offset_map = flatten_document(weakness_doc)
@@ -314,6 +317,14 @@ class TestOffsetMapIO:
         path = tmp_path_factory.getbasetemp() / "round-trip.offsets.json"
         path.write_text(offset_map_json(offset_map), encoding="utf-8")
         assert read_offset_map(path) == offset_map
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(intervals, st.none() | intervals), max_size=6))
+    def test_json_is_the_indented_dump(self, pairs):
+        """offset_map_json writes the bytes of json's indenting encoder, the empty map included."""
+        offset_map = OffsetMap(tuple(pairs))
+        entries = [{"rewritten": list(rw), "original": list(orig) if orig else None} for rw, orig in pairs]
+        assert offset_map_json(offset_map) == json.dumps({"pairs": entries}, indent=2) + "\n"
 
     def test_identity_map(self):
         for text in ("x" * 10, ""):

@@ -20,7 +20,7 @@ from raredis_toolkit.schema import (
     validate_noun_map,
 )
 from raredis_toolkit.standoff import PREDICATES, RelationInstance, parse_document
-from raredis_toolkit.triples import Triple, normalize_text, triple_key
+from raredis_toolkit.triples import Triple, collapse_whitespace, normalize_text, triple_key
 from conftest import MAX_SCALE_RATIO, time_ratio
 from synth import synthetic_corpus
 
@@ -178,12 +178,23 @@ class TestDecode:
         assert decode_target("@NOREL@", "seq2rel") == []
 
     def test_rel_is_synonyms_normalized_then_decoded(self):
-        # hand-decoded: the replacement turns "synonyms" into "synonym",
-        # which the sentence grammar then reads as is_synon
+        # hand-decoded: normalization leaves "synonyms" as it is, and the
+        # rel_is decoder reads that noun as is_synon
         raw = "The relation between A and B is synonyms."
         normalized = normalize_generation(raw)
-        assert normalized == "The relation between A and B is synonym."
+        assert normalized == raw
         assert decode_target(normalized, "rel_is") == [Triple("A", None, "is_synon", "B", None)]
+
+    @pytest.mark.parametrize(
+        "schema, generation",
+        [
+            ("seq2rel", "Ataxia is synonyms @Sign@ fever @Sign@ @PRODUCES@ @END@"),
+            ("natural_lang", "The sign Ataxia is synonyms is a type of fever, a sign."),
+        ],
+    )
+    def test_entity_text_holding_is_synonyms_kept(self, schema, generation):
+        triples = decode_target(normalize_generation(generation), schema)
+        assert [(t.subject_text, t.object_text) for t in triples] == [("Ataxia is synonyms", "fever")]
 
     def test_rel_is_accepts_relationship_variant(self):
         out = decode_target("The relationship between A and B is hyponym.", "rel_is")
@@ -305,6 +316,16 @@ class TestNormalizeGeneration:
     )
     def test_spacing_rules(self, raw, expected):
         assert normalize_generation(raw) == expected
+
+    # NBSP is whitespace to str.split() but not to the space-only rules after it
+    @given(st.text(alphabet=" \t\n\xa0-/()aB", max_size=60))
+    @settings(max_examples=1000, deadline=None)
+    def test_same_as_the_regex_rules(self, s):
+        expected = collapse_whitespace(s)
+        expected = re.sub(r" ?- ?", "-", expected)
+        expected = re.sub(r" ?/ ?", "/", expected)
+        expected = expected.replace("( ", "(").replace(" )", ")")
+        assert normalize_generation(s) == expected
 
     @given(st.text(max_size=120))
     @settings(max_examples=500, deadline=None)
