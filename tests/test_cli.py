@@ -391,17 +391,8 @@ class TestScoreAndErrorsCommands:
         assert micro[1:4] == ["0.5000", "0.5000", "0.5000"]
 
     def test_errors_command_writes_audit(self, tmp_path, mini_corpus_dir, capsys):
-        gold = Triple("Murovan disease", "rare_disease", "produces", "weakness in the muscles of the arms", "sign")
-        pred = Triple("Murovan disease", "rare_disease", "produces", "muscle glowing", "sign")
-        write_triples_file({"weakness": [gold]}, tmp_path / "gold.tsv")
-        write_triples_file({"weakness": [pred]}, tmp_path / "pred.tsv")
-        audit = tmp_path / "audit.jsonl"
-        code = run_cli([
-            "errors", "--gold", str(tmp_path / "gold.tsv"), "--pred", str(tmp_path / "pred.tsv"),
-            "--audit", str(audit), "--docs", str(mini_corpus_dir),
-        ])
-        assert code == 0
-        rows = [json.loads(line) for line in audit.read_text(encoding="utf-8").splitlines()]
+        audit = self.run_errors(tmp_path, mini_corpus_dir)
+        rows = [json.loads(line) for line in audit.decode("utf-8").splitlines()]
         assert sorted(r["category"] for r in rows) == ["hallucinated_span", "missing"]
         out = capsys.readouterr().out
         assert "hallucinated_span: 1" in out

@@ -317,7 +317,7 @@ class TestNormalizeGeneration:
     def test_spacing_rules(self, raw, expected):
         assert normalize_generation(raw) == expected
 
-    # NBSP is whitespace to str.split() but not to the space-only rules after it
+    # tabs, line feeds and NBSP must be collapsed before the space-only rules run
     @given(st.text(alphabet=" \t\n\xa0-/()aB", max_size=60))
     @settings(max_examples=1000, deadline=None)
     def test_same_as_the_regex_rules(self, s):
