@@ -58,7 +58,7 @@ def _load_noun_map(path: str | None) -> dict[str, str] | None:
         return None
     try:
         return schema_mod.validate_noun_map(json.loads(standoff.read_file(path)))
-    except ValueError as exc:  # malformed JSON and undecodable bytes too
+    except ValueError as exc:  # malformed JSON too
         raise ToolkitError(f"{path}: {exc}") from None
 
 
@@ -103,7 +103,10 @@ def cmd_split(args):
             ),
         )
     elif args.ratios:
-        parts = [float(x) for x in args.ratios.split(",")]
+        try:
+            parts = [float(x) for x in args.ratios.split(",")]
+        except ValueError as exc:
+            raise ToolkitError(f"--ratios: {exc}") from None
         if len(parts) != 3:
             raise ToolkitError("--ratios needs three comma-separated fractions")
         spec = corpus_mod.SplitSpec(mode="ratio", ratios=tuple(parts), seed=args.seed)
@@ -134,14 +137,16 @@ def cmd_encode(args):
     docs = _load_corpus(args)
     noun_map = _load_noun_map(args.noun_map)
     out = Path(args.out_file)
-    records = (
-        {
-            "doc_id": doc.doc_id,
-            "source": schema_mod.build_prompt(doc.text, args.copy_instruct),
-            "target": schema_mod.encode_target(doc, args.schema, noun_map),
-        }
-        for doc in docs
-    )
+
+    def record(doc) -> dict:
+        try:
+            source = schema_mod.build_prompt(doc.text, args.copy_instruct)
+        except ValueError as exc:  # an empty document text
+            raise ToolkitError(f"{Path(args.input_dir) / doc.doc_id}.txt: {exc}") from None
+        target = schema_mod.encode_target(doc, args.schema, noun_map)
+        return {"doc_id": doc.doc_id, "source": source, "target": target}
+
+    records = map(record, docs)
     yield out, standoff.join_records((json.dumps(r, ensure_ascii=False) for r in records), out)
     if args.schema == schema_mod.SCHEMA_SEQ2REL:
         vocab_path = out.parent / "special_tokens.txt"
@@ -154,12 +159,16 @@ def cmd_encode(args):
 def cmd_decode(args):
     noun_map = _load_noun_map(args.noun_map)
     triples_by_doc = {}
+    sources: dict[str, Path] = {}  # the generation file of each doc id
     report_lines = []
     for path in standoff.input_files(args.input_dir):
         doc_id = path.stem
         if not scoring_mod.tsv_field_ok(doc_id):
             # the file name is the doc id of every record decode writes
             raise ToolkitError(f"generation file name {path.name!r} holds a tab or line feed")
+        if doc_id in sources:
+            raise ToolkitError(f"generation files {sources[doc_id]} and {path} share the doc id {doc_id!r}")
+        sources[doc_id] = path
         generation = standoff.read_file(path)
         if not args.raw:
             generation = schema_mod.normalize_generation(generation)
@@ -307,7 +316,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
-    except (ToolkitError, ValueError, UnicodeDecodeError) as exc:
+    except (ToolkitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -107,16 +107,14 @@ def score_corpus(
     type_agnostic: bool = False,
 ) -> ScoreReport:
     """Micro-pooled scoring across documents; duplicates collapse per document."""
-    # the predicate sits after the subject text, and its types when kept
-    at = 1 if type_agnostic else 2
     counts = {p: [0, 0, 0] for p in PREDICATES}  # tp, fp, fn
     for doc_id in gold_by_doc.keys() | pred_by_doc.keys():
         gold_keys = {triple_key(t, strict_case, type_agnostic) for t in gold_by_doc.get(doc_id, [])}
         pred_keys = {triple_key(t, strict_case, type_agnostic) for t in pred_by_doc.get(doc_id, [])}
         for k in pred_keys:
-            counts[k[at]][0 if k in gold_keys else 1] += 1
+            counts[k[2]][0 if k in gold_keys else 1] += 1
         for k in gold_keys - pred_keys:
-            counts[k[at]][2] += 1
+            counts[k[2]][2] += 1
     return ScoreReport({p: PrfRow(*c) for p, c in counts.items()})
 
 
@@ -180,7 +178,8 @@ def categorize_errors(
 ) -> list[ErrorRecord]:
     """Assign every false positive and false negative to exactly one category.
 
-    Matched FP/FN pairs are consumed greedily by descending token Jaccard.
+    FP/FN pairs with equal texts are consumed first, then partial matches
+    greedily by descending token Jaccard.
     Hallucination detection needs the source document text; without it the
     remaining false positives fall through to "spurious".
     """
@@ -188,7 +187,7 @@ def categorize_errors(
     pred_c = distinct_triples(predicted, strict_case, type_agnostic)
     # what collapse_duplicates keeps: each key holds its triple's scoring texts
     fps, fns = (
-        sorted((replace(ours[k], subject_text=k[0], object_text=k[-1 if type_agnostic else -2])
+        sorted((replace(ours[k], subject_text=k[0], object_text=k[3])
                 for k in ours.keys() - theirs.keys()), key=_sort_key)
         for ours, theirs in ((pred_c, gold_c), (gold_c, pred_c))
     )
@@ -196,22 +195,11 @@ def categorize_errors(
         return []
     records: list[ErrorRecord] = []
 
-    # 1. exact texts and predicate, wrong entity type(s). FP and FN keys are
-    # disjoint, so equal texts and predicate already mean different types;
-    # under type_agnostic the key holds no types, so no pair qualifies.
-    by_texts: dict[tuple, list[Triple]] = {}
-    for fn in reversed(fns):  # each bucket pops its first FN in sorted order
-        by_texts.setdefault((fn.subject_text, fn.predicate, fn.object_text), []).append(fn)
-    paired: set[int] = set()  # ids of the FPs and FNs a record holds
-    for fp in fps:
-        bucket = by_texts.get((fp.subject_text, fp.predicate, fp.object_text))
-        if bucket:
-            fn = bucket.pop()
-            paired.update((id(fp), id(fn)))
-            records.append(ErrorRecord(doc_id, ERROR_TYPE_MISMATCH, predicted=fp, gold=fn))
-
-    # 2. same predicate and types, entity texts overlapping at >= the threshold;
-    # a candidate with a side already paired, in stage 1 or here, is skipped
+    # 1-2. one greedy pass over candidate pairs: equal texts and predicate
+    # first (FP and FN keys are disjoint, so the types differ), then same
+    # predicate and types with both texts' token Jaccard >= the threshold, by
+    # descending mean. Both kinds share a subject token, so candidates come
+    # from a (predicate, subject token) index; a blank text is filed under "".
     tokens = {text: frozenset(text.split()) for t in fps + fns for text in (t.subject_text, t.object_text)}
 
     gold_texts: dict[str, set[str]] = {}  # each role's distinct FN texts, built on first use
@@ -225,26 +213,28 @@ def categorize_errors(
             gold_texts[role] = {getattr(t, role) for t in fns}
         return sum(_jaccard(tokens[g], pt) >= PARTIAL_MATCH_JACCARD for g in gold_texts[role]) >= 2
 
-    candidates = []
+    by_token: dict[tuple[str, str], list[int]] = {}
+    for i, fn in enumerate(fns):
+        for token in tokens[fn.subject_text] or ("",):
+            by_token.setdefault((fn.predicate, token), []).append(i)
+    candidates = []  # (rank, -mean Jaccard, fp, fn); type mismatches rank first
     for fp in fps:
-        fp_subject, fp_object = tokens[fp.subject_text], tokens[fp.object_text]
-        for fn in fns:
-            if fp.predicate != fn.predicate:
-                continue
-            if not type_agnostic and (
-                fp.subject_type != fn.subject_type or fp.object_type != fn.object_type
-            ):
-                continue
-            js = _jaccard(fp_subject, tokens[fn.subject_text])
-            jo = _jaccard(fp_object, tokens[fn.object_text])
-            if min(js, jo) >= PARTIAL_MATCH_JACCARD:
-                candidates.append(((js + jo) / 2, fp, fn))
-    candidates.sort(key=lambda c: (-c[0], _sort_key(c[1]), _sort_key(c[2])))
-    for _, fp, fn in candidates:
+        near = {i for token in tokens[fp.subject_text] or ("",) for i in by_token.get((fp.predicate, token), ())}
+        for fn in map(fns.__getitem__, near):
+            if fp.subject_text == fn.subject_text and fp.object_text == fn.object_text:
+                candidates.append((0, 0.0, fp, fn))
+            elif type_agnostic or (fp.subject_type, fp.object_type) == (fn.subject_type, fn.object_type):
+                js = _jaccard(tokens[fp.subject_text], tokens[fn.subject_text])
+                jo = _jaccard(tokens[fp.object_text], tokens[fn.object_text])
+                if min(js, jo) >= PARTIAL_MATCH_JACCARD:
+                    candidates.append((1, -(js + jo) / 2, fp, fn))
+    candidates.sort(key=lambda c: (c[0], c[1], _sort_key(c[2]), _sort_key(c[3])))
+    paired: set[int] = set()  # ids of the FPs and FNs a record holds
+    for rank, _, fp, fn in candidates:
         if id(fp) in paired or id(fn) in paired:
             continue
         paired.update((id(fp), id(fn)))
-        category = ERROR_PARTIAL_MATCH
+        category = ERROR_PARTIAL_MATCH if rank else ERROR_TYPE_MISMATCH  # equal texts never merge
         if (fp.subject_text != fn.subject_text and spans_coordination(fp.subject_text, "subject_text")) or (
             fp.object_text != fn.object_text and spans_coordination(fp.object_text, "object_text")
         ):

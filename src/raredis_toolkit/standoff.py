@@ -158,9 +158,13 @@ class AnnotatedDocument:
 
 
 def read_file(path: str | Path) -> str:
-    """A whole UTF-8 file, line endings exactly as written."""
-    with open(path, encoding="utf-8", newline="") as handle:
-        return handle.read()
+    """A whole UTF-8 file, line endings exactly as written. A file that is
+    not UTF-8 raises ToolkitError naming it and the offending byte offset."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ToolkitError(f"{path}: not UTF-8 at byte offset {exc.start} ({exc.reason})") from None
 
 
 def split_records(content: str) -> list[str]:

@@ -44,11 +44,13 @@ def normalize_text(text: str) -> str:
 
 
 def triple_key(triple: Triple, strict_case: bool = False, type_agnostic: bool = False) -> tuple:
-    """Identity under which triples are collapsed and matched."""
+    """Identity under which triples are collapsed and matched: (subject text,
+    subject type, predicate, object text, object type), both types None under
+    type_agnostic."""
     st = triple.subject_text if strict_case else normalize_text(triple.subject_text)
     ot = triple.object_text if strict_case else normalize_text(triple.object_text)
     if type_agnostic:
-        return (st, triple.predicate, ot)
+        return (st, None, triple.predicate, ot, None)
     return (st, triple.subject_type, triple.predicate, ot, triple.object_type)
 
 

@@ -506,6 +506,46 @@ class TestExitCodes:
         assert not any(out_dir.iterdir())
 
 
+
+class TestErrorsNameTheirInput:
+    @pytest.mark.parametrize("command", ["decode", "stats", "score"])
+    def test_non_utf8_input_names_the_file_and_byte(self, tmp_path, mini_corpus_dir, capsys, command):
+        bad = b"fever \xe9 rash"
+        if command == "decode":
+            path = generations_dir(tmp_path) / "e.txt"
+            argv = ["decode", "--in", path.parent, "--out", tmp_path / "p.tsv", "--schema", "seq2rel"]
+        elif command == "stats":
+            path = mini_corpus_dir / "rickets.txt"
+            argv = ["stats", "--in", mini_corpus_dir]
+        else:
+            path = tmp_path / "gold.tsv"
+            argv = ["score", "--gold", path, "--pred", path]
+        path.write_bytes(bad)
+        err = fails_leaving_tree_unchanged(tmp_path, argv, capsys)
+        assert err.startswith(f"error: {path}: not UTF-8 at byte offset 6 ")
+
+    def test_decode_refuses_two_files_with_one_doc_id(self, tmp_path, capsys):
+        generations = generations_dir(tmp_path)
+        (generations / "d.txt~").write_text("f @Sign@ g @Disease@ @IS_A@ @END@", encoding="utf-8")
+        err = fails_leaving_tree_unchanged(
+            tmp_path, ["decode", "--in", generations, "--out", tmp_path / "p.tsv", "--schema", "seq2rel"], capsys
+        )
+        first, second = generations / "d.txt", generations / "d.txt~"
+        assert err == f"error: generation files {first} and {second} share the doc id 'd'\n"
+
+    def test_encode_names_a_document_with_empty_text(self, mini_corpus_dir, tmp_path, capsys):
+        (mini_corpus_dir / "blank.txt").write_text("", encoding="utf-8")
+        (mini_corpus_dir / "blank.ann").write_text("", encoding="utf-8")
+        argv = ["encode", "--in", mini_corpus_dir, "--out", tmp_path / "o.jsonl", "--schema", "seq2rel"]
+        err = fails_leaving_tree_unchanged(tmp_path, argv, capsys)
+        assert err == f"error: {mini_corpus_dir / 'blank.txt'}: doc_text must be non-empty\n"
+
+    def test_split_names_a_ratio_that_is_not_a_number(self, mini_corpus_dir, tmp_path, capsys):
+        argv = ["split", "--in", mini_corpus_dir, "--out", tmp_path / "splits", "--ratios", "0.5,0.5,x"]
+        err = fails_leaving_tree_unchanged(tmp_path, argv, capsys)
+        assert err == "error: --ratios: could not convert string to float: 'x'\n"
+
+
 def fails_leaving_tree_unchanged(root: Path, argv: list, capsys) -> str:
     """Run argv, which must exit 1 and leave root as it was; return stderr."""
     before = tree_snapshot(root)

@@ -563,3 +563,20 @@ class TestReadAndScoreScaleLinearly:
         )
         ratio = time_ratio(lambda pair: score_corpus(*pair), small, large)
         assert ratio < MAX_SCALE_RATIO, f"time x{ratio:.2f} when the triples per document double"
+
+
+class TestErrorsScaleLinearly:
+    def test_doubling_the_unrelated_fp_fn_pairs_at_most_triples_the_time(self):
+        """n FPs and n FNs of one predicate, each FP a partial match of one FN,
+        with no token shared across pairs.
+
+        The bound is output-sensitive: candidate pairs are those sharing a
+        subject token, so when every FP shares tokens with every FN the
+        candidate list is FP x FN and no linear bound can hold."""
+
+        def fp_fn(n: int) -> tuple[list[Triple], list[Triple]]:
+            gold = [Triple(f"s{i}", "disease", "produces", f"o{i}", "sign") for i in range(n)]
+            return gold, [Triple(f"s{i}", "disease", "produces", f"o{i} x{i}", "sign") for i in range(n)]
+
+        ratio = time_ratio(lambda pair: categorize_errors(*pair), fp_fn(200), fp_fn(400))
+        assert ratio < MAX_SCALE_RATIO, f"time x{ratio:.2f} when the FP/FN pairs double"
