@@ -94,14 +94,8 @@ def cmd_split(args):
     if args.train_list or args.dev_list or args.test_list:
         if not (args.train_list and args.dev_list and args.test_list):
             raise ToolkitError("file_list mode needs --train-list, --dev-list, and --test-list")
-        spec = corpus_mod.SplitSpec(
-            mode="file_list",
-            lists=(
-                corpus_mod.read_manifest(args.train_list),
-                corpus_mod.read_manifest(args.dev_list),
-                corpus_mod.read_manifest(args.test_list),
-            ),
-        )
+        lists = corpus_mod.read_manifests((args.train_list, args.dev_list, args.test_list), docs)
+        spec = corpus_mod.SplitSpec(mode="file_list", lists=lists)
     elif args.ratios:
         try:
             parts = [float(x) for x in args.ratios.split(",")]
@@ -141,9 +135,9 @@ def cmd_encode(args):
     def record(doc) -> dict:
         try:
             source = schema_mod.build_prompt(doc.text, args.copy_instruct)
-        except ValueError as exc:  # an empty document text
+            target = schema_mod.encode_target(doc, args.schema, noun_map)
+        except ValueError as exc:  # an empty document text or a blank entity text
             raise ToolkitError(f"{Path(args.input_dir) / doc.doc_id}.txt: {exc}") from None
-        target = schema_mod.encode_target(doc, args.schema, noun_map)
         return {"doc_id": doc.doc_id, "source": source, "target": target}
 
     records = map(record, docs)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -128,6 +129,18 @@ def stats_json(stats_by_split: dict[str, CorpusStats]) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _check_listed(entries: Iterable[tuple[str, str]], known: Collection[str] | None = None) -> None:
+    """Raise SplitError for the first (where, doc_id) entry whose doc_id an
+    earlier entry lists or, if known is given, is not in it; where begins the message."""
+    seen: set[str] = set()
+    for where, doc_id in entries:
+        if known is not None and doc_id not in known:
+            raise SplitError(f"{where}split list references unknown doc_id {doc_id}")
+        if doc_id in seen:
+            raise SplitError(f"{where}doc_id {doc_id} appears in more than one list")
+        seen.add(doc_id)
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Either ratio mode (shuffle by seed, cut at boundaries) or explicit lists."""
@@ -148,12 +161,7 @@ class SplitSpec:
         elif self.mode == "file_list":
             if self.lists is None:
                 raise SplitError("file_list mode requires three doc_id lists")
-            seen: set[str] = set()
-            for part in self.lists:
-                for doc_id in part:
-                    if doc_id in seen:
-                        raise SplitError(f"doc_id {doc_id} appears in more than one list")
-                    seen.add(doc_id)
+            _check_listed(("", doc_id) for part in self.lists for doc_id in part)
         else:
             raise SplitError(f"unknown split mode {self.mode!r}")
 
@@ -175,10 +183,7 @@ def split_corpus(
         cut2 = int(n * (r1 + r2) + 1e-9)
         parts = (ids[:cut1], ids[cut1:cut2], ids[cut2:])
     else:
-        for part in spec.lists:
-            for doc_id in part:
-                if doc_id not in by_id:
-                    raise SplitError(f"split list references unknown doc_id {doc_id}")
+        _check_listed((("", doc_id) for part in spec.lists for doc_id in part), by_id)
         covered = {doc_id for part in spec.lists for doc_id in part}
         missing = sorted(set(by_id) - covered)
         if missing:
@@ -188,10 +193,15 @@ def split_corpus(
     return tuple([by_id[i] for i in part] for part in parts)
 
 
-def read_manifest(path: str | Path) -> tuple[str, ...]:
-    """Newline-separated doc_id file; blank lines ignored."""
-    lines = split_records(read_file(path))
-    return tuple(line.strip() for line in lines if line.strip())
+def read_manifests(paths: tuple[str | Path, ...], corpus: list[AnnotatedDocument]) -> tuple[tuple[str, ...], ...]:
+    """The doc_ids of newline-separated manifest files, blank lines ignored,
+    checked as split_corpus checks them; an error names the manifest line."""
+    entries = [
+        [(f"{path}:{n}: ", line.strip()) for n, line in enumerate(split_records(read_file(path)), 1) if line.strip()]
+        for path in paths
+    ]
+    _check_listed((entry for part in entries for entry in part), {doc.doc_id for doc in corpus})
+    return tuple(tuple(doc_id for _, doc_id in part) for part in entries)
 
 
 def manifest_text(docs: list[AnnotatedDocument], where: str | Path) -> str:

@@ -131,7 +131,7 @@ def occurrence_ordered_triples(doc: AnnotatedDocument) -> list[Triple]:
 
 def encode_target(doc: AnnotatedDocument, kind: str, noun_map: dict[str, str] | None = None) -> str:
     """Render a repaired document's relation set in the given schema."""
-    noun_map = validate_noun_map(noun_map) if noun_map else DEFAULT_NOUN_MAP
+    noun_map = DEFAULT_NOUN_MAP if noun_map is None else validate_noun_map(noun_map)
     triples = occurrence_ordered_triples(doc)
 
     if kind == SCHEMA_SEQ2REL:
@@ -324,7 +324,11 @@ def _decode_by_patterns(generation, candidates, report, build) -> list[Triple]:
         gap = generation[cursor : match.start()].strip(" .")
         if gap:
             report.append((gap, "unrecognized text between relation sentences"))
-        triple = build(predicate, match)
+        try:
+            triple = build(predicate, match)
+        except ValueError:  # Triple refuses a blank entity text
+            report.append((match.group(0).strip(), "empty entity span"))
+            triple = None
         if triple is not None:
             triples.append(triple)
         cursor = match.end()
@@ -344,30 +348,20 @@ def _decode_rel_is(generation: str, noun_map: dict[str, str], report: list[tuple
         if predicate is None:
             report.append((match.group(0).strip(), f"unknown relation noun {noun!r}"))
             return None
-        s1 = match.group("s1").strip()
-        s2 = match.group("s2").strip()
-        if not s1 or not s2:
-            report.append((match.group(0).strip(), "empty entity span"))
-            return None
-        return Triple(s1, None, predicate, s2, None)
+        return Triple(match.group("s1").strip(), None, predicate, match.group("s2").strip(), None)
 
     candidates = [("", m) for m in _scan(_REL_IS_PATTERN, generation)]
     return _decode_by_patterns(generation, candidates, report, build)
 
 
 def _decode_natural_lang(generation: str, report: list[tuple[str, str]]) -> list[Triple]:
-    def build(predicate: str, match: re.Match) -> Triple | None:
+    def build(predicate: str, match: re.Match) -> Triple:
         groups = match.groupdict()
-        s1 = groups["s1"].strip()
-        s2 = _strip_quotes(groups["s2"].strip())
-        if not s1 or not s2.strip():  # quotes may hold only whitespace
-            report.append((match.group(0).strip(), "empty entity span"))
-            return None
         t1 = _WORD_TO_TYPE[groups["t1"].lower()] if groups.get("t1") else None
         t2 = _WORD_TO_TYPE[groups["t2"].lower()] if groups.get("t2") else None
         if predicate == "anaphora":
             t2 = "anaphor"  # the template itself asserts the term is an anaphor
-        return Triple(s1, t1, predicate, s2, t2)
+        return Triple(groups["s1"].strip(), t1, predicate, _strip_quotes(groups["s2"].strip()), t2)
 
     candidates = [
         (predicate, match)
@@ -381,7 +375,7 @@ def decode_target_report(
     generation: str, kind: str, noun_map: dict[str, str] | None = None
 ) -> tuple[list[Triple], list[tuple[str, str]]]:
     """Decode a generation; also return (segment, reason) for skipped parts."""
-    noun_map = validate_noun_map(noun_map) if noun_map else DEFAULT_NOUN_MAP
+    noun_map = DEFAULT_NOUN_MAP if noun_map is None else validate_noun_map(noun_map)
     report: list[tuple[str, str]] = []
     if kind == SCHEMA_SEQ2REL:
         triples = _decode_seq2rel(generation, report)

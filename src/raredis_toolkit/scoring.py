@@ -16,7 +16,7 @@ from pathlib import Path
 from .errors import ToolkitError
 from .standoff import PREDICATES, normalize_entity_type, normalize_predicate
 from .standoff import join_records, read_file, split_records, write_outputs
-from .triples import Triple, collapse_whitespace, distinct_triples, normalize_text, triple_key
+from .triples import Triple, collapse_whitespace, distinct_triples, triple_key
 
 ERROR_PARTIAL_MATCH = "partial_match"
 ERROR_TYPE_MISMATCH = "type_mismatch"
@@ -33,15 +33,12 @@ def collapse_duplicates(
 ) -> set[Triple]:
     """Distinct triples under the scoring normalization.
 
-    The first occurrence of each triple_key is kept, its entity texts
-    normalized unless strict_case is set.
+    The first occurrence of each triple_key is kept, with the key's entity
+    texts: normalized unless strict_case is set.
     """
-    firsts = distinct_triples(triples, strict_case, type_agnostic).values()
-    if strict_case:
-        return set(firsts)
     return {
-        replace(t, subject_text=normalize_text(t.subject_text), object_text=normalize_text(t.object_text))
-        for t in firsts
+        replace(t, subject_text=k[0], object_text=k[3])
+        for k, t in distinct_triples(triples, strict_case, type_agnostic).items()
     }
 
 
@@ -162,9 +159,7 @@ def _sort_key(t: Triple) -> tuple:
 
 
 def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
-    """Token Jaccard of two texts' token sets; two empty sets are identical."""
-    if not a and not b:
-        return 1.0
+    """Token Jaccard of two texts' token sets (never empty: see Triple)."""
     return len(a & b) / len(a | b)
 
 
@@ -199,7 +194,7 @@ def categorize_errors(
     # first (FP and FN keys are disjoint, so the types differ), then same
     # predicate and types with both texts' token Jaccard >= the threshold, by
     # descending mean. Both kinds share a subject token, so candidates come
-    # from a (predicate, subject token) index; a blank text is filed under "".
+    # from a (predicate, subject token) index.
     tokens = {text: frozenset(text.split()) for t in fps + fns for text in (t.subject_text, t.object_text)}
 
     gold_texts: dict[str, set[str]] = {}  # each role's distinct FN texts, built on first use
@@ -215,11 +210,11 @@ def categorize_errors(
 
     by_token: dict[tuple[str, str], list[int]] = {}
     for i, fn in enumerate(fns):
-        for token in tokens[fn.subject_text] or ("",):
+        for token in tokens[fn.subject_text]:
             by_token.setdefault((fn.predicate, token), []).append(i)
     candidates = []  # (rank, -mean Jaccard, fp, fn); type mismatches rank first
     for fp in fps:
-        near = {i for token in tokens[fp.subject_text] or ("",) for i in by_token.get((fp.predicate, token), ())}
+        near = {i for token in tokens[fp.subject_text] for i in by_token.get((fp.predicate, token), ())}
         for fn in map(fns.__getitem__, near):
             if fp.subject_text == fn.subject_text and fp.object_text == fn.object_text:
                 candidates.append((0, 0.0, fp, fn))
@@ -293,8 +288,6 @@ def read_triples_file(path: str | Path) -> dict[str, list[Triple]]:
             triple = Triple(s_text, s_typ, pred, o_text, o_typ)
         except ValueError as exc:
             raise ToolkitError(f"{path}:{line_no}: {exc}") from exc
-        if s_text.isspace() or o_text.isspace():  # the one rule of triple_writable a field can break
-            raise ToolkitError(f"{path}:{line_no}: triple entity texts may not be blank")
         out.setdefault(doc_id, []).append(triple)
     return out
 
@@ -307,10 +300,8 @@ def tsv_field_ok(text: str) -> bool:
 
 def triple_writable(t: Triple) -> bool:
     """Whether a triple can be written as a triples-TSV record. Its predicate
-    and types are fixed labels, so only its texts can fail: a blank (all
-    whitespace) text is refused, as scoring would normalize it to nothing."""
-    s, o = t.subject_text, t.object_text
-    return tsv_field_ok(s) and tsv_field_ok(o) and not (s.isspace() or o.isspace())
+    and types are fixed labels, so only its texts can fail."""
+    return tsv_field_ok(t.subject_text) and tsv_field_ok(t.object_text)
 
 
 def triples_text(triples_by_doc: dict[str, list[Triple]], where: str | Path) -> str:
@@ -320,7 +311,7 @@ def triples_text(triples_by_doc: dict[str, list[Triple]], where: str | Path) -> 
             raise ToolkitError(f"doc id {doc_id!r} may not contain tabs or line feeds")
         for t in triples_by_doc[doc_id]:
             if not triple_writable(t):
-                raise ToolkitError(f"{doc_id}: triple texts may not be blank or contain tabs or line feeds")
+                raise ToolkitError(f"{doc_id}: triple texts may not contain tabs or line feeds")
             fields = (
                 doc_id,
                 t.subject_text,

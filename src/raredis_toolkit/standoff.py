@@ -303,9 +303,14 @@ def serialize_document(doc: AnnotatedDocument) -> tuple[str, str]:
 
 
 def read_document_pair(txt_path: str | Path) -> AnnotatedDocument:
-    """Load one <doc_id>.txt / <doc_id>.ann pair (UTF-8)."""
+    """Load one <doc_id>.txt / <doc_id>.ann pair (UTF-8); a parse error names the .ann file."""
     txt_path = Path(txt_path)
-    return parse_document(read_file(txt_path), read_file(txt_path.with_suffix(".ann")), txt_path.stem)
+    ann_path = txt_path.with_suffix(".ann")
+    try:
+        return parse_document(read_file(txt_path), read_file(ann_path), txt_path.stem)
+    except StandoffParseError as exc:
+        exc.args = (f"{ann_path}:{exc.line_no}: {exc.reason}",)
+        raise
 
 
 def input_files(path: str | Path) -> list[Path]:

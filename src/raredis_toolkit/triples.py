@@ -14,7 +14,8 @@ class Triple:
 
     Gold triples always carry both entity types. Triples decoded from
     generated text may carry None for a type the output template does not
-    encode; the scorer's type-agnostic mode exists for those.
+    encode; the scorer's type-agnostic mode exists for those. An entity text
+    is never blank (empty or all whitespace): str.split gives it a token.
     """
 
     subject_text: str
@@ -24,8 +25,9 @@ class Triple:
     object_type: str | None
 
     def __post_init__(self):
-        if not self.subject_text or not self.object_text:
-            raise ValueError("triple entity texts must be non-empty")
+        for text in (self.subject_text, self.object_text):
+            if not text or text.isspace():
+                raise ValueError("triple entity texts may not be blank")
         if self.predicate not in PREDICATES:
             raise ValueError(f"unknown predicate {self.predicate!r}")
         for t in (self.subject_type, self.object_type):

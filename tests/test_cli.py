@@ -545,6 +545,46 @@ class TestErrorsNameTheirInput:
         err = fails_leaving_tree_unchanged(tmp_path, argv, capsys)
         assert err == "error: --ratios: could not convert string to float: 'x'\n"
 
+    @pytest.mark.parametrize("schema", ["seq2rel", "rel-is", "natural-lang"])
+    def test_encode_names_a_document_with_a_blank_entity_text(self, tmp_path, capsys, schema):
+        """Its target would decode to no triple, so none is written."""
+        corpus = tmp_path / "in"
+        corpus.mkdir()
+        (corpus / "d.txt").write_text(" x tremor", encoding="utf-8")
+        (corpus / "d.ann").write_text(
+            "T1\tSIGN 0 1\t \nT2\tSIGN 3 9\ttremor\nR1\tproduces Arg1:T1 Arg2:T2\n", encoding="utf-8"
+        )
+        argv = ["encode", "--in", corpus, "--out", tmp_path / "o.jsonl", "--schema", schema]
+        err = fails_leaving_tree_unchanged(tmp_path, argv, capsys)
+        assert err == f"error: {corpus / 'd.txt'}: triple entity texts may not be blank\n"
+
+    def test_ann_parse_error_names_the_file(self, mini_corpus_dir, tmp_path, capsys):
+        (mini_corpus_dir / "e.txt").write_text("x" * 10, encoding="utf-8")
+        (mini_corpus_dir / "e.ann").write_text("T1\tSIGN 0 3\txxx\nT1\tSIGN 4 7\txxx\n", encoding="utf-8")
+        err = fails_leaving_tree_unchanged(tmp_path, ["stats", "--in", mini_corpus_dir], capsys)
+        assert err == f"error: {mini_corpus_dir / 'e.ann'}:2: duplicate id T1\n"
+
+    @staticmethod
+    def split_lists(root: Path, train: str, dev: str) -> list:
+        """split flags for manifests train, dev and test ("empty") of mini_corpus_dir."""
+        lists = root / "lists"
+        lists.mkdir()
+        for name, ids in (("train", train), ("dev", dev), ("test", "empty\n")):
+            (lists / f"{name}.txt").write_text(ids, encoding="utf-8")
+        return [arg for name in ("train", "dev", "test") for arg in (f"--{name}-list", lists / f"{name}.txt")]
+
+    def test_split_names_the_manifest_line_of_an_unknown_doc_id(self, mini_corpus_dir, tmp_path, capsys):
+        flags = self.split_lists(tmp_path, "rickets\n\nzzz\n", "balanti\nweakness\nstorage\n")
+        argv = ["split", "--in", mini_corpus_dir, "--out", tmp_path / "splits", *flags]
+        err = fails_leaving_tree_unchanged(tmp_path, argv, capsys)
+        assert err == f"error: {tmp_path / 'lists' / 'train.txt'}:3: split list references unknown doc_id zzz\n"
+
+    def test_split_names_the_manifest_line_of_a_doc_id_listed_twice(self, mini_corpus_dir, tmp_path, capsys):
+        flags = self.split_lists(tmp_path, "rickets\nweakness\n", "storage\nbalanti\nrickets\n")
+        argv = ["split", "--in", mini_corpus_dir, "--out", tmp_path / "splits", *flags]
+        err = fails_leaving_tree_unchanged(tmp_path, argv, capsys)
+        assert err == f"error: {tmp_path / 'lists' / 'dev.txt'}:3: doc_id rickets appears in more than one list\n"
+
 
 def fails_leaving_tree_unchanged(root: Path, argv: list, capsys) -> str:
     """Run argv, which must exit 1 and leave root as it was; return stderr."""

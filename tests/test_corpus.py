@@ -18,7 +18,7 @@ from raredis_toolkit.corpus import (
     document_shapes,
     format_stats,
     manifest_text,
-    read_manifest,
+    read_manifests,
     split_corpus,
 )
 from raredis_toolkit.errors import SplitError
@@ -316,4 +316,4 @@ class TestSplit:
     def test_manifest_round_trip(self, tmp_path):
         docs = synthetic_corpus(seed=73, size=5)
         write_outputs([(tmp_path / "m.txt", manifest_text(docs, tmp_path / "m.txt"))])
-        assert read_manifest(tmp_path / "m.txt") == tuple(sorted(d.doc_id for d in docs))
+        assert read_manifests([tmp_path / "m.txt"], docs) == (tuple(sorted(d.doc_id for d in docs)),)

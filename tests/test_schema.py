@@ -167,6 +167,12 @@ class TestEncodeTemplates:
         with pytest.raises(ValueError, match="produces"):
             validate_noun_map(partial)
 
+    def test_empty_noun_map_is_refused_not_the_default(self, rickets_doc):
+        with pytest.raises(ValueError, match="noun map missing predicates"):
+            encode_target(rickets_doc, "rel_is", {})
+        with pytest.raises(ValueError, match="noun map missing predicates"):
+            decode_target_report("The relation between a and b is producer.", "rel_is", {})
+
 
 class TestDecode:
     def test_seq2rel_worked_example(self):
@@ -269,7 +275,7 @@ class TestDecode:
         assert report == []
 
     def test_quotes_around_only_whitespace_are_an_empty_span(self):
-        # a blank text could not be written to the triples TSV
+        # Triple refuses a blank text
         triples, report = decode_target_report('The acronym X stands for " ", a sign.', "natural_lang")
         assert (triples, [reason for _, reason in report]) == ([], ["empty entity span"])
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import raredis_toolkit
 from raredis_toolkit.errors import ToolkitError
 from raredis_toolkit.scoring import (
     ERROR_DISCONTINUOUS_MERGE,
@@ -430,17 +431,33 @@ class TestErrorsMatchOracle:
         assert _outcome(categorize_errors, *case) == _outcome(oracle_categorize_errors, *case)
 
     @settings(max_examples=150, deadline=None)
-    @given(error_cases(texts=ENTITY_TEXTS | st.just(" ")))
-    def test_blank_texts_match_the_oracle(self, case):
-        # a blank text normalizes to "", which Triple rejects
+    @given(error_cases(texts=ENTITY_TEXTS | st.sampled_from([" a", "b\u2028", "\x1ca \x0bb"])))
+    def test_padded_texts_match_the_oracle(self, case):
+        # whitespace at a text's ends, or of another kind inside it, goes under normalization only
         assert _outcome(categorize_errors, *case) == _outcome(oracle_categorize_errors, *case)
 
     @pytest.mark.parametrize("categorize", [categorize_errors, oracle_categorize_errors])
-    def test_blank_unmatched_text_raises_in_default_mode(self, categorize):
-        blank = Triple(" ", "sign", "produces", "a", "sign")
-        with pytest.raises(ValueError, match="non-empty"):
-            categorize([], [blank])
-        assert [r.category for r in categorize([], [blank], strict_case=True)] == [ERROR_SPURIOUS]
+    def test_padded_unmatched_text_is_spurious_in_both_modes(self, categorize):
+        padded = Triple(" a\u2028", "sign", "produces", "b", "sign")
+        for strict_case in (False, True):
+            assert [r.category for r in categorize([], [padded], strict_case=strict_case)] == [ERROR_SPURIOUS]
+
+
+class TestBlankTexts:
+    @given(st.text(alphabet=LINE_BREAK_ALPHABET, max_size=6), st.booleans())
+    def test_triple_refuses_exactly_the_texts_without_tokens(self, text, as_subject):
+        """Triple refuses a text exactly when str.split finds no token in it,
+        so every text that scoring tokenizes has a token."""
+        subject, obj = (text, "a") if as_subject else ("a", text)
+        if text.split():
+            Triple(subject, "sign", "produces", obj, "sign")
+        else:
+            with pytest.raises(ValueError, match="triple entity texts may not be blank"):
+                Triple(subject, "sign", "produces", obj, "sign")
+
+    def test_only_triple_decides_blankness(self):
+        sources = Path(raredis_toolkit.__file__).parent.glob("*.py")
+        assert [p.name for p in sources if "isspace(" in p.read_text(encoding="utf-8")] == ["triples.py"]
 
 
 class TestTriplesFileIO:
@@ -462,7 +479,7 @@ class TestTriplesFileIO:
     def test_invalid_triple_names_file_and_line(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("d\ta\tsign\tproduces\tb\tsign\nd\t\tsign\tproduces\tb\tsign\n", encoding="utf-8")
-        with pytest.raises(ToolkitError, match=re.escape(f"{path}:2: triple entity texts must be non-empty")):
+        with pytest.raises(ToolkitError, match=re.escape(f"{path}:2: triple entity texts may not be blank")):
             read_triples_file(path)
 
     def test_blank_text_names_file_and_line(self, tmp_path):
@@ -471,9 +488,10 @@ class TestTriplesFileIO:
         with pytest.raises(ToolkitError, match=re.escape(f"{path}:2: triple entity texts may not be blank")):
             read_triples_file(path)
 
-    def test_blank_text_is_not_written(self, tmp_path):
-        with pytest.raises(ToolkitError, match="doc_b: triple texts may not be blank"):
-            write_triples_file({"doc_a": [A], "doc_b": [replace(C, subject_text="\x1c ")]}, tmp_path / "t.tsv")
+    def test_unwritable_text_names_the_doc(self, tmp_path):
+        with pytest.raises(ToolkitError, match="doc_b: triple texts may not contain tabs or line feeds"):
+            write_triples_file({"doc_a": [A], "doc_b": [replace(C, subject_text="a\tb")]}, tmp_path / "t.tsv")
+        assert not (tmp_path / "t.tsv").exists()
 
     @given(
         st.dictionaries(
@@ -481,10 +499,10 @@ class TestTriplesFileIO:
             st.lists(
                 st.builds(
                     Triple,
-                    st.text(alphabet=LINE_BREAK_ALPHABET, min_size=1, max_size=8),
+                    st.text(alphabet=LINE_BREAK_ALPHABET, min_size=1, max_size=8).filter(lambda text: text.split()),
                     st.sampled_from((None, *ENTITY_TYPES)),
                     st.sampled_from(PREDICATES),
-                    st.text(alphabet=LINE_BREAK_ALPHABET, min_size=1, max_size=8),
+                    st.text(alphabet=LINE_BREAK_ALPHABET, min_size=1, max_size=8).filter(lambda text: text.split()),
                     st.sampled_from((None, *ENTITY_TYPES)),
                 ),
                 min_size=1,
@@ -503,10 +521,7 @@ class TestTriplesFileIO:
         ]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.tsv"
-            blank = any(
-                text.isspace() for triples in data.values() for t in triples for text in (t.subject_text, t.object_text)
-            )
-            if blank or any("\t" in f or "\n" in f for f in fields):
+            if any("\t" in f or "\n" in f for f in fields):
                 with pytest.raises(ToolkitError):
                     write_triples_file(data, path)
                 return
