@@ -10,6 +10,7 @@ modified.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -53,9 +54,10 @@ def _add_schema_args(parser):
     parser.add_argument("--noun-map", help="JSON file mapping predicates to nouns (rel-is)")
 
 
-def _load_noun_map(path: str | None) -> dict[str, str] | None:
+def _load_noun_map(path: str | None) -> dict[str, str]:
+    """The --noun-map file's map, validated here once per run, or the default."""
     if path is None:
-        return None
+        return schema_mod.DEFAULT_NOUN_MAP
     try:
         return schema_mod.validate_noun_map(json.loads(standoff.read_file(path)))
     except ValueError as exc:  # malformed JSON too
@@ -135,9 +137,12 @@ def cmd_encode(args):
     def record(doc) -> dict:
         try:
             source = schema_mod.build_prompt(doc.text, args.copy_instruct)
-            target = schema_mod.encode_target(doc, args.schema, noun_map)
-        except ValueError as exc:  # an empty document text or a blank entity text
+        except ValueError as exc:  # an empty document text
             raise ToolkitError(f"{Path(args.input_dir) / doc.doc_id}.txt: {exc}") from None
+        try:
+            target = schema_mod._encode(doc, args.schema, noun_map)
+        except ValueError as exc:  # a blank entity text, named by its entity id
+            raise ToolkitError(f"{Path(args.input_dir) / doc.doc_id}.ann: {exc}") from None
         return {"doc_id": doc.doc_id, "source": source, "target": target}
 
     records = map(record, docs)
@@ -153,20 +158,20 @@ def cmd_encode(args):
 def cmd_decode(args):
     noun_map = _load_noun_map(args.noun_map)
     triples_by_doc = {}
-    sources: dict[str, Path] = {}  # the generation file of each doc id
+    sources: dict[str, str] = {}  # the generation file of each doc id
     report_lines = []
     for path in standoff.input_files(args.input_dir):
-        doc_id = path.stem
+        doc_id = standoff.path_stem(path)
         if not scoring_mod.tsv_field_ok(doc_id):
             # the file name is the doc id of every record decode writes
-            raise ToolkitError(f"generation file name {path.name!r} holds a tab or line feed")
+            raise ToolkitError(f"generation file name {os.path.basename(path)!r} holds a tab or line feed")
         if doc_id in sources:
             raise ToolkitError(f"generation files {sources[doc_id]} and {path} share the doc id {doc_id!r}")
         sources[doc_id] = path
         generation = standoff.read_file(path)
         if not args.raw:
             generation = schema_mod.normalize_generation(generation)
-        triples, skipped = schema_mod.decode_target_report(generation, args.schema, noun_map)
+        triples, skipped = schema_mod._decode(generation, args.schema, noun_map)
         kept = []
         for t in triples:
             if scoring_mod.triple_writable(t):
@@ -208,8 +213,8 @@ def cmd_score(args):
 def cmd_errors(args):
     gold, pred = _read_scored_files(args)
     # hallucination checks need only the texts, so no .ann is parsed
-    paths = standoff.paired_texts(args.docs, strict_pairs=False) if args.docs else []
-    texts = {txt.stem: standoff.read_file(txt) for txt in paths}
+    paths = standoff.paired_texts(args.docs, strict_pairs=False) if args.docs else {}
+    texts = {doc_id: standoff.read_file(txt) for doc_id, txt in paths.items()}
     records = []
     for doc_id in sorted(set(gold) | set(pred)):
         records.extend(
@@ -229,6 +234,7 @@ def cmd_errors(args):
     print(f"wrote {len(records)} error records to {args.audit}")
 
 
+@functools.cache  # parse_args never changes the parser, so one serves every run_cli call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="raredis",

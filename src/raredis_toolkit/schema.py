@@ -26,7 +26,7 @@ from .standoff import (
     normalize_entity_type,
     normalize_predicate,
 )
-from .triples import Triple, collapse_whitespace, distinct_triples
+from .triples import Triple, collapse_whitespace, distinct_triples, is_blank
 
 logger = logging.getLogger(__name__)
 
@@ -121,9 +121,13 @@ def occurrence_ordered_triples(doc: AnnotatedDocument) -> list[Triple]:
         )
     keyed = []
     for rel, subj, obj in doc.resolved_relations():
-        triple = Triple(
-            subj.surface_text, subj.entity_type, rel.predicate, obj.surface_text, obj.entity_type
-        )
+        try:
+            triple = Triple(
+                subj.surface_text, subj.entity_type, rel.predicate, obj.surface_text, obj.entity_type
+            )
+        except ValueError as exc:  # a blank surface text: name its entity
+            blank = subj if is_blank(subj.surface_text) else obj
+            raise ValueError(f"entity {blank.id}: {exc}") from None
         keyed.append(((subj.first_start, obj.first_start, PREDICATE_TOKENS[rel.predicate]), triple))
     keyed.sort(key=lambda item: item[0])
     return list(distinct_triples(triple for _, triple in keyed).values())
@@ -131,7 +135,11 @@ def occurrence_ordered_triples(doc: AnnotatedDocument) -> list[Triple]:
 
 def encode_target(doc: AnnotatedDocument, kind: str, noun_map: dict[str, str] | None = None) -> str:
     """Render a repaired document's relation set in the given schema."""
-    noun_map = DEFAULT_NOUN_MAP if noun_map is None else validate_noun_map(noun_map)
+    return _encode(doc, kind, DEFAULT_NOUN_MAP if noun_map is None else validate_noun_map(noun_map))
+
+
+def _encode(doc: AnnotatedDocument, kind: str, noun_map: dict[str, str]) -> str:
+    """encode_target with a noun map validate_noun_map has passed."""
     triples = occurrence_ordered_triples(doc)
 
     if kind == SCHEMA_SEQ2REL:
@@ -375,7 +383,13 @@ def decode_target_report(
     generation: str, kind: str, noun_map: dict[str, str] | None = None
 ) -> tuple[list[Triple], list[tuple[str, str]]]:
     """Decode a generation; also return (segment, reason) for skipped parts."""
-    noun_map = DEFAULT_NOUN_MAP if noun_map is None else validate_noun_map(noun_map)
+    return _decode(generation, kind, DEFAULT_NOUN_MAP if noun_map is None else validate_noun_map(noun_map))
+
+
+def _decode(
+    generation: str, kind: str, noun_map: dict[str, str]
+) -> tuple[list[Triple], list[tuple[str, str]]]:
+    """decode_target_report with a noun map validate_noun_map has passed."""
     report: list[tuple[str, str]] = []
     if kind == SCHEMA_SEQ2REL:
         triples = _decode_seq2rel(generation, report)

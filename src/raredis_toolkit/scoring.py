@@ -186,60 +186,59 @@ def categorize_errors(
                 for k in ours.keys() - theirs.keys()), key=_sort_key)
         for ours, theirs in ((pred_c, gold_c), (gold_c, pred_c))
     )
-    if not fps and not fns:  # spares normalizing doc_text below
-        return []
     records: list[ErrorRecord] = []
+    paired: set[int] = set()  # ids of the FPs and FNs a record holds
 
     # 1-2. one greedy pass over candidate pairs: equal texts and predicate
     # first (FP and FN keys are disjoint, so the types differ), then same
     # predicate and types with both texts' token Jaccard >= the threshold, by
     # descending mean. Both kinds share a subject token, so candidates come
-    # from a (predicate, subject token) index.
-    tokens = {text: frozenset(text.split()) for t in fps + fns for text in (t.subject_text, t.object_text)}
+    # from a (predicate, subject token) index, built only when both sides have one.
+    if fps and fns:
+        tokens = {text: frozenset(text.split()) for t in fps + fns for text in (t.subject_text, t.object_text)}
 
-    gold_texts: dict[str, set[str]] = {}  # each role's distinct FN texts, built on first use
+        gold_texts: dict[str, set[str]] = {}  # each role's distinct FN texts, built on first use
 
-    def spans_coordination(predicted_text: str, role: str) -> bool:
-        """Predicted text looks like two gold entities merged across an 'and'."""
-        pt = tokens[predicted_text]
-        if "and" not in pt:
-            return False
-        if role not in gold_texts:
-            gold_texts[role] = {getattr(t, role) for t in fns}
-        return sum(_jaccard(tokens[g], pt) >= PARTIAL_MATCH_JACCARD for g in gold_texts[role]) >= 2
+        def spans_coordination(predicted_text: str, role: str) -> bool:
+            """Predicted text looks like two gold entities merged across an 'and'."""
+            pt = tokens[predicted_text]
+            if "and" not in pt:
+                return False
+            if role not in gold_texts:
+                gold_texts[role] = {getattr(t, role) for t in fns}
+            return sum(_jaccard(tokens[g], pt) >= PARTIAL_MATCH_JACCARD for g in gold_texts[role]) >= 2
 
-    by_token: dict[tuple[str, str], list[int]] = {}
-    for i, fn in enumerate(fns):
-        for token in tokens[fn.subject_text]:
-            by_token.setdefault((fn.predicate, token), []).append(i)
-    candidates = []  # (rank, -mean Jaccard, fp, fn); type mismatches rank first
-    for fp in fps:
-        near = {i for token in tokens[fp.subject_text] for i in by_token.get((fp.predicate, token), ())}
-        for fn in map(fns.__getitem__, near):
-            if fp.subject_text == fn.subject_text and fp.object_text == fn.object_text:
-                candidates.append((0, 0.0, fp, fn))
-            elif type_agnostic or (fp.subject_type, fp.object_type) == (fn.subject_type, fn.object_type):
-                js = _jaccard(tokens[fp.subject_text], tokens[fn.subject_text])
-                jo = _jaccard(tokens[fp.object_text], tokens[fn.object_text])
-                if min(js, jo) >= PARTIAL_MATCH_JACCARD:
-                    candidates.append((1, -(js + jo) / 2, fp, fn))
-    candidates.sort(key=lambda c: (c[0], c[1], _sort_key(c[2]), _sort_key(c[3])))
-    paired: set[int] = set()  # ids of the FPs and FNs a record holds
-    for rank, _, fp, fn in candidates:
-        if id(fp) in paired or id(fn) in paired:
-            continue
-        paired.update((id(fp), id(fn)))
-        category = ERROR_PARTIAL_MATCH if rank else ERROR_TYPE_MISMATCH  # equal texts never merge
-        if (fp.subject_text != fn.subject_text and spans_coordination(fp.subject_text, "subject_text")) or (
-            fp.object_text != fn.object_text and spans_coordination(fp.object_text, "object_text")
-        ):
-            category = ERROR_DISCONTINUOUS_MERGE
-        records.append(ErrorRecord(doc_id, category, predicted=fp, gold=fn))
-    fps = [fp for fp in fps if id(fp) not in paired]
+        by_token: dict[tuple[str, str], list[int]] = {}
+        for i, fn in enumerate(fns):
+            for token in tokens[fn.subject_text]:
+                by_token.setdefault((fn.predicate, token), []).append(i)
+        candidates = []  # (rank, -mean Jaccard, fp, fn); type mismatches rank first
+        for fp in fps:
+            near = {i for token in tokens[fp.subject_text] for i in by_token.get((fp.predicate, token), ())}
+            for fn in map(fns.__getitem__, near):
+                if fp.subject_text == fn.subject_text and fp.object_text == fn.object_text:
+                    candidates.append((0, 0.0, fp, fn))
+                elif type_agnostic or (fp.subject_type, fp.object_type) == (fn.subject_type, fn.object_type):
+                    js = _jaccard(tokens[fp.subject_text], tokens[fn.subject_text])
+                    jo = _jaccard(tokens[fp.object_text], tokens[fn.object_text])
+                    if min(js, jo) >= PARTIAL_MATCH_JACCARD:
+                        candidates.append((1, -(js + jo) / 2, fp, fn))
+        candidates.sort(key=lambda c: (c[0], c[1], _sort_key(c[2]), _sort_key(c[3])))
+        for rank, _, fp, fn in candidates:
+            if id(fp) in paired or id(fn) in paired:
+                continue
+            paired.update((id(fp), id(fn)))
+            category = ERROR_PARTIAL_MATCH if rank else ERROR_TYPE_MISMATCH  # equal texts never merge
+            if (fp.subject_text != fn.subject_text and spans_coordination(fp.subject_text, "subject_text")) or (
+                fp.object_text != fn.object_text and spans_coordination(fp.object_text, "object_text")
+            ):
+                category = ERROR_DISCONTINUOUS_MERGE
+            records.append(ErrorRecord(doc_id, category, predicted=fp, gold=fn))
+        fps = [fp for fp in fps if id(fp) not in paired]
 
     # 3. remaining false positives: hallucinated if a span is absent from the
-    # text, whitespace runs collapsed on both sides
-    reference = None if doc_text is None else collapse_whitespace(doc_text)
+    # text, whitespace runs collapsed on both sides (doc_text only if one remains)
+    reference = None if doc_text is None or not fps else collapse_whitespace(doc_text)
     if reference is not None and not strict_case:
         reference = reference.lower()
     for fp in fps:

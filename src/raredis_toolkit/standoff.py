@@ -160,7 +160,12 @@ class AnnotatedDocument:
 def read_file(path: str | Path) -> str:
     """A whole UTF-8 file, line endings exactly as written. A file that is
     not UTF-8 raises ToolkitError naming it and the offending byte offset."""
-    data = Path(path).read_bytes()
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:  # named as pathlib spells it (no "./" or doubled slashes)
+        exc.filename = str(Path(path))
+        raise
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -302,47 +307,79 @@ def serialize_document(doc: AnnotatedDocument) -> tuple[str, str]:
     return doc.text, join_records(lines, doc.doc_id)
 
 
-def read_document_pair(txt_path: str | Path) -> AnnotatedDocument:
-    """Load one <doc_id>.txt / <doc_id>.ann pair (UTF-8); a parse error names the .ann file."""
-    txt_path = Path(txt_path)
-    ann_path = txt_path.with_suffix(".ann")
+def path_stem(path: str) -> str:
+    """Path(path).stem without building a Path: the file name less its last
+    ".<suffix>", where a name's leading or trailing "." starts no suffix."""
+    name = os.path.basename(path)
+    i = name.rfind(".")
+    return name[:i] if 0 < i < len(name) - 1 else name
+
+
+def _read_pair(txt_path: str, ann_path: str, doc_id: str) -> AnnotatedDocument:
     try:
-        return parse_document(read_file(txt_path), read_file(ann_path), txt_path.stem)
+        return parse_document(read_file(txt_path), read_file(ann_path), doc_id)
     except StandoffParseError as exc:
         exc.args = (f"{ann_path}:{exc.line_no}: {exc.reason}",)
         raise
 
 
-def input_files(path: str | Path) -> list[Path]:
-    """The inputs in a directory, sorted: regular files whose names do not
-    start with "." (hidden files such as macOS "._<name>" companions,
-    staging directories and subdirectories are never inputs)."""
-    if not Path(path).is_dir():
+def read_document_pair(txt_path: str | Path) -> AnnotatedDocument:
+    """Load one <doc_id>.txt / <doc_id>.ann pair (UTF-8); a parse error names the .ann file."""
+    txt_path = Path(txt_path)
+    return _read_pair(str(txt_path), str(txt_path.with_suffix(".ann")), txt_path.stem)
+
+
+def _listing(path: str | Path) -> tuple[str, list[str]]:
+    """(prefix, sorted input names) of a directory; prefix + name spells each
+    input as str(Path(path) / name) does, with no "./" or doubled slashes."""
+    folder = Path(path)
+    if not folder.is_dir():
         raise ToolkitError(f"not a directory: {path}")
-    with os.scandir(path) as entries:
-        return sorted(Path(e.path) for e in entries if e.is_file() and not e.name.startswith("."))
+    with os.scandir(folder) as entries:
+        names = sorted(e.name for e in entries if e.is_file() and not e.name.startswith("."))
+    return ("" if str(folder) == "." else os.path.join(folder, "")), names
 
 
-def paired_texts(path: str | Path, strict_pairs: bool = True) -> list[Path]:
-    """The .txt path of every .txt/.ann pair in a directory, sorted by doc_id.
+def input_files(path: str | Path) -> list[str]:
+    """The inputs in a directory, as path strings sorted by name: regular
+    files whose names do not start with "." (hidden files such as macOS
+    "._<name>" companions, staging directories and subdirectories are never
+    inputs). Only the directory becomes a Path; the names stay strings."""
+    prefix, names = _listing(path)
+    return [prefix + name for name in names]
+
+
+def paired_texts(path: str | Path, strict_pairs: bool = True) -> dict[str, str]:
+    """Every doc_id with a .txt/.ann pair in a directory, sorted, mapped to
+    the path string of its .txt. Names pair by os.path.splitext, so
+    "a..txt" pairs with "a..ann" under the doc_id "a.".
 
     An orphan .txt or .ann raises ToolkitError when strict_pairs is set;
     otherwise the orphans are skipped with one logged warning.
     """
-    files = input_files(path)
-    txts = {p.stem: p for p in files if p.suffix == ".txt"}
-    anns = {p.stem for p in files if p.suffix == ".ann"}
-    orphans = sorted(set(txts) ^ anns)
+    prefix, names = _listing(path)
+    txts: dict[str, str] = {}
+    anns: set[str] = set()
+    for name in names:
+        doc_id, ext = os.path.splitext(name)
+        if ext == ".txt":
+            txts[doc_id] = prefix + name
+        elif ext == ".ann":
+            anns.add(doc_id)
+    orphans = sorted(txts.keys() ^ anns)
     if orphans:
         if strict_pairs:
             raise ToolkitError(f"unpaired .txt/.ann files: {', '.join(orphans)}")
         logger.warning("skipping unpaired .txt/.ann files: %s", ", ".join(orphans))
-    return [txts[doc_id] for doc_id in sorted(set(txts) & anns)]
+    return {doc_id: txts[doc_id] for doc_id in sorted(txts.keys() & anns)}
 
 
 def load_corpus_dir(path: str | Path, strict_pairs: bool = True) -> list[AnnotatedDocument]:
     """Load every .txt/.ann pair in a directory (see paired_texts), sorted by doc_id."""
-    return [read_document_pair(txt) for txt in paired_texts(path, strict_pairs)]
+    return [
+        _read_pair(txt, txt[:-4] + ".ann", doc_id)
+        for doc_id, txt in paired_texts(path, strict_pairs).items()
+    ]
 
 
 def corpus_files(docs: Iterable[AnnotatedDocument], path: str | Path):

@@ -26,13 +26,18 @@ class Triple:
 
     def __post_init__(self):
         for text in (self.subject_text, self.object_text):
-            if not text or text.isspace():
+            if not text or text.isspace():  # is_blank, inlined: a Triple is built per unit read
                 raise ValueError("triple entity texts may not be blank")
         if self.predicate not in PREDICATES:
             raise ValueError(f"unknown predicate {self.predicate!r}")
         for t in (self.subject_type, self.object_type):
             if t is not None and t not in ENTITY_TYPES:
                 raise ValueError(f"unknown entity type {t!r}")
+
+
+def is_blank(text: str) -> bool:
+    """Empty or all whitespace: the entity text Triple refuses."""
+    return not text or text.isspace()
 
 
 def collapse_whitespace(text: str) -> str:

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from raredis_toolkit import standoff
+from raredis_toolkit import cli, standoff
+from raredis_toolkit import schema as schema_mod
 from raredis_toolkit.cli import run_cli
 from raredis_toolkit.corpus import SplitSpec, split_corpus
 from raredis_toolkit.errors import ToolkitError
@@ -377,6 +378,33 @@ class TestEncodeDecodeScore:
         text = records.read_text(encoding="utf-8")
         assert "is cause." in text
 
+    def test_noun_map_is_validated_once_per_run(self, mini_corpus_dir, tmp_path, monkeypatch):
+        """encode and decode check --noun-map on loading, not per document."""
+        fixed = tmp_path / "fixed"
+        assert run_cli(["repair", "--in", str(mini_corpus_dir), "--out", str(fixed)]) == 0
+        noun_path = tmp_path / "nouns.json"
+        noun_path.write_text(json.dumps(dict(
+            produces="cause", increases_risk_of="risk factor", is_a="hyponym",
+            is_acron="acronym", is_synon="synonym", anaphora="anaphor",
+        )), encoding="utf-8")
+        calls = []
+        validate = schema_mod.validate_noun_map
+        monkeypatch.setattr(schema_mod, "validate_noun_map", lambda m: calls.append(m) or validate(m))
+        records = tmp_path / "train.jsonl"
+        argv = ["--schema", "rel-is", "--noun-map", str(noun_path)]
+        assert run_cli(["encode", "--in", str(fixed), "--out", str(records), *argv]) == 0
+        assert len(calls) == 1
+        generations = tmp_path / "gen"
+        generations.mkdir()
+        lines = records.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == len(load_corpus_dir(fixed)) > 1
+        for line in lines:
+            record = json.loads(line)
+            (generations / f"{record['doc_id']}.txt").write_text(record["target"], encoding="utf-8")
+        assert run_cli(["decode", "--in", str(generations), "--out", str(tmp_path / "p.tsv"), *argv]) == 0
+        assert len(calls) == 2
+        assert "\tproduces\t" in (tmp_path / "p.tsv").read_text(encoding="utf-8")
+
 
 class TestScoreAndErrorsCommands:
     def test_hand_counted_score_fixture(self, tmp_path, capsys):
@@ -456,6 +484,33 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0
         capsys.readouterr()
+
+    def test_one_parser_serves_every_call_as_a_fresh_one_would(self, mini_corpus_dir, capsys, monkeypatch):
+        """build_parser runs once per process; reusing its parser after a
+        usage error and --help changes no later exit code or output."""
+        data = Path(__file__).parent / "data"
+        runs = [
+            ["stats", "--lenient-pairs"],
+            ["--help"],
+            ["stats", "--in", str(mini_corpus_dir)],
+            ["score", "--gold", str(data / "fixture_gold.tsv"), "--pred", str(data / "fixture_pred.tsv")],
+        ]
+
+        def outcomes():
+            out = []
+            for argv in runs:
+                code = run_cli(argv)
+                captured = capsys.readouterr()
+                out.append((code, captured.out, captured.err))
+            return out
+
+        assert cli.build_parser() is cli.build_parser()
+        reused = outcomes()
+        assert [code for code, _, _ in reused] == [2, 0, 0, 0]
+        assert "required: --in" in reused[0][2] and "usage: raredis" in reused[1][1]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert cli.build_parser() is not cli.build_parser()
+        assert outcomes() == reused
 
     def test_invalid_noun_map_is_fatal_not_a_traceback(self, mini_corpus_dir, tmp_path, capsys):
         bad = tmp_path / "nouns.json"
@@ -556,7 +611,7 @@ class TestErrorsNameTheirInput:
         )
         argv = ["encode", "--in", corpus, "--out", tmp_path / "o.jsonl", "--schema", schema]
         err = fails_leaving_tree_unchanged(tmp_path, argv, capsys)
-        assert err == f"error: {corpus / 'd.txt'}: triple entity texts may not be blank\n"
+        assert err == f"error: {corpus / 'd.ann'}: entity T1: triple entity texts may not be blank\n"
 
     def test_ann_parse_error_names_the_file(self, mini_corpus_dir, tmp_path, capsys):
         (mini_corpus_dir / "e.txt").write_text("x" * 10, encoding="utf-8")

@@ -442,6 +442,22 @@ class TestErrorsMatchOracle:
         for strict_case in (False, True):
             assert [r.category for r in categorize([], [padded], strict_case=strict_case)] == [ERROR_SPURIOUS]
 
+    def test_doc_text_is_normalized_only_for_an_unpaired_false_positive(self, monkeypatch):
+        read = []
+        monkeypatch.setattr(
+            "raredis_toolkit.scoring.collapse_whitespace", lambda text: read.append(text) or " ".join(text.split())
+        )
+        text = "alpha beta  gamma"
+        gold = Triple("alpha", "sign", "produces", "beta", "sign")
+        near = replace(gold, object_text="beta gamma")  # a partial match of gold
+        far = replace(gold, subject_text="delta")
+        categories = [
+            [r.category for r in categorize_errors(g, p, doc_text=text)]
+            for g, p in (([gold], []), ([gold], [near]), ([gold], [near, far]))
+        ]
+        assert categories == [[ERROR_MISSING], [ERROR_PARTIAL_MATCH], [ERROR_PARTIAL_MATCH, ERROR_HALLUCINATED_SPAN]]
+        assert read.count(text) == 1
+
 
 class TestBlankTexts:
     @given(st.text(alphabet=LINE_BREAK_ALPHABET, max_size=6), st.booleans())

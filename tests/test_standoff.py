@@ -1,3 +1,4 @@
+import os
 import random
 import re
 import tempfile
@@ -313,6 +314,95 @@ class TestDirectoryIO:
         with pytest.raises(Exception, match="unpaired"):
             load_corpus_dir(d)
         assert load_corpus_dir(d, strict_pairs=False) == []
+
+
+def oracle_input_files(path) -> list[Path]:
+    """input_files as a sorted list of one pathlib.Path per file."""
+    with os.scandir(path) as entries:
+        return sorted(Path(e.path) for e in entries if e.is_file() and not e.name.startswith("."))
+
+
+def oracle_paired_texts(path, strict_pairs: bool = True) -> dict[str, Path]:
+    """paired_texts by Path.stem and Path.suffix."""
+    files = oracle_input_files(path)
+    txts = {p.stem: p for p in files if p.suffix == ".txt"}
+    anns = {p.stem for p in files if p.suffix == ".ann"}
+    orphans = sorted(set(txts) ^ anns)
+    if orphans and strict_pairs:
+        raise ToolkitError(f"unpaired .txt/.ann files: {', '.join(orphans)}")
+    return {doc_id: txts[doc_id] for doc_id in sorted(set(txts) & anns)}
+
+
+class TestStringListing:
+    """The str listing gives the order, doc ids, paths and messages that one
+    pathlib.Path per file gave."""
+
+    NAMES = [
+        "doc.", "doc.ann", "a..txt", "a..ann", "x.y.txt", "x.y.ann", "UPPER.TXT", "UPPER.ann",
+        "\u00e9.txt", "\u00e9.ann", "e\u0301.txt", "a b.txt", "a b.ann", "B.txt", "B.ann", "b.txt",
+        "noext", "z.", "tail..", ".hidden.txt", "._x.ann", "10.txt", "9.txt", "9.ann", "~.ann",
+    ]
+    SPELLINGS = ["c", "./c", "./c/", "c//", "c/./", ".//c//", "."]
+
+    @pytest.fixture
+    def corpus(self, tmp_path, monkeypatch):
+        d = tmp_path / "c"
+        d.mkdir()
+        (d / "sub.txt").mkdir()  # a directory is never an input
+        for name in self.NAMES:
+            (d / name).write_text("" if name.endswith(".ann") else "text", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        return d
+
+    @pytest.mark.parametrize("spelling", SPELLINGS + ["absolute"])
+    def test_listing_equals_the_pathlib_listing(self, corpus, spelling, monkeypatch):
+        if spelling == "absolute":
+            spelling = str(corpus)
+        elif spelling == ".":
+            monkeypatch.chdir(corpus)
+        expected = oracle_input_files(spelling)
+        assert standoff.input_files(spelling) == [str(p) for p in expected]
+        assert [standoff.path_stem(p) for p in standoff.input_files(spelling)] == [p.stem for p in expected]
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    def test_pairing_equals_the_pathlib_pairing(self, corpus, spelling, monkeypatch, caplog):
+        if spelling == ".":
+            monkeypatch.chdir(corpus)
+        with pytest.raises(ToolkitError) as expected:
+            oracle_paired_texts(spelling)
+        with pytest.raises(ToolkitError) as got:
+            standoff.paired_texts(spelling)
+        assert str(got.value) == str(expected.value) == (
+            "unpaired .txt/.ann files: 10, UPPER, b, doc, e\u0301, ~"
+        )
+        pairs = standoff.paired_texts(spelling, strict_pairs=False)
+        assert pairs == {k: str(v) for k, v in oracle_paired_texts(spelling, strict_pairs=False).items()}
+        assert list(pairs) == ["9", "B", "a b", "a.", "x.y", "\u00e9"]
+        assert caplog.messages == [f"skipping unpaired .txt/.ann files: {str(got.value).split(': ', 1)[1]}"]
+        docs = load_corpus_dir(spelling, strict_pairs=False)
+        assert [doc.doc_id for doc in docs] == list(pairs)
+        assert docs == [standoff.read_document_pair(Path(txt)) for txt in pairs.values()]
+
+    def test_parse_errors_name_the_ann_as_pathlib_spells_it(self, corpus):
+        (corpus / "x.y.ann").write_text("T1\tSIGN 9 9\tx\n", encoding="utf-8")
+        for spelling in ("./c/", "c//"):
+            with pytest.raises(StandoffParseError) as exc:
+                load_corpus_dir(spelling, strict_pairs=False)
+            assert str(exc.value).startswith(f"{Path(spelling, 'x.y.txt').with_suffix('.ann')}:1: invalid offsets")
+
+    def test_missing_files_are_named_as_pathlib_spells_them(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for spelling in ("./nowhere.tsv", "a//nowhere", str(tmp_path) + "/"):
+            with pytest.raises(OSError) as expected:
+                Path(spelling).read_bytes()
+            with pytest.raises(OSError) as got:
+                standoff.read_file(spelling)
+            assert (type(got.value), got.value.filename) == (type(expected.value), expected.value.filename)
+
+    @given(st.text(alphabet=".ab\u00e9 ~", min_size=1).filter(lambda name: name != "."))
+    def test_path_stem_is_pathlib_stem(self, name):
+        assert standoff.path_stem(name) == Path(name).stem
+        assert standoff.path_stem(f"dir/{name}") == Path("dir", name).stem
 
 
 
