@@ -10,7 +10,7 @@ types from the comparison (for schemas whose targets do not carry them).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ToolkitError
@@ -36,10 +36,12 @@ def collapse_duplicates(
     The first occurrence of each triple_key is kept, with the key's entity
     texts: normalized unless strict_case is set.
     """
-    return {
-        replace(t, subject_text=k[0], object_text=k[3])
-        for k, t in distinct_triples(triples, strict_case, type_agnostic).items()
-    }
+    return {_with_key_texts(t, k) for k, t in distinct_triples(triples, strict_case, type_agnostic).items()}
+
+
+def _with_key_texts(t: Triple, key: tuple) -> Triple:
+    """t with the entity texts of its triple_key (its types kept)."""
+    return Triple(key[0], t.subject_type, t.predicate, key[3], t.object_type)
 
 
 @dataclass(frozen=True)
@@ -106,8 +108,9 @@ def score_corpus(
     """Micro-pooled scoring across documents; duplicates collapse per document."""
     counts = {p: [0, 0, 0] for p in PREDICATES}  # tp, fp, fn
     for doc_id in gold_by_doc.keys() | pred_by_doc.keys():
-        gold_keys = {triple_key(t, strict_case, type_agnostic) for t in gold_by_doc.get(doc_id, [])}
-        pred_keys = {triple_key(t, strict_case, type_agnostic) for t in pred_by_doc.get(doc_id, [])}
+        # equal triples have equal keys, so each distinct triple is keyed once
+        gold_keys = {triple_key(t, strict_case, type_agnostic) for t in set(gold_by_doc.get(doc_id, ()))}
+        pred_keys = {triple_key(t, strict_case, type_agnostic) for t in set(pred_by_doc.get(doc_id, ()))}
         for k in pred_keys:
             counts[k[2]][0 if k in gold_keys else 1] += 1
         for k in gold_keys - pred_keys:
@@ -140,16 +143,11 @@ class ErrorRecord:
     gold: Triple | None = None
 
     def to_dict(self) -> dict:
-        def side(t: Triple | None):
-            if t is None:
-                return None
-            return [t.subject_text, t.subject_type, t.predicate, t.object_text, t.object_type]
-
         return {
             "doc_id": self.doc_id,
             "category": self.category,
-            "predicted": side(self.predicted),
-            "gold": side(self.gold),
+            "predicted": None if self.predicted is None else list(self.predicted),
+            "gold": None if self.gold is None else list(self.gold),
         }
 
 
@@ -182,8 +180,7 @@ def categorize_errors(
     pred_c = distinct_triples(predicted, strict_case, type_agnostic)
     # what collapse_duplicates keeps: each key holds its triple's scoring texts
     fps, fns = (
-        sorted((replace(ours[k], subject_text=k[0], object_text=k[3])
-                for k in ours.keys() - theirs.keys()), key=_sort_key)
+        sorted((_with_key_texts(ours[k], k) for k in ours.keys() - theirs.keys()), key=_sort_key)
         for ours, theirs in ((pred_c, gold_c), (gold_c, pred_c))
     )
     records: list[ErrorRecord] = []
@@ -257,20 +254,11 @@ def error_records_text(records: list[ErrorRecord], where: str | Path) -> str:
     return join_records((json.dumps(r.to_dict(), ensure_ascii=False) for r in records), where)
 
 
-def _type_field(label: str, path: str | Path, line_no: int) -> str | None:
-    """A triples-TSV type field: empty is unknown (None), else a known label."""
-    if not label:
-        return None
-    entity_type = normalize_entity_type(label)
-    if entity_type is None:
-        raise ToolkitError(f"{path}:{line_no}: unknown entity type {label!r}")
-    return entity_type
-
-
 def read_triples_file(path: str | Path) -> dict[str, list[Triple]]:
     """Tab-separated triples: doc_id, subject text, subject type, predicate,
     object text, object type. Empty type fields mean the type is unknown."""
     out: dict[str, list[Triple]] = {}
+    types: dict[str, str | None] = {"": None}  # each type spelling looked up once per file
     for line_no, raw in enumerate(split_records(read_file(path)), start=1):
         if not raw.strip():
             continue
@@ -281,10 +269,13 @@ def read_triples_file(path: str | Path) -> dict[str, list[Triple]]:
         pred = normalize_predicate(predicate)
         if pred is None:
             raise ToolkitError(f"{path}:{line_no}: unknown predicate {predicate!r}")
-        s_typ = _type_field(s_type, path, line_no)
-        o_typ = _type_field(o_type, path, line_no)
+        for label in (s_type, o_type):
+            if label not in types:
+                types[label] = normalize_entity_type(label)
+                if types[label] is None:
+                    raise ToolkitError(f"{path}:{line_no}: unknown entity type {label!r}")
         try:
-            triple = Triple(s_text, s_typ, pred, o_text, o_typ)
+            triple = Triple(s_text, types[s_type], pred, o_text, types[o_type])
         except ValueError as exc:
             raise ToolkitError(f"{path}:{line_no}: {exc}") from exc
         out.setdefault(doc_id, []).append(triple)

@@ -159,17 +159,18 @@ class AnnotatedDocument:
 
 def read_file(path: str | Path) -> str:
     """A whole UTF-8 file, line endings exactly as written. A file that is
-    not UTF-8 raises ToolkitError naming it and the offending byte offset."""
+    not UTF-8 raises ToolkitError naming it and the offending byte offset.
+    Both errors name the file as pathlib spells it (no "./" or doubled slashes)."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
-    except OSError as exc:  # named as pathlib spells it (no "./" or doubled slashes)
+    except OSError as exc:
         exc.filename = str(Path(path))
         raise
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ToolkitError(f"{path}: not UTF-8 at byte offset {exc.start} ({exc.reason})") from None
+        raise ToolkitError(f"{Path(path)}: not UTF-8 at byte offset {exc.start} ({exc.reason})") from None
 
 
 def split_records(content: str) -> list[str]:

@@ -2,37 +2,46 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from .standoff import ENTITY_TYPES, PREDICATES
 
+_TYPES = (*ENTITY_TYPES, None)
 
-@dataclass(frozen=True)
-class Triple:
+
+class Triple(namedtuple("Triple", "subject_text subject_type predicate object_text object_type")):
     """(subject text, subject type, predicate, object text, object type).
 
     Gold triples always carry both entity types. Triples decoded from
     generated text may carry None for a type the output template does not
     encode; the scorer's type-agnostic mode exists for those. An entity text
     is never blank (empty or all whitespace): str.split gives it a token.
+
+    A named tuple, so a triple equals the plain tuple of its five fields.
+    __new__ is its one constructor: _make, _replace, copy and pickle all
+    go through it, so none of them can build a triple these checks refuse.
     """
 
-    subject_text: str
-    subject_type: str | None
-    predicate: str
-    object_text: str
-    object_type: str | None
+    __slots__ = ()
 
-    def __post_init__(self):
-        for text in (self.subject_text, self.object_text):
-            if not text or text.isspace():  # is_blank, inlined: a Triple is built per unit read
-                raise ValueError("triple entity texts may not be blank")
-        if self.predicate not in PREDICATES:
-            raise ValueError(f"unknown predicate {self.predicate!r}")
-        for t in (self.subject_type, self.object_type):
-            if t is not None and t not in ENTITY_TYPES:
-                raise ValueError(f"unknown entity type {t!r}")
+    def __new__(
+        cls, subject_text: str, subject_type: str | None, predicate: str, object_text: str, object_type: str | None
+    ):
+        # is_blank, inlined: a Triple is built per unit read
+        if not subject_text or subject_text.isspace() or not object_text or object_text.isspace():
+            raise ValueError("triple entity texts may not be blank")
+        if predicate not in PREDICATES:
+            raise ValueError(f"unknown predicate {predicate!r}")
+        if subject_type not in _TYPES:
+            raise ValueError(f"unknown entity type {subject_type!r}")
+        if object_type not in _TYPES:
+            raise ValueError(f"unknown entity type {object_type!r}")
+        return tuple.__new__(cls, (subject_text, subject_type, predicate, object_text, object_type))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def is_blank(text: str) -> bool:
@@ -54,11 +63,12 @@ def triple_key(triple: Triple, strict_case: bool = False, type_agnostic: bool = 
     """Identity under which triples are collapsed and matched: (subject text,
     subject type, predicate, object text, object type), both types None under
     type_agnostic."""
-    st = triple.subject_text if strict_case else normalize_text(triple.subject_text)
-    ot = triple.object_text if strict_case else normalize_text(triple.object_text)
+    st, s_type, predicate, ot, o_type = triple
+    if not strict_case:
+        st, ot = normalize_text(st), normalize_text(ot)
     if type_agnostic:
-        return (st, None, triple.predicate, ot, None)
-    return (st, triple.subject_type, triple.predicate, ot, triple.object_type)
+        return (st, None, predicate, ot, None)
+    return (st, s_type, predicate, ot, o_type)
 
 
 def distinct_triples(
@@ -66,6 +76,6 @@ def distinct_triples(
 ) -> dict[tuple, Triple]:
     """Map each triple_key to the first triple that has it, in input order."""
     out: dict[tuple, Triple] = {}
-    for t in triples:
+    for t in dict.fromkeys(triples):  # equal triples have equal keys: key each distinct one once
         out.setdefault(triple_key(t, strict_case, type_agnostic), t)
     return out

@@ -579,6 +579,16 @@ class TestErrorsNameTheirInput:
         err = fails_leaving_tree_unchanged(tmp_path, argv, capsys)
         assert err.startswith(f"error: {path}: not UTF-8 at byte offset 6 ")
 
+    def test_both_read_errors_spell_the_path_as_pathlib_does(self, tmp_path, monkeypatch, capsys):
+        """--gold ./g.tsv is named g.tsv whether it is missing or not UTF-8."""
+        monkeypatch.chdir(tmp_path)
+        argv = ["score", "--gold", "./g.tsv", "--pred", "./g.tsv"]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == "error: missing input file: g.tsv\n"
+        (tmp_path / "g.tsv").write_bytes(b"fever \xe9 rash")
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err.startswith("error: g.tsv: not UTF-8 at byte offset 6 ")
+
     def test_decode_refuses_two_files_with_one_doc_id(self, tmp_path, capsys):
         generations = generations_dir(tmp_path)
         (generations / "d.txt~").write_text("f @Sign@ g @Disease@ @IS_A@ @END@", encoding="utf-8")

@@ -6,10 +6,11 @@ negatives for each false positive, with every Jaccard computed from the raw
 texts. The rewrite must give the same records in the same order.
 """
 
+import copy
+import pickle
 import random
 import re
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,8 @@ from raredis_toolkit.scoring import (
     collapse_duplicates,
     PARTIAL_MATCH_JACCARD,
     ErrorRecord,
+    PrfRow,
+    ScoreReport,
     format_report,
     read_triples_file,
     score,
@@ -36,7 +39,7 @@ from raredis_toolkit.scoring import (
     write_triples_file,
 )
 from raredis_toolkit.standoff import ENTITY_TYPES, PREDICATES
-from raredis_toolkit.triples import Triple, distinct_triples, normalize_text
+from raredis_toolkit.triples import Triple, distinct_triples, normalize_text, triple_key
 from conftest import LINE_BREAK_ALPHABET, MAX_SCALE_RATIO, time_ratio
 
 A = Triple("alpha syndrome", "rare_disease", "produces", "tremor", "sign")
@@ -404,8 +407,8 @@ def error_cases(draw, texts=ENTITY_TEXTS):
     common = draw(st.lists(triples, min_size=1, max_size=3))
 
     def copy(t: Triple, case, retype: bool, subject_type, object_type) -> Triple:
-        t = replace(t, subject_text=case(t.subject_text), object_text=case(t.object_text))
-        return replace(t, subject_type=subject_type, object_type=object_type) if retype else t
+        t = t._replace(subject_text=case(t.subject_text), object_text=case(t.object_text))
+        return t._replace(subject_type=subject_type, object_type=object_type) if retype else t
 
     copies = st.builds(
         copy, st.sampled_from(common), st.sampled_from([str, str.upper, str.swapcase]), st.booleans(), TYPES, TYPES
@@ -449,14 +452,62 @@ class TestErrorsMatchOracle:
         )
         text = "alpha beta  gamma"
         gold = Triple("alpha", "sign", "produces", "beta", "sign")
-        near = replace(gold, object_text="beta gamma")  # a partial match of gold
-        far = replace(gold, subject_text="delta")
+        near = gold._replace(object_text="beta gamma")  # a partial match of gold
+        far = gold._replace(subject_text="delta")
         categories = [
             [r.category for r in categorize_errors(g, p, doc_text=text)]
             for g, p in (([gold], []), ([gold], [near]), ([gold], [near, far]))
         ]
         assert categories == [[ERROR_MISSING], [ERROR_PARTIAL_MATCH], [ERROR_PARTIAL_MATCH, ERROR_HALLUCINATED_SPAN]]
         assert read.count(text) == 1
+
+
+def per_triple_distinct(triples, strict_case, type_agnostic) -> dict[tuple, Triple]:
+    """distinct_triples keying every triple, repeats included."""
+    out: dict[tuple, Triple] = {}
+    for t in triples:
+        out.setdefault(triple_key(t, strict_case, type_agnostic), t)
+    return out
+
+
+def per_triple_score_corpus(gold_by_doc, pred_by_doc, strict_case, type_agnostic) -> ScoreReport:
+    """score_corpus keying every triple, repeats included."""
+    counts = {p: [0, 0, 0] for p in PREDICATES}
+    for doc_id in gold_by_doc.keys() | pred_by_doc.keys():
+        gold_keys = {triple_key(t, strict_case, type_agnostic) for t in gold_by_doc.get(doc_id, [])}
+        pred_keys = {triple_key(t, strict_case, type_agnostic) for t in pred_by_doc.get(doc_id, [])}
+        for k in pred_keys:
+            counts[k[2]][0 if k in gold_keys else 1] += 1
+        for k in gold_keys - pred_keys:
+            counts[k[2]][2] += 1
+    return ScoreReport({p: PrfRow(*c) for p, c in counts.items()})
+
+
+class TestKeyedOncePerDistinctTriple:
+    """Equal triples have equal keys, so keying each distinct triple once
+    gives what keying every triple gives. error_cases repeats triples as
+    equal copies (other objects) and as case variants; the lists below
+    repeat the same objects too."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(error_cases())
+    def test_distinct_triples_keeps_the_keys_order_and_first_objects(self, case):
+        gold, predicted, _, strict_case, type_agnostic = case
+        for triples in (gold, predicted, predicted + gold + predicted):
+            got = distinct_triples(triples, strict_case, type_agnostic)
+            want = per_triple_distinct(triples, strict_case, type_agnostic)
+            assert list(got) == list(want)
+            assert all(got[k] is want[k] for k in want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(error_cases())
+    def test_score_corpus_equals_the_per_triple_reference(self, case):
+        gold, predicted, _, strict_case, type_agnostic = case
+        gold_by_doc = {"d1": gold, "d2": gold + predicted + gold}
+        pred_by_doc = {"d1": predicted + predicted, "d3": gold}
+        assert score_corpus(gold_by_doc, pred_by_doc, strict_case, type_agnostic) == per_triple_score_corpus(
+            gold_by_doc, pred_by_doc, strict_case, type_agnostic
+        )
 
 
 class TestBlankTexts:
@@ -474,6 +525,64 @@ class TestBlankTexts:
     def test_only_triple_decides_blankness(self):
         sources = Path(raredis_toolkit.__file__).parent.glob("*.py")
         assert [p.name for p in sources if "isspace(" in p.read_text(encoding="utf-8")] == ["triples.py"]
+
+
+# one invalid field each, with the message every constructor gives for it
+INVALID_FIELDS = {
+    "blank text": ({"object_text": " \u2028"}, "triple entity texts may not be blank"),
+    "unknown predicate": ({"predicate": "treats"}, "unknown predicate 'treats'"),
+    "unknown type": ({"subject_type": "gene"}, "unknown entity type 'gene'"),
+}
+
+
+def unchecked(fields: dict) -> Triple:
+    """A Triple object holding fields no constructor accepts."""
+    return tuple.__new__(Triple, fields.values())
+
+
+CONSTRUCTORS = {
+    "call": lambda fields: Triple(*fields.values()),
+    "keywords": lambda fields: Triple(**fields),
+    "_make": lambda fields: Triple._make(fields.values()),
+    "_replace": lambda fields: A._replace(**fields),
+    "copy": lambda fields: copy.copy(unchecked(fields)),
+    "deepcopy": lambda fields: copy.deepcopy(unchecked(fields)),
+    "pickle": lambda fields: pickle.loads(pickle.dumps(unchecked(fields))),
+}
+
+
+class TestTripleRecord:
+    @pytest.mark.parametrize("invalid", INVALID_FIELDS)
+    @pytest.mark.parametrize("build", CONSTRUCTORS)
+    def test_every_constructor_refuses_an_invalid_field(self, build, invalid):
+        change, message = INVALID_FIELDS[invalid]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CONSTRUCTORS[build]({**A._asdict(), **change})
+
+    @pytest.mark.parametrize("build", CONSTRUCTORS)
+    def test_every_constructor_gives_the_triple_of_valid_fields(self, build):
+        fields = {**A._asdict(), "object_text": "fever", "object_type": None}
+        built = CONSTRUCTORS[build](fields)
+        assert type(built) is Triple
+        assert built == Triple("alpha syndrome", "rare_disease", "produces", "fever", None)
+
+    def test_replace_of_a_valid_triple_equals_direct_construction(self):
+        assert A._replace(subject_type="disease", predicate="is_a") == Triple(
+            "alpha syndrome", "disease", "is_a", "tremor", "sign"
+        )
+        with pytest.raises(ValueError, match="unexpected field names"):
+            A._replace(subject="beta")
+
+    def test_a_triple_is_the_tuple_of_its_fields(self):
+        assert A == ("alpha syndrome", "rare_disease", "produces", "tremor", "sign")
+        assert hash(A) == hash(tuple(A))
+        assert (A[0], A.subject_text) == ("alpha syndrome", "alpha syndrome")
+        assert repr(A) == (
+            "Triple(subject_text='alpha syndrome', subject_type='rare_disease', predicate='produces', "
+            "object_text='tremor', object_type='sign')"
+        )
+        with pytest.raises(AttributeError):
+            A.subject_text = "beta"
 
 
 class TestTriplesFileIO:
@@ -504,9 +613,28 @@ class TestTriplesFileIO:
         with pytest.raises(ToolkitError, match=re.escape(f"{path}:2: triple entity texts may not be blank")):
             read_triples_file(path)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("d\ta\tgene\tproduces\tb\tsign", "unknown entity type 'gene'"),
+            ("d\ta\tSIGN\tproduces\tb\tGene", "unknown entity type 'Gene'"),
+            ("d\ta\tsign\ttreats\tb\tsign", "unknown predicate 'treats'"),
+        ],
+    )
+    def test_unknown_label_after_other_spellings_names_its_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.tsv"
+        valid = "d\ta\tSIGN\tProduces\tb\t\nd\ta\tRare Disease\tIS_A\tb\tsign\n"
+        path.write_text(valid, encoding="utf-8")
+        assert read_triples_file(path) == {
+            "d": [Triple("a", "sign", "produces", "b", None), Triple("a", "rare_disease", "is_a", "b", "sign")]
+        }
+        path.write_text(valid + line + "\n", encoding="utf-8")
+        with pytest.raises(ToolkitError, match=f"^{re.escape(f'{path}:3: {message}')}$"):
+            read_triples_file(path)
+
     def test_unwritable_text_names_the_doc(self, tmp_path):
         with pytest.raises(ToolkitError, match="doc_b: triple texts may not contain tabs or line feeds"):
-            write_triples_file({"doc_a": [A], "doc_b": [replace(C, subject_text="a\tb")]}, tmp_path / "t.tsv")
+            write_triples_file({"doc_a": [A], "doc_b": [C._replace(subject_text="a\tb")]}, tmp_path / "t.tsv")
         assert not (tmp_path / "t.tsv").exists()
 
     @given(
