@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import logging
 import os
 import sys
 from collections import Counter
@@ -25,6 +26,8 @@ from . import scoring as scoring_mod
 from . import standoff
 from .errors import ToolkitError
 from .triples import collapse_whitespace
+
+logger = logging.getLogger(__name__)
 
 
 def _load_corpus(args) -> list:
@@ -68,10 +71,9 @@ def cmd_repair(args):
     docs = _load_corpus(args)
     results = [repair_mod.repair_all(doc) for doc in docs]
     yield from standoff.corpus_files((fixed for fixed, _ in results), args.output_dir)
-    logs = [log for _, log in results]
     if args.log:
-        yield args.log, repair_mod.repair_log_text(logs, args.log)
-    summary = repair_mod.summarize_repairs(list(zip(docs, logs)))
+        yield args.log, repair_mod.repair_log_text([log for _, log in results], args.log)
+    summary = repair_mod.summarize_repairs(results)
     print(
         f"repaired {len(docs)} documents: "
         f"{summary.relations_argument_fixed}/{summary.total_relations} relation arguments fixed "
@@ -85,10 +87,10 @@ def cmd_repair(args):
 
 def cmd_stats(args):
     docs = _load_corpus(args)
-    stats = {Path(args.input_dir).name or "corpus": corpus_mod.corpus_statistics(docs)}
+    name, stats = Path(args.input_dir).name or "corpus", corpus_mod.corpus_statistics(docs)
     if args.out_json:
-        yield args.out_json, corpus_mod.stats_json(stats)
-    print(corpus_mod.format_stats(stats), end="")
+        yield args.out_json, corpus_mod.stats_json(name, stats)
+    print(corpus_mod.format_stats(name, stats), end="")
 
 
 def cmd_split(args):
@@ -147,6 +149,11 @@ def cmd_encode(args):
 
     records = map(record, docs)
     yield out, standoff.join_records((json.dumps(r, ensure_ascii=False) for r in records), out)
+    skipped = [
+        f"{doc.doc_id}:{rel_id}" for doc in docs for rel_id in sorted({r for r, _, _ in doc.unresolved_refs})
+    ]
+    if skipped:
+        logger.warning("skipping relations with unresolved arguments: %s", ", ".join(skipped))
     if args.schema == schema_mod.SCHEMA_SEQ2REL:
         vocab_path = out.parent / "special_tokens.txt"
         yield vocab_path, standoff.join_records(schema_mod.special_tokens(), vocab_path)

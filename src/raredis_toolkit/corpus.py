@@ -102,31 +102,22 @@ def corpus_statistics(split: list[AnnotatedDocument]) -> CorpusStats:
     return CorpusStats(len(split), entity_counts, relation_counts, shape_counts)
 
 
-def format_stats(stats_by_split: dict[str, CorpusStats]) -> str:
-    """Human-readable table: one column per split, rows keyed like the counts."""
-    splits = list(stats_by_split)
-    rows: list[tuple[str, list[int]]] = []
-    rows.append(("documents", [stats_by_split[s].documents for s in splits]))
-    for t in ENTITY_TYPES:
-        rows.append((t, [stats_by_split[s].entity_counts[t] for s in splits]))
-    for p in PREDICATES:
-        rows.append((p, [stats_by_split[s].relation_counts[p] for s in splits]))
-    for c in SHAPE_CLASSES:
-        rows.append((c, [stats_by_split[s].shape_counts[c] for s in splits]))
-    rows.append(("total entities", [stats_by_split[s].total_entities for s in splits]))
-    rows.append(("total relations", [stats_by_split[s].total_relations for s in splits]))
-
-    label_w = max(len(r[0]) for r in rows)
-    col_w = max(8, *(len(s) for s in splits))
-    lines = [" " * label_w + "  " + "  ".join(f"{s:>{col_w}}" for s in splits)]
-    for label, values in rows:
-        lines.append(f"{label:<{label_w}}  " + "  ".join(f"{v:>{col_w}}" for v in values))
+def format_stats(name: str, stats: CorpusStats) -> str:
+    """Human-readable table: one column headed name, rows keyed like the counts."""
+    rows: list[tuple[str, int]] = [("documents", stats.documents)]
+    rows += [(t, stats.entity_counts[t]) for t in ENTITY_TYPES]
+    rows += [(p, stats.relation_counts[p]) for p in PREDICATES]
+    rows += [(c, stats.shape_counts[c]) for c in SHAPE_CLASSES]
+    rows += [("total entities", stats.total_entities), ("total relations", stats.total_relations)]
+    label_w = max(len(label) for label, _ in rows)
+    col_w = max(8, len(name))
+    lines = [" " * label_w + f"  {name:>{col_w}}"]
+    lines += [f"{label:<{label_w}}  {value:>{col_w}}" for label, value in rows]
     return "\n".join(lines) + "\n"
 
 
-def stats_json(stats_by_split: dict[str, CorpusStats]) -> str:
-    payload = {name: stats.to_dict() for name, stats in stats_by_split.items()}
-    return json.dumps(payload, indent=2) + "\n"
+def stats_json(name: str, stats: CorpusStats) -> str:
+    return json.dumps({name: stats.to_dict()}, indent=2) + "\n"
 
 
 def _check_listed(entries: Iterable[tuple[str, str]], known: Collection[str] | None = None) -> None:

@@ -19,6 +19,8 @@ surface text.
 from __future__ import annotations
 
 import re
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -143,7 +145,7 @@ def repair_all(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, RepairLog]:
 
 @dataclass(frozen=True)
 class RepairSummary:
-    """Corpus-level repair rates, measured on pre-repair documents."""
+    """Corpus-level repair counts and rates."""
 
     total_relations: int
     relations_argument_fixed: int
@@ -161,32 +163,33 @@ class RepairSummary:
         return self.entities_span_fixed / self.total_entities if self.total_entities else 0.0
 
 
-def summarize_repairs(docs_with_logs: list[tuple[AnnotatedDocument, RepairLog]]) -> RepairSummary:
-    """Aggregate repair rates. Documents must carry their pre-repair counts."""
-    total_relations = 0
-    total_entities = 0
+def summarize_repairs(results: Iterable[tuple[AnnotatedDocument, RepairLog]]) -> RepairSummary:
+    """Count the (repaired document, log) pairs repair_all returns.
+
+    Repair keeps every entity and relation, so the totals are the repaired
+    documents'. Each entity rule logs at most once per entity, so its count
+    is its number of log entries. A relation is argument-fixed when one of
+    its arguments was rerouted, and unresolvable when the repaired document
+    still lists it in unresolved_refs: exactly the relations encoding skips.
+    """
+    total_relations = total_entities = unresolvable = 0
+    rules: Counter[str] = Counter()
     arg_fixed: set[tuple[str, str]] = set()
-    unresolvable: set[tuple[str, str]] = set()
-    span_fixed: set[tuple[str, str]] = set()
-    reordered: set[tuple[str, str]] = set()
-    for doc, log in docs_with_logs:
+    for doc, log in results:
         total_relations += len(doc.relations)
         total_entities += len(doc.entities)
+        unresolvable += len({rel_id for rel_id, _, _ in doc.unresolved_refs})
         for e in log.entries:
-            key = (log.doc_id, e.target_id)
-            if e.rule == RULE_RELATION_ARGUMENT:
-                (unresolvable if e.after == "UNRESOLVED" else arg_fixed).add(key)
-            elif e.rule == RULE_SPAN_BOUNDARY:
-                span_fixed.add(key)
-            elif e.rule == RULE_FRAGMENT_ORDER:
-                reordered.add(key)
+            rules[e.rule] += 1
+            if e.rule == RULE_RELATION_ARGUMENT and e.after != "UNRESOLVED":
+                arg_fixed.add((log.doc_id, e.target_id))
     return RepairSummary(
         total_relations=total_relations,
         relations_argument_fixed=len(arg_fixed),
-        relations_unresolvable=len(unresolvable - arg_fixed),
+        relations_unresolvable=unresolvable,
         total_entities=total_entities,
-        entities_span_fixed=len(span_fixed),
-        entities_fragment_reordered=len(reordered),
+        entities_span_fixed=rules[RULE_SPAN_BOUNDARY],
+        entities_fragment_reordered=rules[RULE_FRAGMENT_ORDER],
     )
 
 

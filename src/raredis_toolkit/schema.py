@@ -15,7 +15,6 @@ malformed stretches of a generation are skipped and reported, never fatal.
 
 from __future__ import annotations
 
-import logging
 import re
 from collections.abc import Iterator
 
@@ -27,8 +26,6 @@ from .standoff import (
     normalize_predicate,
 )
 from .triples import Triple, collapse_whitespace, distinct_triples, is_blank
-
-logger = logging.getLogger(__name__)
 
 SCHEMA_SEQ2REL = "seq2rel"
 SCHEMA_REL_IS = "rel_is"
@@ -108,17 +105,10 @@ def occurrence_ordered_triples(doc: AnnotatedDocument) -> list[Triple]:
     """Document triples in entity-occurrence order, duplicates collapsed.
 
     Order: subject first-fragment start, then object first-fragment start,
-    then predicate token. Relations with unresolved arguments are skipped
-    with a warning. Multi-fragment entity text is the recorded surface text
-    (fragments joined by single spaces).
+    then predicate token. Relations with unresolved arguments are skipped;
+    doc.unresolved_refs names them. Multi-fragment entity text is the
+    recorded surface text (fragments joined by single spaces).
     """
-    skipped = sorted({rel_id for rel_id, _, _ in doc.unresolved_refs})
-    if skipped:
-        logger.warning(
-            "%s: skipping relations with unresolved arguments: %s",
-            doc.doc_id,
-            ", ".join(skipped),
-        )
     keyed = []
     for rel, subj, obj in doc.resolved_relations():
         try:

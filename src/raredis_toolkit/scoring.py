@@ -10,6 +10,7 @@ types from the comparison (for schemas whose targets do not carry them).
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,11 +45,11 @@ def _with_key_texts(t: Triple, key: tuple) -> Triple:
     return Triple(key[0], t.subject_type, t.predicate, key[3], t.object_type)
 
 
-@dataclass(frozen=True)
-class PrfRow:
-    tp: int
-    fp: int
-    fn: int
+class PrfRow(namedtuple("PrfRow", "tp fp fn")):
+    """True positives, false positives, false negatives; a named tuple, so a
+    row equals the plain tuple of its three counts."""
+
+    __slots__ = ()
 
     @property
     def precision(self) -> float:

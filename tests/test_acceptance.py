@@ -108,7 +108,7 @@ def test_criterion_2_repair_rate_reproduction():
     root = _corpus_dir("RAREDIS_ORIGINAL_DIR")
     started = time.monotonic()
     docs = _load_tree(root)
-    summary = summarize_repairs([(doc, repair_all(doc)[1]) for doc in docs])
+    summary = summarize_repairs([repair_all(doc) for doc in docs])
     assert 0.08 <= summary.relation_argument_rate <= 0.10, summary
     assert summary.span_boundary_rate < 0.01, summary
     elapsed = time.monotonic() - started

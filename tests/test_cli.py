@@ -32,7 +32,10 @@ class TestRepairCommand:
         assert "rickets relation_argument R5 T90 -> T9" in log_text
         assert "balanti span_boundary T24" in log_text
         assert "storage fragment_order T1" in log_text
-        assert "repaired 5 documents" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "repaired 5 documents: 1/6 relation arguments fixed (0.1667), 1/10 entity spans adjusted "
+            "(0.1000), 1 fragment lists reordered, 0 relations left unresolvable\n"
+        )
 
     def test_input_directory_unmodified(self, mini_corpus_dir, tmp_path):
         before = dir_snapshot(mini_corpus_dir)
@@ -81,6 +84,54 @@ class TestRepairCommand:
         self.write_pairs(corpus, {"a": "Beta syndrome is rare."})
         assert run_cli(["repair", "--in", str(corpus), "--out", str(corpus)]) == 0
         assert sorted(p.name for p in corpus.iterdir()) == ["a.ann", "a.txt"]
+
+
+class TestUnresolvedRelations:
+    """repair's "left unresolvable" count names exactly the relations encode skips."""
+
+    @staticmethod
+    def write_corpus(corpus: Path) -> None:
+        corpus.mkdir()
+        (corpus / "d.txt").write_text("Alpha causes fever.\n", encoding="utf-8")
+        # R1's T10 is repaired to T1, but its T77 stays dangling
+        (corpus / "d.ann").write_text(
+            "T1\tDISEASE 0 5\tAlpha\nT2\tSIGN 13 18\tfever\n"
+            "R1\tproduces Arg1:T10 Arg2:T77\nR2\tproduces Arg1:T1 Arg2:T2\n",
+            encoding="utf-8",
+        )
+
+    def test_a_half_repaired_relation_is_counted_and_reported_once(self, tmp_path, capsys, caplog):
+        corpus, fixed = tmp_path / "in", tmp_path / "fixed"
+        self.write_corpus(corpus)
+        assert run_cli(["repair", "--in", str(corpus), "--out", str(fixed)]) == 0
+        assert capsys.readouterr().out == (
+            "repaired 1 documents: 1/2 relation arguments fixed (0.5000), 0/2 entity spans adjusted "
+            "(0.0000), 0 fragment lists reordered, 1 relations left unresolvable\n"
+        )
+        out = tmp_path / "e.jsonl"
+        with caplog.at_level(logging.WARNING):
+            assert run_cli(["encode", "--in", str(fixed), "--out", str(out), "--schema", "rel-is"]) == 0
+        assert caplog.messages == ["skipping relations with unresolved arguments: d:R1"]
+        assert json.loads(out.read_text(encoding="utf-8"))["target"] == "The relation between Alpha and fever is producer."
+
+    def test_one_warning_per_run_in_doc_id_order(self, mini_corpus_dir, tmp_path, caplog):
+        (mini_corpus_dir / "weakness.ann").write_text(
+            (mini_corpus_dir / "weakness.ann").read_text(encoding="utf-8") + "R9\tis_a Arg1:T1 Arg2:T55\n",
+            encoding="utf-8",
+        )
+        with caplog.at_level(logging.WARNING):
+            code = run_cli(["encode", "--in", str(mini_corpus_dir), "--out", str(tmp_path / "e.jsonl"),
+                            "--schema", "seq2rel"])
+        assert code == 0
+        assert caplog.messages == ["skipping relations with unresolved arguments: rickets:R5, weakness:R9"]
+
+    def test_a_resolved_corpus_gives_no_warning(self, mini_corpus_dir, tmp_path, caplog):
+        fixed = tmp_path / "fixed"
+        assert run_cli(["repair", "--in", str(mini_corpus_dir), "--out", str(fixed)]) == 0
+        with caplog.at_level(logging.WARNING):
+            code = run_cli(["encode", "--in", str(fixed), "--out", str(tmp_path / "e.jsonl"), "--schema", "seq2rel"])
+        assert code == 0
+        assert caplog.records == []
 
 
 class TestStatsCommand:
@@ -193,6 +244,18 @@ class TestSplitCommand:
         assert code == 1
         assert capsys.readouterr().err == "error: ratios must be non-negative\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--train-list", "t.txt", "--dev-list", "d.txt"], "file_list mode needs --train-list, --dev-list, and --test-list"),
+            (["--ratios", "0.5,0.5"], "--ratios needs three comma-separated fractions"),
+            ([], "split needs either --ratios or the three --*-list flags"),
+        ],
+    )
+    def test_flag_errors(self, mini_corpus_dir, tmp_path, capsys, flags, message):
+        argv = ["split", "--in", mini_corpus_dir, "--out", tmp_path / "splits", *flags]
+        assert fails_leaving_tree_unchanged(tmp_path, argv, capsys) == f"error: {message}\n"
 
     def test_file_list_mode(self, mini_corpus_dir, tmp_path):
         lists = tmp_path / "lists"

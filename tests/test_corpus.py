@@ -5,6 +5,7 @@ corpus.document_shapes replaced: each entity compared with every other one.
 """
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -247,7 +248,7 @@ class TestStatistics:
 
     def test_table_formatting_includes_all_keys(self):
         docs = synthetic_corpus(seed=43, size=5)
-        table = format_stats({"train": corpus_statistics(docs)})
+        table = format_stats("train", corpus_statistics(docs))
         for key in ("sign", "rare_disease", "produces", "is_acron", "nested", "total entities"):
             assert key in table
 
@@ -285,6 +286,22 @@ class TestSplit:
         # NaN compares false both ways, so neither "< 0" nor the sum check catches it
         with pytest.raises(SplitError, match="non-negative"):
             SplitSpec(mode="ratio", ratios=(float("nan"), 0.5, 0.5))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"mode": "ratio"}, "ratio mode requires ratios"),
+            ({"mode": "file_list"}, "file_list mode requires three doc_id lists"),
+            ({"mode": "kfold"}, "unknown split mode 'kfold'"),
+        ],
+    )
+    def test_mode_without_its_field_is_rejected(self, fields, message):
+        with pytest.raises(SplitError, match=f"^{re.escape(message)}$"):
+            SplitSpec(**fields)
+
+    def test_empty_corpus_is_rejected(self):
+        with pytest.raises(SplitError, match="^corpus is empty$"):
+            split_corpus([], SplitSpec(mode="ratio", ratios=(0.8, 0.1, 0.1)))
 
     def test_file_list_mode_assigns_exactly(self):
         docs = synthetic_corpus(seed=61, size=6)

@@ -327,16 +327,22 @@ class TestOnePassEqualsThreePasses:
 
 class TestSummary:
     def test_rates_on_known_corpus(self, rickets_doc, weakness_doc):
-        pairs = []
-        for doc in (rickets_doc, weakness_doc):
-            _, log = repair_all(doc)
-            pairs.append((doc, log))
-        summary = summarize_repairs(pairs)
+        summary = summarize_repairs([repair_all(doc) for doc in (rickets_doc, weakness_doc)])
         assert summary.total_relations == 4
         assert summary.relations_argument_fixed == 1
         assert summary.relation_argument_rate == 0.25
         assert summary.entities_span_fixed == 0
         assert summary.span_boundary_rate == 0.0
+
+    def test_a_relation_fixed_on_one_argument_and_dangling_on_the_other_is_unresolvable(self):
+        ann = (
+            "T1\tDISEASE 0 5\tAlpha\nT2\tSIGN 13 18\tfever\n"
+            "R1\tproduces Arg1:T10 Arg2:T77\nR2\tproduces Arg1:T1 Arg2:T2\n"
+        )
+        fixed, log = repair_all(parse_document("Alpha causes fever.", ann, "d"))
+        summary = summarize_repairs([(fixed, log)])
+        assert fixed.unresolved_refs == (("R1", "Arg2", "T77"),)
+        assert (summary.relations_argument_fixed, summary.relations_unresolvable) == (1, 1)
 
 
 class TestCrlfCorpus:

@@ -114,11 +114,13 @@ class TestEncodeSeq2rel:
         assert objects == ["bbb", "bbb", "ccc"]
         assert preds == ["is_a", "produces", "produces"]  # @IS_A@ < @PRODUCES@
 
-    def test_unresolved_relation_skipped_with_warning(self, rickets_doc, caplog):
+    def test_unresolved_relation_skipped_not_encoded(self, rickets_doc, caplog):
+        # the library skips silently; unresolved_refs names what it skipped
         with caplog.at_level(logging.WARNING):
             encoded = encode_target(rickets_doc, "seq2rel")
-        assert "R5" in caplog.text
+        assert caplog.records == []
         assert "@ANAPHORA@" not in encoded
+        assert rickets_doc.unresolved_refs == (("R5", "Arg2", "T90"),)
 
     def test_unknown_schema_kind_rejected(self, rickets_doc):
         with pytest.raises(ValueError, match="schema"):
@@ -161,6 +163,10 @@ class TestEncodeTemplates:
         bad = dict(DEFAULT_NOUN_MAP, is_a="parent")
         with pytest.raises(ValueError, match="hyponym"):
             validate_noun_map(bad)
+
+    def test_noun_map_names_an_unknown_predicate(self):
+        with pytest.raises(ValueError, match="^noun map has unknown predicates: treats$"):
+            validate_noun_map(dict(DEFAULT_NOUN_MAP, treats="cure"))
 
     def test_noun_map_must_be_total(self):
         partial = {k: v for k, v in DEFAULT_NOUN_MAP.items() if k != "produces"}
@@ -268,6 +274,20 @@ class TestDecode:
     def test_case_mangled_special_tokens_still_decode(self):
         [t] = decode_target("alpha @raredisease@ beta @SIGN@ @produces@ @end@", "seq2rel")
         assert (t.subject_type, t.object_type, t.predicate) == ("rare_disease", "sign", "produces")
+
+    @pytest.mark.parametrize(
+        "generation, reason",
+        [
+            ("a @Sign@ b @Sign@ @IS_A@ stray @END@", "text before the end token"),
+            ("stray @NOREL@", "text before the no-relation token"),
+        ],
+    )
+    def test_text_before_a_closing_token_is_reported(self, generation, reason):
+        assert decode_target_report(generation, "seq2rel")[1] == [("stray", reason)]
+
+    def test_unknown_schema_kind_rejected(self):
+        with pytest.raises(ValueError, match="^unknown schema kind 'markdown'$"):
+            decode_target_report("a @Sign@ b @Sign@ @IS_A@ @END@", "markdown")
 
     def test_case_mangled_closing_tokens_still_close(self):
         triples, report = decode_target_report("@norel@ x @Sign@ y @Sign@ @is_a@ @End@ z", "seq2rel")

@@ -183,6 +183,13 @@ class TestScore:
         pooled = score_corpus({"d1": [A], "d2": [B]}, {"d1": [A], "d2": [C]}).micro
         assert (pooled.tp, pooled.fp, pooled.fn) == (1, 1, 1)
 
+    def test_a_row_is_the_tuple_of_its_counts(self):
+        row = PrfRow(1, 1, 2)
+        assert row == (1, 1, 2) and hash(row) == hash((1, 1, 2))
+        assert (row.tp, row.fp, row.fn, row.precision, row.recall) == (1, 1, 2, 0.5, 1 / 3)
+        with pytest.raises(AttributeError):
+            row.tp = 2
+
     def test_report_table_has_micro_and_six_predicate_rows(self):
         table = format_report(score([A, B], [A, C]))
         lines = table.strip().splitlines()
@@ -532,6 +539,7 @@ INVALID_FIELDS = {
     "blank text": ({"object_text": " \u2028"}, "triple entity texts may not be blank"),
     "unknown predicate": ({"predicate": "treats"}, "unknown predicate 'treats'"),
     "unknown type": ({"subject_type": "gene"}, "unknown entity type 'gene'"),
+    "unknown object type": ({"object_type": "gene"}, "unknown entity type 'gene'"),
 }
 
 
@@ -619,6 +627,7 @@ class TestTriplesFileIO:
             ("d\ta\tgene\tproduces\tb\tsign", "unknown entity type 'gene'"),
             ("d\ta\tSIGN\tproduces\tb\tGene", "unknown entity type 'Gene'"),
             ("d\ta\tsign\ttreats\tb\tsign", "unknown predicate 'treats'"),
+            ("d\ta\tsign\tproduces\tb", "expected 6 tab-separated fields, got 5"),
         ],
     )
     def test_unknown_label_after_other_spellings_names_its_line(self, tmp_path, line, message):
@@ -630,6 +639,15 @@ class TestTriplesFileIO:
         }
         path.write_text(valid + line + "\n", encoding="utf-8")
         with pytest.raises(ToolkitError, match=f"^{re.escape(f'{path}:3: {message}')}$"):
+            read_triples_file(path)
+
+    def test_blank_lines_are_skipped_and_keep_their_line_numbers(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        valid = "\nd\ta\tsign\tproduces\tb\tsign\n \t \n"
+        path.write_text(valid, encoding="utf-8")
+        assert read_triples_file(path) == {"d": [Triple("a", "sign", "produces", "b", "sign")]}
+        path.write_text(valid + "d\ta\tsign\tproduces\tb\tsign\textra\n", encoding="utf-8")
+        with pytest.raises(ToolkitError, match=f"^{re.escape(f'{path}:4: expected 6 tab-separated fields, got 7')}$"):
             read_triples_file(path)
 
     def test_unwritable_text_names_the_doc(self, tmp_path):

@@ -80,6 +80,9 @@ class TestParse:
             ("R1\tproduces Arg1:X1 Arg2:T2", "T<digits>"),
             ("E1\tevent stuff", "unsupported line type"),
             ("#1\tnote text", "unsupported line type"),
+            ("Tx\tSIGN 0 5\tfoo", "bad entity id 'Tx'"),
+            ("R1x\tproduces Arg1:T5 Arg2:T5", "bad relation id 'R1x'"),
+            ("R1\tproduces Arg1:T5 Arg2:T5\textra", "relation line has 3 tab-separated fields, expected 2"),
         ],
     )
     def test_malformed_lines_raise_with_line_number(self, line, reason_part):
@@ -94,6 +97,15 @@ class TestParse:
             parse_document("x" * 10, ann, "d")
         assert excinfo.value.line_no == 2
         assert "duplicate" in str(excinfo.value)
+
+    def test_duplicate_relation_id_rejected(self):
+        ann = "T1\tSIGN 0 3\txxx\nR1\tis_a Arg1:T1 Arg2:T1\nR1\tproduces Arg1:T1 Arg2:T1\n"
+        with pytest.raises(StandoffParseError, match="^d:3: duplicate id R1$"):
+            parse_document("x" * 10, ann, "d")
+
+    def test_empty_doc_id_rejected(self):
+        with pytest.raises(ValueError, match="^doc_id must be non-empty$"):
+            AnnotatedDocument("", "text", (), ())
 
     def test_span_text_mismatch_preserved_verbatim(self):
         doc = parse_document("abcdefghij", "T1\tSIGN 0 3\tWRONG\n", "d")
