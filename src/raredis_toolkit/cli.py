@@ -24,7 +24,7 @@ from . import repair as repair_mod
 from . import schema as schema_mod
 from . import scoring as scoring_mod
 from . import standoff
-from .errors import ToolkitError
+from .errors import RepairError, ToolkitError
 from .triples import collapse_whitespace
 
 logger = logging.getLogger(__name__)
@@ -69,7 +69,15 @@ def _load_noun_map(path: str | None) -> dict[str, str]:
 
 def cmd_repair(args):
     docs = _load_corpus(args)
-    results = [repair_mod.repair_all(doc) for doc in docs]
+
+    def repaired(doc):
+        try:
+            return repair_mod.repair_all(doc)
+        except RepairError as exc:  # the library names the doc id; the CLI names its .ann
+            reason = str(exc).removeprefix(f"{doc.doc_id}: ")
+            raise ToolkitError(f"{Path(args.input_dir) / doc.doc_id}.ann: {reason}") from None
+
+    results = [repaired(doc) for doc in docs]
     yield from standoff.corpus_files((fixed for fixed, _ in results), args.output_dir)
     if args.log:
         yield args.log, repair_mod.repair_log_text([log for _, log in results], args.log)

@@ -18,20 +18,17 @@ surface text.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import RepairError
-from .standoff import AnnotatedDocument, EntityMention, format_offsets, join_records
+from .standoff import AnnotatedDocument, EntityMention, format_offsets, is_ann_id, join_records
 
 RULE_RELATION_ARGUMENT = "relation_argument"
 RULE_SPAN_BOUNDARY = "span_boundary"
 RULE_FRAGMENT_ORDER = "fragment_order"
-
-_TRAILING_ZERO_RE = re.compile(r"^(T\d+)0$")
 
 
 @dataclass(frozen=True)
@@ -133,8 +130,9 @@ def repair_all(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, RepairLog]:
         fixed_refs = {}
         for slot, ref in (("subject_ref", rel.subject_ref), ("object_ref", rel.object_ref)):
             if ref not in known:
-                zero = _TRAILING_ZERO_RE.match(ref)
-                after = zero[1] if zero and zero[1] in known else "UNRESOLVED"
+                stripped = ref[:-1]  # T90 -> T9
+                fixable = ref.endswith("0") and is_ann_id(stripped, "T") and stripped in known
+                after = stripped if fixable else "UNRESOLVED"
                 rerouted.append(RepairEntry(RULE_RELATION_ARGUMENT, rel.id, ref, after))
                 if after != "UNRESOLVED":
                     fixed_refs[slot] = after

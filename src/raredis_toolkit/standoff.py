@@ -3,6 +3,14 @@
 Entity lines:   T<digits> TAB <TYPE> <start> <end>[;<start> <end>]* TAB <surface text>
 Relation lines: R<digits> TAB <TYPE> Arg1:T<digits> Arg2:T<digits>
 
+parse_document reads both through one table, _LINE_KINDS, keyed by the id
+letter. A row gives what the line holds, its tab-separated field count, the
+regex and name of its middle field, and the lookup of that field's label. So
+every line gets one id check (is_ann_id: the letter, then decimal digits),
+one field-count check, one middle-field match, one label lookup and one
+duplicate-id check; only the offsets of an entity and the arguments of a
+relation are read per kind.
+
 Offsets are character (code point) based, half-open, into the files exactly
 as written (read_file never translates line endings). Parsing preserves
 whatever the annotation file says; defect correction lives in `repair`.
@@ -196,8 +204,19 @@ def join_records(records: Iterable[str], where: str | Path) -> str:
 
 _ENTITY_MID_RE = re.compile(r"^(?P<label>.*\S)\s+(?P<offsets>\d+\s+\d+(?:\s*;\s*\d+\s+\d+)*)$")
 _RELATION_MID_RE = re.compile(r"^(?P<label>\S+)\s+Arg1:(?P<arg1>\S+)\s+Arg2:(?P<arg2>\S+)$")
-_T_ID_RE = re.compile(r"^T\d+$")
-_R_ID_RE = re.compile(r"^R\d+$")
+
+# id letter -> (what the line holds, its tab-separated field count, the regex
+# and name of its middle field, the lookup of that field's label)
+_LINE_KINDS = {
+    "T": ("entity", 3, _ENTITY_MID_RE, "type/offsets field", normalize_entity_type),
+    "R": ("relation", 2, _RELATION_MID_RE, "relation field", normalize_predicate),
+}
+
+
+def is_ann_id(name: str, letter: str) -> bool:
+    """Whether name is an annotation id: the letter, then one or more
+    decimal digits (any Unicode decimal digit counts)."""
+    return name[:1] == letter and name[1:].isdecimal()
 
 
 def parse_document(text_content: str, ann_content: str, doc_id: str) -> AnnotatedDocument:
@@ -211,8 +230,7 @@ def parse_document(text_content: str, ann_content: str, doc_id: str) -> Annotate
     Raises StandoffParseError (with the 1-based line number) on malformed
     lines, unknown type labels, offsets outside the text, and duplicate ids.
     """
-    entities: list[EntityMention] = []
-    relations: list[RelationInstance] = []
+    found: dict[str, list] = {letter: [] for letter in _LINE_KINDS}
     seen_ids: set[str] = set()
 
     for line_no, line in enumerate(split_records(ann_content), start=1):
@@ -220,67 +238,44 @@ def parse_document(text_content: str, ann_content: str, doc_id: str) -> Annotate
             continue
         fields = line.split("\t")
         ann_id = fields[0]
+        letter = ann_id[:1]
+        if letter not in _LINE_KINDS:
+            raise StandoffParseError(line_no, f"unsupported line type {letter!r}", doc_id)
+        holds, n_fields, mid_re, mid_name, lookup = _LINE_KINDS[letter]
+        if not is_ann_id(ann_id, letter):
+            raise StandoffParseError(line_no, f"bad {holds} id {ann_id!r}", doc_id)
+        if len(fields) != n_fields:
+            raise StandoffParseError(
+                line_no, f"{holds} line has {len(fields)} tab-separated fields, expected {n_fields}", doc_id
+            )
+        mid = mid_re.match(fields[1])
+        if mid is None:
+            raise StandoffParseError(line_no, f"cannot parse {mid_name} {fields[1]!r}", doc_id)
+        label = lookup(mid["label"])
+        if label is None:
+            raise StandoffParseError(line_no, f"unknown {holds} type {mid['label']!r}", doc_id)
 
-        if ann_id.startswith("T"):
-            if not _T_ID_RE.match(ann_id):
-                raise StandoffParseError(line_no, f"bad entity id {ann_id!r}", doc_id)
-            if len(fields) != 3:
-                raise StandoffParseError(
-                    line_no, f"entity line has {len(fields)} tab-separated fields, expected 3", doc_id
-                )
-            mid = _ENTITY_MID_RE.match(fields[1])
-            if mid is None:
-                raise StandoffParseError(line_no, f"cannot parse type/offsets field {fields[1]!r}", doc_id)
-            entity_type = normalize_entity_type(mid.group("label"))
-            if entity_type is None:
-                raise StandoffParseError(
-                    line_no, f"unknown entity type {mid.group('label')!r}", doc_id
-                )
+        if letter == "T":
             fragments = []
-            for pair in mid.group("offsets").split(";"):
+            for pair in mid["offsets"].split(";"):
                 start_s, end_s = pair.split()
                 start, end = int(start_s), int(end_s)
                 if not 0 <= start < end <= len(text_content):
-                    raise StandoffParseError(
-                        line_no,
-                        f"invalid offsets {start} {end} "
-                        f"(need 0 <= start < end <= document length {len(text_content)})",
-                        doc_id,
-                    )
+                    need = f"need 0 <= start < end <= document length {len(text_content)}"
+                    raise StandoffParseError(line_no, f"invalid offsets {start} {end} ({need})", doc_id)
                 fragments.append((start, end))
-            if ann_id in seen_ids:
-                raise StandoffParseError(line_no, f"duplicate id {ann_id}", doc_id)
-            seen_ids.add(ann_id)
-            entities.append(EntityMention(ann_id, entity_type, tuple(fragments), fields[2]))
-
-        elif ann_id.startswith("R"):
-            if not _R_ID_RE.match(ann_id):
-                raise StandoffParseError(line_no, f"bad relation id {ann_id!r}", doc_id)
-            if len(fields) != 2:
-                raise StandoffParseError(
-                    line_no, f"relation line has {len(fields)} tab-separated fields, expected 2", doc_id
-                )
-            mid = _RELATION_MID_RE.match(fields[1])
-            if mid is None:
-                raise StandoffParseError(line_no, f"cannot parse relation field {fields[1]!r}", doc_id)
-            predicate = normalize_predicate(mid.group("label"))
-            if predicate is None:
-                raise StandoffParseError(
-                    line_no, f"unknown relation type {mid.group('label')!r}", doc_id
-                )
-            if not _T_ID_RE.match(mid.group("arg1")) or not _T_ID_RE.match(mid.group("arg2")):
-                raise StandoffParseError(line_no, "relation arguments must be T<digits> ids", doc_id)
-            if ann_id in seen_ids:
-                raise StandoffParseError(line_no, f"duplicate id {ann_id}", doc_id)
-            seen_ids.add(ann_id)
-            relations.append(
-                RelationInstance(ann_id, predicate, mid.group("arg1"), mid.group("arg2"))
-            )
-
+            annotation = EntityMention(ann_id, label, tuple(fragments), fields[2])
         else:
-            raise StandoffParseError(line_no, f"unsupported line type {ann_id[:1]!r}", doc_id)
+            if not (is_ann_id(mid["arg1"], "T") and is_ann_id(mid["arg2"], "T")):
+                raise StandoffParseError(line_no, "relation arguments must be T<digits> ids", doc_id)
+            annotation = RelationInstance(ann_id, label, mid["arg1"], mid["arg2"])
 
-    return AnnotatedDocument(doc_id, text_content, tuple(entities), tuple(relations))
+        if ann_id in seen_ids:
+            raise StandoffParseError(line_no, f"duplicate id {ann_id}", doc_id)
+        seen_ids.add(ann_id)
+        found[letter].append(annotation)
+
+    return AnnotatedDocument(doc_id, text_content, tuple(found["T"]), tuple(found["R"]))
 
 
 def format_offsets(fragments: tuple[tuple[int, int], ...]) -> str:
@@ -438,8 +433,12 @@ def write_outputs(items: Iterable[tuple[str | Path, str | None]]) -> None:
                 if full not in staging:
                     staging[full] = tempfile.mkdtemp(prefix=".staging-", dir=full)
                 handle = open(os.path.join(staging[full], name), "w", encoding="utf-8", newline="")
-            with handle:
-                handle.write(content)
+            try:
+                with handle:
+                    handle.write(content)
+            except OSError as exc:  # a failed write or close (a full disk, say) names no file
+                exc.filename = path
+                raise
         for full, staged in staging.items():
             for name in os.listdir(staged):
                 os.replace(os.path.join(staged, name), os.path.join(full, name))

@@ -1,5 +1,7 @@
+import errno
 import json
 import logging
+import os
 from pathlib import Path
 
 import pytest
@@ -686,6 +688,14 @@ class TestErrorsNameTheirInput:
         err = fails_leaving_tree_unchanged(tmp_path, argv, capsys)
         assert err == f"error: {corpus / 'd.ann'}: entity T1: triple entity texts may not be blank\n"
 
+    def test_repair_names_the_ann_of_a_document_it_cannot_repair(self, tmp_path, capsys):
+        corpus = tmp_path / "c"
+        corpus.mkdir()
+        (corpus / "d.txt").write_text("abcdefghij", encoding="utf-8")
+        (corpus / "d.ann").write_text("T1\tSIGN 0 5;3 8\tabcde defgh", encoding="utf-8")
+        err = fails_leaving_tree_unchanged(tmp_path, ["repair", "--in", corpus, "--out", tmp_path / "o"], capsys)
+        assert err == f"error: {corpus / 'd.ann'}: entity T1 has overlapping fragments 0 5;3 8\n"
+
     def test_ann_parse_error_names_the_file(self, mini_corpus_dir, tmp_path, capsys):
         (mini_corpus_dir / "e.txt").write_text("x" * 10, encoding="utf-8")
         (mini_corpus_dir / "e.ann").write_text("T1\tSIGN 0 3\txxx\nT1\tSIGN 4 7\txxx\n", encoding="utf-8")
@@ -780,6 +790,32 @@ class TestFailedRunsWriteNothing:
         # the same run with a good log does change the corpus
         assert run_cli([str(a) for a in argv[:-1]] + [str(tmp_path / "repairs.txt")]) == 0
         assert "rickets relation_argument" in (tmp_path / "repairs.txt").read_text(encoding="utf-8")
+
+    def test_a_failed_write_names_its_output(self, mini_corpus_dir, tmp_path, monkeypatch, capsys):
+        """An OSError from a file's write (a full disk, say) carries no file name."""
+        real_open = open
+
+        class FullDisk:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, content):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def open_on_a_full_disk(path, mode="r", **kwargs):
+            handle = real_open(path, mode, **kwargs)
+            return handle if "r" in mode else FullDisk(handle)
+
+        monkeypatch.setattr(standoff, "open", open_on_a_full_disk, raising=False)
+        out = tmp_path / "s.json"
+        err = fails_leaving_tree_unchanged(tmp_path, ["stats", "--in", mini_corpus_dir, "--out", out], capsys)
+        assert err == f"error: {out}: No space left on device\n"
 
     def test_encode_special_tokens_on_a_directory(self, mini_corpus_dir, tmp_path, capsys):
         (tmp_path / "enc" / "special_tokens.txt").mkdir(parents=True)

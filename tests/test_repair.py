@@ -23,7 +23,15 @@ from raredis_toolkit.repair import (
     repair_all,
     summarize_repairs,
 )
-from raredis_toolkit.standoff import format_offsets, parse_document, read_document_pair, write_corpus_dir
+from raredis_toolkit.standoff import (
+    AnnotatedDocument,
+    EntityMention,
+    RelationInstance,
+    format_offsets,
+    parse_document,
+    read_document_pair,
+    write_corpus_dir,
+)
 from conftest import balanti_doc_pair, storage_doc_pair
 from synth import (
     corrupt_fragment_order,
@@ -158,6 +166,20 @@ class TestRelationArguments:
         fixed, log = repair_all(doc)
         assert fixed.relations[0].object_ref == "T20"
         assert log.entries[0].after == "UNRESOLVED"
+
+    def test_trailing_zero_rule_reads_t_ids_only(self):
+        # X10 -> X1 is never tried; T١0 -> T١ is, as for any decimal digit
+        entities = (
+            EntityMention("X1", "sign", ((0, 3),), "abc"),
+            EntityMention("T١", "sign", ((4, 7),), "efg"),
+        )
+        relations = (
+            RelationInstance("R1", "produces", "X1", "X10"),
+            RelationInstance("R2", "produces", "X1", "T١0"),
+        )
+        fixed, log = repair_all(AnnotatedDocument("d", "abc efg", entities, relations))
+        assert log.lines() == ["d relation_argument R1 X10 -> UNRESOLVED", "d relation_argument R2 T١0 -> T١"]
+        assert fixed.unresolved_refs == (("R1", "Arg2", "X10"),)
 
 
 class TestSpanBoundaries:

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import re
@@ -83,6 +84,13 @@ class TestParse:
             ("Tx\tSIGN 0 5\tfoo", "bad entity id 'Tx'"),
             ("R1x\tproduces Arg1:T5 Arg2:T5", "bad relation id 'R1x'"),
             ("R1\tproduces Arg1:T5 Arg2:T5\textra", "relation line has 3 tab-separated fields, expected 2"),
+            ("T\tSIGN 0 5\tfoo", "bad entity id 'T'"),
+            ("TT1\tSIGN 0 5\tfoo", "bad entity id 'TT1'"),
+            ("T1 \tSIGN 0 5\tfoo", "bad entity id 'T1 '"),
+            ("T²\tSIGN 0 5\tfoo", "bad entity id 'T²'"),  # a digit, but not a decimal digit
+            ("t1\tSIGN 0 5\tfoo", "unsupported line type 't'"),
+            ("R1\tproduces Arg1:T5 Arg2:T5x", "relation arguments must be T<digits> ids"),
+            ("R1\tproduces Arg1:R1 Arg2:T5", "relation arguments must be T<digits> ids"),
         ],
     )
     def test_malformed_lines_raise_with_line_number(self, line, reason_part):
@@ -90,6 +98,12 @@ class TestParse:
             parse_document("x" * 10, f"T5\tSIGN 0 3\txxx\n{line}\n", "d")
         assert excinfo.value.line_no == 2
         assert reason_part in str(excinfo.value)
+
+    def test_ids_and_arguments_may_use_any_decimal_digits(self):
+        doc = parse_document("x" * 10, "T١\tSIGN 0 3\txxx\nR1\tproduces Arg1:T١ Arg2:T١\n", "d")
+        assert [e.id for e in doc.entities] == ["T١"]
+        assert (doc.relations[0].subject_ref, doc.relations[0].object_ref) == ("T١", "T١")
+        assert doc.unresolved_refs == ()
 
     def test_duplicate_id_rejected(self):
         ann = "T1\tSIGN 0 3\txxx\nT1\tSIGN 4 7\txxx\n"
@@ -115,6 +129,15 @@ class TestParse:
     def test_fragment_order_preserved_verbatim(self):
         doc = parse_document("x" * 50, "T1\tSIGN 30 35;10 15\tba dc\n", "d")
         assert doc.entities[0].fragments == ((30, 35), (10, 15))
+
+
+class TestAnnotationIds:
+    def test_agrees_with_the_regex_at_every_code_point(self):
+        names = itertools.chain(
+            (f"T{chr(c)}" for c in range(0x110000)), ["", "T", "t1", "TT1", "T1 ", "T1x", "R1"]
+        )
+        digits = re.compile(r"T\d+")
+        assert [n for n in names if standoff.is_ann_id(n, "T") != bool(digits.fullmatch(n))] == []
 
 
 class TestDerivedReferences:
