@@ -3,13 +3,9 @@
 Entity lines:   T<digits> TAB <TYPE> <start> <end>[;<start> <end>]* TAB <surface text>
 Relation lines: R<digits> TAB <TYPE> Arg1:T<digits> Arg2:T<digits>
 
-parse_document reads both through one table, _LINE_KINDS, keyed by the id
-letter. A row gives what the line holds, its tab-separated field count, the
-regex and name of its middle field, and the lookup of that field's label. So
-every line gets one id check (is_ann_id: the letter, then decimal digits),
-one field-count check, one middle-field match, one label lookup and one
-duplicate-id check; only the offsets of an entity and the arguments of a
-relation are read per kind.
+Both are read through one table, _LINE_KINDS, keyed by the id letter: what the
+line holds, its tab-separated field count, and its middle field's regex, name
+and label lookup. Ids follow one rule, is_ann_id: the letter, then decimal digits.
 
 Offsets are character (code point) based, half-open, into the files exactly
 as written (read_file never translates line endings). Parsing preserves
@@ -205,8 +201,6 @@ def join_records(records: Iterable[str], where: str | Path) -> str:
 _ENTITY_MID_RE = re.compile(r"^(?P<label>.*\S)\s+(?P<offsets>\d+\s+\d+(?:\s*;\s*\d+\s+\d+)*)$")
 _RELATION_MID_RE = re.compile(r"^(?P<label>\S+)\s+Arg1:(?P<arg1>\S+)\s+Arg2:(?P<arg2>\S+)$")
 
-# id letter -> (what the line holds, its tab-separated field count, the regex
-# and name of its middle field, the lookup of that field's label)
 _LINE_KINDS = {
     "T": ("entity", 3, _ENTITY_MID_RE, "type/offsets field", normalize_entity_type),
     "R": ("relation", 2, _RELATION_MID_RE, "relation field", normalize_predicate),
