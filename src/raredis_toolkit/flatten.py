@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import FlattenError, ToolkitError
@@ -44,20 +45,21 @@ class OffsetMap:
         return (original[0] + (start - ns), original[0] + (end - ns))
 
 
-def _overlap_clusters(entities: tuple[EntityMention, ...]) -> list[list[EntityMention]]:
-    """Maximal groups of entities whose covering spans share characters."""
-    ordered = sorted(entities, key=lambda e: e.covering_span)
-    clusters: list[list[EntityMention]] = []
-    cluster_end = -1
-    for ent in ordered:
-        start, end = ent.covering_span
-        if clusters and start < cluster_end:
-            clusters[-1].append(ent)
-            cluster_end = max(cluster_end, end)
+def _overlap_clusters(entities: tuple[EntityMention, ...]):
+    """Maximal groups of entities whose covering spans share characters, by
+    start: yields each group's hull and its (covering span, entity) pairs as
+    (start, end, members). Each entity's covering span is computed once."""
+    members: list[tuple[tuple[int, int], EntityMention]] = []
+    for span, ent in sorted(((e.covering_span, e) for e in entities), key=itemgetter(0)):
+        if members and span[0] < end:
+            end = max(end, span[1])
         else:
-            clusters.append([ent])
-            cluster_end = end
-    return clusters
+            if members:
+                yield start, end, members
+            (start, end), members = span, []
+        members.append((span, ent))
+    if members:
+        yield start, end, members
 
 
 def flatten_document(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, OffsetMap]:
@@ -81,20 +83,20 @@ def flatten_document(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, OffsetM
 
     # clusters arrive by start with disjoint hulls: an untouched one lies in the
     # stretch copied next from orig_pos, so it moves by that stretch's delta
-    for cluster in _overlap_clusters(doc.entities):
-        start, end = cluster[0].covering_span[0], max(e.covering_span[1] for e in cluster)
+    for start, end, members in _overlap_clusters(doc.entities):
         if start < 0 or end > len(text):
-            fragment = next(f for e in cluster for f in e.fragments if f[0] < 0 or f[1] > len(text))
+            fragment = next(f for _, e in members for f in e.fragments if f[0] < 0 or f[1] > len(text))
             raise FlattenError(f"{doc.doc_id}: fragment {fragment} outside any copied stretch")
-        if not any(e.is_discontinuous for e in cluster):
+        if not any(e.is_discontinuous for _, e in members):
             delta = new_pos - orig_pos
-            for ent in cluster:
+            for _, ent in members:
                 ((fs, fe),) = ent.fragments
                 new_fragments[ent.id] = (fs + delta, fe + delta)
             continue
         if orig_pos < start:
             emit(text[orig_pos:start], (orig_pos, start))
-        for i, ent in enumerate(sorted(cluster, key=lambda e: (e.first_start, e.covering_span[1], e.id))):
+        members.sort(key=lambda m: (m[1].first_start, m[0][1], m[1].id))
+        for i, (_, ent) in enumerate(members):
             if i:
                 emit(" and ", None)
             render_start = new_pos
@@ -106,7 +108,7 @@ def flatten_document(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, OffsetM
         orig_pos = end
     emit(text[orig_pos:], (orig_pos, len(text)))
 
-    entities = tuple(replace(ent, fragments=(new_fragments[ent.id],)) for ent in doc.entities)
+    entities = tuple(ent._replace(fragments=(new_fragments[ent.id],)) for ent in doc.entities)
     return replace(doc, text="".join(pieces), entities=entities), OffsetMap(tuple(pairs))
 
 

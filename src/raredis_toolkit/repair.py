@@ -18,25 +18,21 @@ surface text.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import RepairError
-from .standoff import AnnotatedDocument, EntityMention, format_offsets, is_ann_id, join_records
+from .standoff import UNWRITABLE_SURFACE, AnnotatedDocument, EntityMention, format_offsets, is_ann_id
+from .standoff import is_ann_surface, join_records, slices_text
 
 RULE_RELATION_ARGUMENT = "relation_argument"
 RULE_SPAN_BOUNDARY = "span_boundary"
 RULE_FRAGMENT_ORDER = "fragment_order"
 
 
-@dataclass(frozen=True)
-class RepairEntry:
-    rule: str
-    target_id: str
-    before: str
-    after: str
+RepairEntry = namedtuple("RepairEntry", "rule target_id before after")
 
 
 @dataclass(frozen=True)
@@ -64,8 +60,7 @@ def _sort_fragments(doc: AnnotatedDocument, ent: EntityMention) -> tuple[EntityM
             )
     if ordered == ent.fragments:
         return ent, None
-    fixed = replace(ent, fragments=ordered)
-    fixed = replace(fixed, surface_text=fixed.slice_text(doc.text))
+    fixed = ent._replace(fragments=ordered, surface_text=slices_text(doc.text, ordered))
     return fixed, RepairEntry(
         RULE_FRAGMENT_ORDER, ent.id, format_offsets(ent.fragments), format_offsets(ordered)
     )
@@ -92,8 +87,8 @@ def _fix_entity_span(text: str, ent: EntityMention) -> tuple[EntityMention, Repa
             and text[last_end - 1].isalnum()
             and _ends_at_boundary(text, last_end + 1)
         ):
-            fixed = replace(ent, fragments=(*head, (last_start, last_end + 1)))
-            fixed = replace(fixed, surface_text=fixed.slice_text(text))
+            fragments = (*head, (last_start, last_end + 1))
+            fixed = ent._replace(fragments=fragments, surface_text=slices_text(text, fragments))
             return fixed, RepairEntry(RULE_SPAN_BOUNDARY, ent.id, described(ent), described(fixed))
         return ent, None
 
@@ -102,11 +97,11 @@ def _fix_entity_span(text: str, ent: EntityMention) -> tuple[EntityMention, Repa
     for new_end in (last_end + 1, last_end - 1):
         if new_end <= last_start or new_end > len(text):
             continue
-        candidate = replace(ent, fragments=(*head, (last_start, new_end)))
+        candidate = ent._replace(fragments=(*head, (last_start, new_end)))
         if candidate.slice_text(text) == ent.surface_text and _ends_at_boundary(text, new_end):
             return candidate, RepairEntry(RULE_SPAN_BOUNDARY, ent.id, described(ent), described(candidate))
 
-    fixed = replace(ent, surface_text=slices)
+    fixed = ent._replace(surface_text=slices)
     return fixed, RepairEntry(RULE_SPAN_BOUNDARY, ent.id, described(ent), described(fixed))
 
 
@@ -121,6 +116,8 @@ def repair_all(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, RepairLog]:
     for ent in doc.entities:
         ent, order_entry = _sort_fragments(doc, ent)
         ent, span_entry = _fix_entity_span(doc.text, ent)
+        if not is_ann_surface(ent.surface_text):
+            raise RepairError(f"{doc.doc_id}: entity {ent.id}: repaired {UNWRITABLE_SURFACE}")
         entities.append(ent)
         reordered.append(order_entry)
         respanned.append(span_entry)
@@ -136,7 +133,7 @@ def repair_all(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, RepairLog]:
                 rerouted.append(RepairEntry(RULE_RELATION_ARGUMENT, rel.id, ref, after))
                 if after != "UNRESOLVED":
                     fixed_refs[slot] = after
-        relations.append(replace(rel, **fixed_refs) if fixed_refs else rel)
+        relations.append(rel._replace(**fixed_refs) if fixed_refs else rel)
     out = replace(doc, entities=tuple(entities), relations=tuple(relations))
     return out, RepairLog(doc.doc_id, tuple(e for e in reordered + respanned + rerouted if e))
 

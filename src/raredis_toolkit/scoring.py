@@ -136,12 +136,10 @@ def format_report(report: ScoreReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class ErrorRecord:
-    doc_id: str
-    category: str
-    predicted: Triple | None = None
-    gold: Triple | None = None
+class ErrorRecord(namedtuple("ErrorRecord", "doc_id category predicted gold", defaults=(None, None))):
+    """A false positive (predicted), a false negative (gold), or a pair of them."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

@@ -19,6 +19,7 @@ import os
 import re
 import shutil
 import tempfile
+from collections import namedtuple
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -87,14 +88,10 @@ def normalize_predicate(label: str) -> str | None:
     return _PREDICATE_ALIASES.get(_label_key(label))
 
 
-@dataclass(frozen=True)
-class EntityMention:
-    """A typed entity given by one or more character-offset fragments."""
+class EntityMention(namedtuple("EntityMention", "id entity_type fragments surface_text")):
+    """A typed entity given by one or more character-offset fragments; a named tuple."""
 
-    id: str
-    entity_type: str
-    fragments: tuple[tuple[int, int], ...]
-    surface_text: str
+    __slots__ = ()
 
     @property
     def is_discontinuous(self) -> bool:
@@ -110,16 +107,15 @@ class EntityMention:
         return (min(s for s, _ in self.fragments), max(e for _, e in self.fragments))
 
     def slice_text(self, text: str) -> str:
-        """Document slices of the fragments joined by single spaces."""
-        return " ".join(text[s:e] for s, e in self.fragments)
+        return slices_text(text, self.fragments)
 
 
-@dataclass(frozen=True)
-class RelationInstance:
-    id: str
-    predicate: str
-    subject_ref: str
-    object_ref: str
+def slices_text(text: str, fragments: tuple[tuple[int, int], ...]) -> str:
+    """Document slices of the fragments joined by single spaces."""
+    return " ".join(text[s:e] for s, e in fragments)
+
+
+RelationInstance = namedtuple("RelationInstance", "id predicate subject_ref object_ref")
 
 
 @dataclass(frozen=True)
@@ -198,7 +194,8 @@ def join_records(records: Iterable[str], where: str | Path) -> str:
     return "".join(r + "\n" for r in records)
 
 
-_ENTITY_MID_RE = re.compile(r"^(?P<label>.*\S)\s+(?P<offsets>\d+\s+\d+(?:\s*;\s*\d+\s+\d+)*)$")
+# The label is the shortest prefix that leaves an offsets list; offsets are ASCII digits.
+_ENTITY_MID_RE = re.compile(r"^(?P<label>.*?\S)\s+(?P<offsets>[0-9]+\s+[0-9]+(?:\s*;\s*[0-9]+\s+[0-9]+)*)$")
 _RELATION_MID_RE = re.compile(r"^(?P<label>\S+)\s+Arg1:(?P<arg1>\S+)\s+Arg2:(?P<arg2>\S+)$")
 
 _LINE_KINDS = {
@@ -277,15 +274,20 @@ def format_offsets(fragments: tuple[tuple[int, int], ...]) -> str:
     return ";".join(f"{s} {e}" for s, e in fragments)
 
 
+def is_ann_surface(text: str) -> bool:
+    """Whether an .ann line can hold text as a surface: no tab, no line feed, no final carriage return."""
+    return "\t" not in text and "\n" not in text and not text.endswith("\r")
+
+
+UNWRITABLE_SURFACE = "surface holds a tab or newline or ends in a carriage return, which no .ann line can hold"
+
+
 def serialize_document(doc: AnnotatedDocument) -> tuple[str, str]:
     """Emit (text_content, ann_content) that parse_document inverts exactly."""
     lines = []
     for ent in doc.entities:
-        if "\t" in ent.surface_text:
-            raise ToolkitError(
-                f"{doc.doc_id}: entity {ent.id} surface text contains a tab "
-                "(an .ann surface may hold no tab or newline)"
-            )
+        if not is_ann_surface(ent.surface_text):
+            raise ToolkitError(f"{doc.doc_id}: entity {ent.id}: {UNWRITABLE_SURFACE}")
         lines.append(
             f"{ent.id}\t{ENTITY_TYPE_LABELS[ent.entity_type]} {format_offsets(ent.fragments)}"
             f"\t{ent.surface_text}"

@@ -696,6 +696,19 @@ class TestErrorsNameTheirInput:
         err = fails_leaving_tree_unchanged(tmp_path, ["repair", "--in", corpus, "--out", tmp_path / "o"], capsys)
         assert err == f"error: {corpus / 'd.ann'}: entity T1 has overlapping fragments 0 5;3 8\n"
 
+    def test_repair_refuses_a_surface_no_ann_line_can_hold(self, tmp_path, capsys):
+        """The span fallback would write the document slice under the span as the surface."""
+        corpus = tmp_path / "c"
+        corpus.mkdir()
+        for text, ann in [("a\nb c", "T1\tSIGN 0 3\ta b"), ("a\rb", "T1\tSIGN 0 2\tx"), ("ab\tc", "T1\tSIGN 0 4\tabc")]:
+            (corpus / "d.txt").write_bytes(text.encode())
+            (corpus / "d.ann").write_bytes(ann.encode())
+            err = fails_leaving_tree_unchanged(tmp_path, ["repair", "--in", corpus, "--out", tmp_path / "o"], capsys)
+            assert err == (
+                f"error: {corpus / 'd.ann'}: entity T1: repaired surface holds a tab or newline "
+                "or ends in a carriage return, which no .ann line can hold\n"
+            )
+
     def test_ann_parse_error_names_the_file(self, mini_corpus_dir, tmp_path, capsys):
         (mini_corpus_dir / "e.txt").write_text("x" * 10, encoding="utf-8")
         (mini_corpus_dir / "e.ann").write_text("T1\tSIGN 0 3\txxx\nT1\tSIGN 4 7\txxx\n", encoding="utf-8")
@@ -770,7 +783,10 @@ class TestFailedRunsWriteNothing:
             "split", "--in", corpus, "--out", tmp_path / "new" / "splits",
             "--ratios", "0.5,0.25,0.25", "--seed", "1",
         ], capsys)
-        assert f"{last}:1: a record may not" in err
+        assert err == (
+            f"error: {last}: entity T1: surface holds a tab or newline "
+            "or ends in a carriage return, which no .ann line can hold\n"
+        )
 
     def test_flatten_writes_no_sidecar(self, tmp_path, capsys):
         corpus = self.corpus(tmp_path)

@@ -2,7 +2,8 @@
 
 The oracles below are OffsetMap.to_original's linear scan (the first interval
 holding the span answers) and the two-pass flatten_document that looked each
-untouched fragment up again among the copied stretches by that same scan.
+untouched fragment up again among the copied stretches by that same scan,
+over regions grouped by comparing every pair of entities.
 """
 
 import json
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 from raredis_toolkit.errors import FlattenError, ToolkitError
 from raredis_toolkit.flatten import (
     OffsetMap,
-    _overlap_clusters,
     flatten_document,
     offset_map_json,
     read_offset_map,
@@ -129,18 +129,33 @@ def oracle_first_holding(entries, start: int, end: int) -> int | None:
     return None
 
 
+def oracle_overlap_groups(entities) -> list[list[EntityMention]]:
+    """Entities whose covering spans share a character, grouped transitively
+    by comparing every pair of entities."""
+    group_of = list(range(len(entities)))
+    spans = [e.covering_span for e in entities]
+    for i, (si, ei) in enumerate(spans):
+        for j, (sj, ej) in enumerate(spans[:i]):
+            if si < ej and sj < ei and group_of[i] != group_of[j]:
+                old = group_of[i]
+                group_of = [group_of[j] if g == old else g for g in group_of]
+    return [[e for e, g in zip(entities, group_of) if g == group] for group in sorted(set(group_of))]
+
+
 def oracle_flatten_document(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, OffsetMap]:
     """flatten_document in two passes: rewrite the regions while recording
     every copied stretch, then shift each untouched fragment by the delta of
     the stretch that holds it."""
     text = doc.text
     regions = []  # (region_start, region_end, members ordered for rendering), by start
-    for cluster in _overlap_clusters(doc.entities):
+    for cluster in oracle_overlap_groups(doc.entities):
         if not any(e.is_discontinuous for e in cluster):
             continue
+        start = min(e.covering_span[0] for e in cluster)
         end = max(e.covering_span[1] for e in cluster)
         members = sorted(cluster, key=lambda e: (e.first_start, e.covering_span[1], e.id))
-        regions.append((cluster[0].covering_span[0], end, members))
+        regions.append((start, end, members))
+    regions.sort(key=lambda region: region[0])
 
     pieces: list[str] = []
     pairs: list[tuple[tuple[int, int], tuple[int, int] | None]] = []
@@ -186,9 +201,9 @@ def oracle_flatten_document(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, 
     entities = []
     for ent in doc.entities:
         if ent.id in new_fragments:
-            entities.append(replace(ent, fragments=(new_fragments[ent.id],)))
+            entities.append(ent._replace(fragments=(new_fragments[ent.id],)))
         else:
-            entities.append(replace(ent, fragments=tuple(shift(f) for f in ent.fragments)))
+            entities.append(ent._replace(fragments=tuple(shift(f) for f in ent.fragments)))
 
     return replace(doc, text="".join(pieces), entities=tuple(entities)), OffsetMap(tuple(pairs))
 

@@ -55,8 +55,8 @@ def oracle_fix_fragment_order(doc):
                     f"{doc.doc_id}: entity {ent.id} has overlapping fragments {format_offsets(ordered)}"
                 )
         if ordered != ent.fragments:
-            fixed = replace(ent, fragments=ordered)
-            fixed = replace(fixed, surface_text=fixed.slice_text(doc.text))
+            fixed = ent._replace(fragments=ordered)
+            fixed = fixed._replace(surface_text=fixed.slice_text(doc.text))
             entries.append(
                 RepairEntry(
                     RULE_FRAGMENT_ORDER, ent.id, format_offsets(ent.fragments), format_offsets(ordered)
@@ -97,8 +97,7 @@ def oracle_fix_relation_arguments(doc):
                 entries.append(RepairEntry(RULE_RELATION_ARGUMENT, rel.id, ref, "UNRESOLVED"))
         if new_refs:
             relations.append(
-                replace(
-                    rel,
+                rel._replace(
                     subject_ref=new_refs.get("Arg1", rel.subject_ref),
                     object_ref=new_refs.get("Arg2", rel.object_ref),
                 )

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import os
+import pickle
 import random
 import re
 import tempfile
@@ -12,7 +14,9 @@ from hypothesis import strategies as st
 
 from raredis_toolkit import standoff
 from raredis_toolkit.errors import StandoffParseError, ToolkitError
+from raredis_toolkit.repair import RepairEntry
 from raredis_toolkit.schema import ENTITY_TOKENS, PREDICATE_TOKENS, decode_target_report
+from raredis_toolkit.scoring import ErrorRecord
 from raredis_toolkit.standoff import (
     ENTITY_TYPE_LABELS,
     ENTITY_TYPES,
@@ -28,6 +32,7 @@ from raredis_toolkit.standoff import (
     write_corpus_dir,
     write_outputs,
 )
+from raredis_toolkit.triples import Triple
 from conftest import LINE_BREAK_ALPHABET, MAX_SCALE_RATIO, time_ratio, tree_snapshot
 from synth import synthetic_corpus
 
@@ -91,6 +96,7 @@ class TestParse:
             ("t1\tSIGN 0 5\tfoo", "unsupported line type 't'"),
             ("R1\tproduces Arg1:T5 Arg2:T5x", "relation arguments must be T<digits> ids"),
             ("R1\tproduces Arg1:R1 Arg2:T5", "relation arguments must be T<digits> ids"),
+            ("T1\tSIGN ٠ ٣\tabc", "cannot parse type/offsets field 'SIGN ٠ ٣'"),  # offsets are ASCII digits
         ],
     )
     def test_malformed_lines_raise_with_line_number(self, line, reason_part):
@@ -98,6 +104,11 @@ class TestParse:
             parse_document("x" * 10, f"T5\tSIGN 0 3\txxx\n{line}\n", "d")
         assert excinfo.value.line_no == 2
         assert reason_part in str(excinfo.value)
+
+    @pytest.mark.parametrize("offsets", ["0 1 ; 2 3", "0 1; 2 3", "0 1 ;2 3", "0 1;2 3"])
+    def test_any_spaces_may_surround_a_semicolon(self, offsets):
+        doc = parse_document("abcd", f"T1\tSIGN {offsets}\ta c\n", "d")
+        assert doc.entities == (EntityMention("T1", "sign", ((0, 1), (2, 3)), "a c"),)
 
     def test_ids_and_arguments_may_use_any_decimal_digits(self):
         doc = parse_document("x" * 10, "T١\tSIGN 0 3\txxx\nR1\tproduces Arg1:T١ Arg2:T١\n", "d")
@@ -138,6 +149,43 @@ class TestAnnotationIds:
         )
         digits = re.compile(r"T\d+")
         assert [n for n in names if standoff.is_ann_id(n, "T") != bool(digits.fullmatch(n))] == []
+
+
+_TRIPLE = Triple("fever", "sign", "is_a", "symptom", "symptom")
+
+
+class TestRecords:
+    """Entities, relations, repair entries and error records are named tuples."""
+
+    @pytest.mark.parametrize(
+        "record,changes,derived,before,after",
+        [
+            (
+                EntityMention("T1", "sign", ((4, 6), (0, 2)), "ef ab"),
+                {"fragments": ((1, 3),)},
+                lambda e: (e.is_discontinuous, e.first_start, e.covering_span, e.slice_text("abcdef")),
+                (True, 4, (0, 6), "ef ab"),
+                (False, 1, (1, 3), "bc"),
+            ),
+            (RelationInstance("R1", "produces", "T1", "T2"), {"object_ref": "T3"}, lambda r: (), (), ()),
+            (RepairEntry("relation_argument", "R1", "T90", "T9"), {"after": "UNRESOLVED"}, lambda r: (), (), ()),
+            (
+                ErrorRecord("d", "spurious"),
+                {"predicted": _TRIPLE},
+                lambda r: (r.predicted, r.gold, r.to_dict()["predicted"]),
+                (None, None, None),
+                (_TRIPLE, None, list(_TRIPLE)),
+            ),
+        ],
+        ids=["EntityMention", "RelationInstance", "RepairEntry", "ErrorRecord"],
+    )
+    def test_replace_equality_copy_and_pickle(self, record, changes, derived, before, after):
+        changed = record._replace(**changes)
+        assert derived(record) == before and derived(changed) == after
+        assert changed == tuple({**record._asdict(), **changes}.values()) != record
+        assert record == tuple(getattr(record, name) for name in record._fields)
+        assert copy.copy(record) == record == pickle.loads(pickle.dumps(record))
+        assert type(pickle.loads(pickle.dumps(changed))) is type(record)
 
 
 class TestDerivedReferences:
@@ -324,7 +372,7 @@ class TestSerialize:
 
         doc = parse_document("ab\tcd", "T1\tSIGN 0 5\tplace\n", "d")
         broken = dataclasses.replace(
-            doc, entities=(dataclasses.replace(doc.entities[0], surface_text="ab\tcd"),)
+            doc, entities=(doc.entities[0]._replace(surface_text="ab\tcd"),)
         )
         with pytest.raises(Exception, match="tab or newline"):
             serialize_document(broken)
