@@ -67,15 +67,30 @@ def _load_noun_map(path: str | None) -> dict[str, str]:
         raise ToolkitError(f"{path}: {exc}") from None
 
 
+def _ann_error(args, doc_id: str, exc: Exception) -> ToolkitError:
+    """exc, whose message the library starts with the doc id, naming the document's input .ann instead."""
+    reason = str(exc).removeprefix(f"{doc_id}: ")
+    return ToolkitError(f"{Path(args.input_dir) / doc_id}.ann: {reason}")
+
+
+def _corpus_files(args, docs, path):
+    """standoff.corpus_files, naming the input .ann of a document it cannot write."""
+    yield path, None  # made even for no documents
+    for doc in docs:
+        try:
+            yield from standoff.corpus_files([doc], path)
+        except ToolkitError as exc:  # a surface no .ann line can hold
+            raise _ann_error(args, doc.doc_id, exc) from None
+
+
 def cmd_repair(args):
     docs = _load_corpus(args)
 
     def repaired(doc):
         try:
             return repair_mod.repair_all(doc)
-        except RepairError as exc:  # the library names the doc id; the CLI names its .ann
-            reason = str(exc).removeprefix(f"{doc.doc_id}: ")
-            raise ToolkitError(f"{Path(args.input_dir) / doc.doc_id}.ann: {reason}") from None
+        except RepairError as exc:
+            raise _ann_error(args, doc.doc_id, exc) from None
 
     results = [repaired(doc) for doc in docs]
     yield from standoff.corpus_files((fixed for fixed, _ in results), args.output_dir)
@@ -121,7 +136,7 @@ def cmd_split(args):
 
     splits = list(zip(("train", "dev", "test"), corpus_mod.split_corpus(docs, spec)))
     for name, split in splits:
-        yield from standoff.corpus_files(split, os.path.join(args.output_dir, name))
+        yield from _corpus_files(args, split, os.path.join(args.output_dir, name))
         manifest = os.path.join(args.output_dir, f"{name}.txt")
         yield manifest, corpus_mod.manifest_text(split, manifest)
     for name, split in splits:
@@ -133,7 +148,7 @@ def cmd_flatten(args):
     yield args.output_dir, None  # made even for a corpus of no documents
     for doc in docs:
         flat, offset_map = flatten_mod.flatten_document(doc)
-        yield from standoff.corpus_files([flat], args.output_dir)
+        yield from _corpus_files(args, [flat], args.output_dir)
         sidecar = os.path.join(args.output_dir, f"{doc.doc_id}.offsets.json")
         yield sidecar, flatten_mod.offset_map_json(offset_map)
     print(f"flattened {len(docs)} documents")

@@ -11,12 +11,17 @@ Three target schemas:
 
 Decoding compiles the sentences encoding writes into regexes and is total:
 malformed stretches of a generation are skipped and reported, never fatal.
+natural_lang tries only the templates whose fixed phrase an ASCII generation
+holds. A non-ASCII generation tries all six: re.IGNORECASE folds a few
+non-ASCII letters onto ASCII ones (such as "ſ" onto "s"), and str.lower
+does not.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterator
+from functools import lru_cache
 
 from .standoff import (
     ENTITY_TYPES,
@@ -189,10 +194,19 @@ def normalize_generation(generation: str) -> str:
 
 _AT_TOKEN_RE = re.compile(r"@([A-Za-z_]+)@")
 _QUOTE_PAIRS = (('"', '"'), ("'", "'"), ("“", "”"), ("‘", "’"), ("``", "''"))
+_QUOTE_OPENERS = tuple(open_q for open_q, _ in _QUOTE_PAIRS)
 
 # longest first so "rare skin disease" is not read as "rare disease"
 _TYPE_WORD_ALT = "|".join(sorted(TYPE_WORDS.values(), key=len, reverse=True))
 _WORD_TO_TYPE = {TYPE_WORDS[t]: t for t in ENTITY_TYPES}
+
+
+def _type_of(word: str) -> str:
+    """The entity type a type word that _TYPE_WORD_ALT matched names."""
+    entity_type = _WORD_TO_TYPE.get(word.lower())
+    if entity_type is None:  # re.IGNORECASE read a letter str.lower leaves, such as "ſ" in "ſign"
+        entity_type = next(t for w, t in _WORD_TO_TYPE.items() if re.fullmatch(w, word, re.IGNORECASE))
+    return entity_type
 
 # Entity spans may not cross sentence boundaries, so a mangled sentence
 # cannot swallow its well-formed neighbors. _scan relies on this too: every
@@ -212,6 +226,14 @@ _ALSO_READ = {
 }
 
 
+def _as_read(sentence: str) -> str:
+    """The sentence with each phrase decoding reads more loosely rewritten as
+    its regex; the placeholders stay, in order."""
+    for phrase, read in _ALSO_READ.items():
+        sentence = sentence.replace(phrase, read)
+    return re.sub(r"\ba (?=\{t)", "an? ", sentence)
+
+
 def _template(sentence: str) -> tuple[re.Pattern, re.Pattern]:
     """(the head every match starts with, the whole pattern), compiled from a
     sentence encode_target writes, whose words are regex-safe. The head ends
@@ -219,16 +241,26 @@ def _template(sentence: str) -> tuple[re.Pattern, re.Pattern]:
     """
     # a closing span or noun ends at a period or the text's end; other endings may omit the period
     closing = r"(?:\.|$)" if sentence.endswith(("{s1}", "{s2}", "{noun}")) else r"\.?"
-    for phrase, read in _ALSO_READ.items():
-        sentence = sentence.replace(phrase, read)
-    sentence = re.sub(r"\ba (?=\{t)", "an? ", sentence)
-    pattern = sentence.format(**{name: f"(?P<{name}>{body})" for name, body in _GROUPS.items()}) + closing
+    pattern = _as_read(sentence).format(**{name: f"(?P<{name}>{body})" for name, body in _GROUPS.items()}) + closing
     head = pattern[: pattern.index("(?P<s")]
     return re.compile(head, re.IGNORECASE), re.compile(pattern, re.IGNORECASE)
 
 
 _REL_IS_PATTERN = _template(_REL_IS_SENTENCE)
 _NL_PATTERNS = {predicate: _template(sentence) for predicate, sentence in _NL_TEMPLATES.items()}
+
+
+_PLACEHOLDER_RE = re.compile(r"\{\w+\}")
+
+
+def _fixed_phrase(sentence: str) -> str:
+    """The longest stretch between placeholders that _template copies into the
+    pattern unchanged, lowered. Every match holds it, up to letter case."""
+    stretches = zip(_PLACEHOLDER_RE.split(sentence), _PLACEHOLDER_RE.split(_as_read(sentence)))
+    return max((written for written, read in stretches if written == read), key=len).lower()
+
+
+_NL_PHRASES = {predicate: _fixed_phrase(sentence) for predicate, sentence in _NL_TEMPLATES.items()}
 
 
 def _scan(template: tuple[re.Pattern, re.Pattern], text: str) -> Iterator[re.Match]:
@@ -256,54 +288,74 @@ def _scan(template: tuple[re.Pattern, re.Pattern], text: str) -> Iterator[re.Mat
 
 
 def _strip_quotes(text: str) -> str:
+    if not text.startswith(_QUOTE_OPENERS):
+        return text
     for open_q, close_q in _QUOTE_PAIRS:
         if text.startswith(open_q) and text.endswith(close_q) and len(text) > len(open_q) + len(close_q):
             return text[len(open_q) : -len(close_q)]
     return text
 
 
+# what a seq2rel token is, in the order decoding tests its name
+_END, _NOREL, _ENTITY, _RELATION, _UNKNOWN = range(5)
+
+
+@lru_cache(maxsize=1024)  # bounded: model output may spell any number of names
+def _seq2rel_token(name: str) -> tuple[int, str | None]:
+    """(what @name@ is, its entity type or predicate): the end token, the
+    no-relation token, an entity type, a predicate, or an unknown token."""
+    token = f"@{name.upper()}@"
+    if token == END_TOKEN:
+        return _END, None
+    if token == NOREL_TOKEN:
+        return _NOREL, None
+    entity_type = normalize_entity_type(name)
+    if entity_type is not None:
+        return _ENTITY, entity_type
+    predicate = normalize_predicate(name)
+    if predicate is not None:
+        return _RELATION, predicate
+    return _UNKNOWN, None
+
+
 def _decode_seq2rel(generation: str, report: list[tuple[str, str]]) -> list[Triple]:
     triples: list[Triple] = []
     pending: list[tuple[str, str]] = []
-    pos = 0
-    for match in _AT_TOKEN_RE.finditer(generation):
-        before = generation[pos : match.start()].strip()
-        pos = match.end()
-        raw = match.group(0)
-        name = match.group(1)
+    pieces = _AT_TOKEN_RE.split(generation)  # text, name, text, ..., name, text
+    for before, name in zip(pieces[::2], pieces[1::2]):
+        before = before.strip()
+        kind, label = _seq2rel_token(name)
 
-        if raw.upper() == END_TOKEN:
+        if kind == _END:
             if before:
                 report.append((before, "text before the end token"))
             break
-        if raw.upper() == NOREL_TOKEN:
+        if kind == _NOREL:
             if before:
                 report.append((before, "text before the no-relation token"))
             continue
 
-        entity_type = normalize_entity_type(name)
-        predicate = normalize_predicate(name)
-        if entity_type is not None:
+        if kind == _ENTITY:
             if not before:
-                report.append((raw, "entity-type token without preceding entity text"))
+                report.append((f"@{name}@", "entity-type token without preceding entity text"))
                 continue
-            pending.append((before, entity_type))
+            pending.append((before, label))
             if len(pending) > 2:
                 dropped = pending.pop(0)
                 report.append((dropped[0], "more than two entities before a relation token"))
-        elif predicate is not None:
+        elif kind == _RELATION:
             if before:
                 report.append((before, "stray text before a relation token"))
             if len(pending) == 2:
                 (s_text, s_type), (o_text, o_type) = pending
-                triples.append(Triple(s_text, s_type, predicate, o_text, o_type))
+                triples.append(Triple(s_text, s_type, label, o_text, o_type))
             else:
-                report.append((raw, "relation token without a subject and object"))
+                report.append((f"@{name}@", "relation token without a subject and object"))
             pending = []
         else:
-            report.append((raw, "unknown special token"))
+            report.append((f"@{name}@", "unknown special token"))
     else:
-        tail = generation[pos:].strip()
+        tail = pieces[-1].strip()
         if tail:
             report.append((tail, "trailing text without a closing token"))
     for text, _ in pending:
@@ -312,14 +364,15 @@ def _decode_seq2rel(generation: str, report: list[tuple[str, str]]) -> list[Trip
 
 
 def _decode_by_patterns(generation, candidates, report, build) -> list[Triple]:
-    """Accept non-overlapping matches left to right; report uncovered text."""
-    candidates.sort(key=lambda item: (item[1].start(), -item[1].end()))
+    """Accept non-overlapping matches left to right, from (predicate, match)
+    candidates ordered by start, longer first; report uncovered text."""
     triples = []
     cursor = 0
     for predicate, match in candidates:
-        if match.start() < cursor:
+        start, end = match.span()
+        if start < cursor:
             continue
-        gap = generation[cursor : match.start()].strip(" .")
+        gap = generation[cursor:start].strip(" .")
         if gap:
             report.append((gap, "unrecognized text between relation sentences"))
         try:
@@ -329,7 +382,7 @@ def _decode_by_patterns(generation, candidates, report, build) -> list[Triple]:
             triple = None
         if triple is not None:
             triples.append(triple)
-        cursor = match.end()
+        cursor = end
     tail = generation[cursor:].strip(" .")
     if tail:
         report.append((tail, "unrecognized trailing text"))
@@ -341,31 +394,37 @@ def _decode_rel_is(generation: str, noun_map: dict[str, str], report: list[tuple
     noun_to_pred.setdefault("synonyms", noun_to_pred.get("synonym", "is_synon"))
 
     def build(_: str, match: re.Match) -> Triple | None:
-        noun = match.group("noun").strip().lower()
+        s1, s2, noun = match.group("s1", "s2", "noun")
+        noun = noun.strip().lower()
         predicate = noun_to_pred.get(noun)
         if predicate is None:
             report.append((match.group(0).strip(), f"unknown relation noun {noun!r}"))
             return None
-        return Triple(match.group("s1").strip(), None, predicate, match.group("s2").strip(), None)
+        return Triple(s1.strip(), None, predicate, s2.strip(), None)
 
-    candidates = [("", m) for m in _scan(_REL_IS_PATTERN, generation)]
+    # one template's scan yields its matches in order
+    candidates = (("", m) for m in _scan(_REL_IS_PATTERN, generation))
     return _decode_by_patterns(generation, candidates, report, build)
 
 
 def _decode_natural_lang(generation: str, report: list[tuple[str, str]]) -> list[Triple]:
     def build(predicate: str, match: re.Match) -> Triple:
         groups = match.groupdict()
-        t1 = _WORD_TO_TYPE[groups["t1"].lower()] if groups.get("t1") else None
-        t2 = _WORD_TO_TYPE[groups["t2"].lower()] if groups.get("t2") else None
+        t1 = _type_of(groups["t1"]) if groups.get("t1") else None
+        t2 = _type_of(groups["t2"]) if groups.get("t2") else None
         if predicate == "anaphora":
             t2 = "anaphor"  # the template itself asserts the term is an anaphor
         return Triple(groups["s1"].strip(), t1, predicate, _strip_quotes(groups["s2"].strip()), t2)
 
+    # for ASCII text, str.lower folds letter case exactly as re.IGNORECASE does
+    lowered = generation.lower() if generation.isascii() else None
     candidates = [
         (predicate, match)
         for predicate, template in _NL_PATTERNS.items()
+        if lowered is None or _NL_PHRASES[predicate] in lowered
         for match in _scan(template, generation)
     ]
+    candidates.sort(key=lambda item: (item[1].start(), -item[1].end()))
     return _decode_by_patterns(generation, candidates, report, build)
 
 

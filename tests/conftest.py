@@ -1,3 +1,4 @@
+import gc
 import statistics
 import sys
 import time
@@ -30,16 +31,23 @@ def time_ratio(run, small, large) -> float:
 
     Alternating puts a short slow spell of the host on both sides of a round.
     A longer spell that slows only one side of some rounds skews only those
-    rounds, and the median passes them over.
+    rounds, and the median passes them over. Each round starts from a full
+    collection and runs with the cyclic collector paused, so a ratio measures
+    the calls and not where the collector's full collections happen to fall.
     """
     ratios = []
     for _ in range(7):
         best = [float("inf"), float("inf")]
-        for _ in range(2):
-            for i, arg in enumerate((small, large)):
-                start = time.perf_counter()
-                run(arg)
-                best[i] = min(best[i], time.perf_counter() - start)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(2):
+                for i, arg in enumerate((small, large)):
+                    start = time.perf_counter()
+                    run(arg)
+                    best[i] = min(best[i], time.perf_counter() - start)
+        finally:
+            gc.enable()
         ratios.append(best[1] / best[0])
     return statistics.median(ratios)
 

@@ -784,14 +784,18 @@ class TestFailedRunsWriteNothing:
             "--ratios", "0.5,0.25,0.25", "--seed", "1",
         ], capsys)
         assert err == (
-            f"error: {last}: entity T1: surface holds a tab or newline "
+            f"error: {corpus / last}.ann: entity T1: surface holds a tab or newline "
             "or ends in a carriage return, which no .ann line can hold\n"
         )
 
     def test_flatten_writes_no_sidecar(self, tmp_path, capsys):
         corpus = self.corpus(tmp_path)
         self.make_unwritable(corpus, "d7")
-        fails_leaving_tree_unchanged(tmp_path, ["flatten", "--in", corpus, "--out", tmp_path / "flat"], capsys)
+        err = fails_leaving_tree_unchanged(tmp_path, ["flatten", "--in", corpus, "--out", tmp_path / "flat"], capsys)
+        assert err == (
+            f"error: {corpus / 'd7'}.ann: entity T1: surface holds a tab or newline "
+            "or ends in a carriage return, which no .ann line can hold\n"
+        )
 
     def test_repair_log_on_a_directory(self, mini_corpus_dir, tmp_path, capsys):
         (tmp_path / "log").mkdir()

@@ -1,7 +1,9 @@
-"""The sentence-template decoders: same output as finditer, linear time.
+"""The decoders: same output as their oracles, linear time.
 
-The oracle below is the finditer decoding that schema._scan replaced: the
-same regular expressions, tried at every start position by finditer.
+The sentence-template oracle below is the finditer decoding that
+schema._scan replaced: the same regular expressions, tried at every start
+position by finditer, every template on every generation. The seq2rel oracle
+is the finditer loop that the one-split decoder replaced.
 """
 
 import random
@@ -21,7 +23,14 @@ from raredis_toolkit.schema import (
     encode_target,
     normalize_generation,
 )
-from raredis_toolkit.standoff import ENTITY_TYPES, PREDICATES, parse_document
+from raredis_toolkit.standoff import (
+    ENTITY_TYPES,
+    PREDICATES,
+    normalize_entity_type,
+    normalize_predicate,
+    parse_document,
+)
+from raredis_toolkit.triples import Triple
 from conftest import MAX_SCALE_RATIO, time_ratio
 
 _SPAN = r"[^.]+?"
@@ -70,13 +79,66 @@ ORACLE_BY_TEMPLATE = {
 
 
 def oracle_decode_report(generation: str, kind: str):
-    """decode_target_report with every template tried by finditer."""
+    """decode_target_report with every template tried by finditer, none
+    skipped: the empty phrase occurs in every text."""
 
     def finditer(template, text):
         return ORACLE_BY_TEMPLATE[template].finditer(text)
 
-    with mock.patch.object(schema, "_scan", finditer):
+    no_phrases = dict.fromkeys(schema._NL_PHRASES, "")
+    with mock.patch.object(schema, "_scan", finditer), mock.patch.object(schema, "_NL_PHRASES", no_phrases):
         return decode_target_report(generation, kind)
+
+
+def oracle_seq2rel(generation: str):
+    """(triples, report) of seq2rel decoding, one @token@ match at a time."""
+    report = []
+    triples = []
+    pending = []
+    pos = 0
+    for match in re.finditer(r"@([A-Za-z_]+)@", generation):
+        before = generation[pos : match.start()].strip()
+        pos = match.end()
+        raw = match.group(0)
+        name = match.group(1)
+
+        if raw.upper() == schema.END_TOKEN:
+            if before:
+                report.append((before, "text before the end token"))
+            break
+        if raw.upper() == schema.NOREL_TOKEN:
+            if before:
+                report.append((before, "text before the no-relation token"))
+            continue
+
+        entity_type = normalize_entity_type(name)
+        predicate = normalize_predicate(name)
+        if entity_type is not None:
+            if not before:
+                report.append((raw, "entity-type token without preceding entity text"))
+                continue
+            pending.append((before, entity_type))
+            if len(pending) > 2:
+                dropped = pending.pop(0)
+                report.append((dropped[0], "more than two entities before a relation token"))
+        elif predicate is not None:
+            if before:
+                report.append((before, "stray text before a relation token"))
+            if len(pending) == 2:
+                (s_text, s_type), (o_text, o_type) = pending
+                triples.append(Triple(s_text, s_type, predicate, o_text, o_type))
+            else:
+                report.append((raw, "relation token without a subject and object"))
+            pending = []
+        else:
+            report.append((raw, "unknown special token"))
+    else:
+        tail = generation[pos:].strip()
+        if tail:
+            report.append((tail, "trailing text without a closing token"))
+    for text, _ in pending:
+        report.append((text, "entity never attached to a relation"))
+    return triples, report
 
 
 def _matches(found) -> list:
@@ -120,12 +182,28 @@ _FRAGMENTS = [
     "acronym", "anaphor", "bogus", *TYPE_WORDS.values(), "rare", "skin",
     ".", ". ", ",", " ", "  ", "\n", "-", " - ", "/", "( ", " )", '"', "'", "“", "”", "``", "''",
     "Beta syndrome", "x", "bone disease", "7",
+    # letters re.IGNORECASE folds onto ASCII ones and str.lower does not:
+    # "ſ" onto "s", Kelvin "K" onto "k", "İ" and "ı" onto "i"
+    " that produceſ ", " ſtands for ", "ſign", " increases the risK of developing the ", " İs a type of ",
+    " is an anaphor that refers back to the entıty of the ",
+    # whole sentences, so that every template matches often
+    *(sentence.format(s1="Beta syndrome", t1="rare disease", s2="x", t2="sign", noun="producer")
+      for sentence in (schema._REL_IS_SENTENCE, *schema._NL_TEMPLATES.values())),
+    "The disease x and the sign 7 are synonym", "x is an sign that produces 7, as an disease",
+    "The acronym x stands for 7, an sign", "The sign x is a type of 7, an disease",
+    "The presence of the sign x increases the risk of developing the disease of 7",
 ]
 _CASES = [str, str.upper, str.lower, str.title, str.swapcase]
 
-generations = st.lists(
-    st.tuples(st.sampled_from(_FRAGMENTS), st.sampled_from(_CASES)), max_size=40
-).map(lambda parts: "".join(case(fragment) for fragment, case in parts))
+
+def _generations(fragments):
+    return st.lists(
+        st.tuples(st.sampled_from(fragments), st.sampled_from(_CASES)), max_size=40
+    ).map(lambda parts: "".join(case(fragment) for fragment, case in parts))
+
+
+generations = _generations(_FRAGMENTS)
+ascii_generations = _generations([f for f in _FRAGMENTS if f.isascii()])
 
 
 class TestScanMatchesFinditer:
@@ -138,11 +216,62 @@ class TestScanMatchesFinditer:
                 assert _matches(schema._scan(template, text)) == _matches(oracle.finditer(text))
             assert decode_target_report(text, kind) == oracle_decode_report(text, kind)
 
+    @settings(max_examples=400, deadline=None)
+    @given(generation=ascii_generations)
+    def test_every_match_holds_its_fixed_phrase(self, generation):
+        """So an ASCII generation that lacks a template's phrase has no match of it."""
+        for text in (generation, normalize_generation(generation)):
+            for predicate, oracle in ORACLE_NL.items():
+                for match in oracle.finditer(text):
+                    assert schema._NL_PHRASES[predicate] in match.group(0).lower()
+
+    @pytest.mark.parametrize(
+        "generation, templates",
+        [
+            ("The acronym BS stands for Bolem syndrome, a rare disease. The acronym T stands for tinea, a disease",
+             ["is_acron"]),
+            ("The acronym BS ſtands for Bolem syndrome, a rare disease", list(schema._NL_PATTERNS)),
+        ],
+        ids=["ascii", "non_ascii"],
+    )
+    def test_scans_the_templates_whose_phrase_it_holds(self, generation, templates):
+        scanned = []
+        real_scan = schema._scan
+
+        def scan(template, text):
+            scanned.append(template)
+            return real_scan(template, text)
+
+        with mock.patch.object(schema, "_scan", scan):
+            triples, report = decode_target_report(generation, "natural_lang")
+        assert scanned == [schema._NL_PATTERNS[p] for p in templates]
+        assert {t.predicate for t in triples} == {"is_acron"} and report == []
+        assert (triples, report) == oracle_decode_report(generation, "natural_lang")
+
+    def test_a_type_word_in_a_folded_spelling_decodes(self):
+        """re.IGNORECASE reads "ſign" as "sign", and so does the type lookup."""
+        triples, report = decode_target_report("The ſign x is a type of 7, a rare sKin dİsease", "natural_lang")
+        assert triples == [Triple("x", "sign", "is_a", "7", "rare_skin_disease")] and report == []
+
     def test_span_before_a_head_still_decodes(self):
         generation = "Garbage The disease X and the sign Y are synonyms."
         expected = oracle_decode_report(generation, "natural_lang")
         assert decode_target_report(generation, "natural_lang") == expected
         assert len(expected[0]) == 1
+
+
+_TOKENS = [
+    "@Sign@", "@sign@", "@END@", "@End@", "@NOREL@", "@PRODUCES@", "@increase_risk_of@", "@Bogus@",
+    "@@", "@ @", "@Sign", "a@b", "@1@", "fever", "Beta syndrome", "x", " ", "  ", "\n", ".",
+]
+
+
+class TestSeq2relMatchesItsOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(generation=st.lists(st.sampled_from(_TOKENS), max_size=40).map("".join))
+    def test_same_triples_and_report(self, generation):
+        for text in (generation, normalize_generation(generation)):
+            assert decode_target_report(text, "seq2rel") == oracle_seq2rel(text)
 
 
 # --- scaling ----------------------------------------------------------------
