@@ -9,12 +9,11 @@ Three target schemas:
                   naming the noun form of the predicate.
   natural_lang  — one tailored sentence pattern per relation type.
 
-Decoding compiles the sentences encoding writes into regexes and is total:
-malformed stretches of a generation are skipped and reported, never fatal.
-natural_lang tries only the templates whose fixed phrase an ASCII generation
-holds. A non-ASCII generation tries all six: re.IGNORECASE folds a few
-non-ASCII letters onto ASCII ones (such as "ſ" onto "s"), and str.lower
-does not.
+Decoding compiles the lowered sentences encoding writes into regexes and is
+total: malformed stretches of a generation are skipped and reported, never
+fatal. It has one case rule, _fold: each generation is folded once and
+matched exactly, and entity texts are sliced from the generation as written.
+natural_lang tries only the templates whose fixed phrase the folded text holds.
 """
 
 from __future__ import annotations
@@ -201,12 +200,11 @@ _TYPE_WORD_ALT = "|".join(sorted(TYPE_WORDS.values(), key=len, reverse=True))
 _WORD_TO_TYPE = {TYPE_WORDS[t]: t for t in ENTITY_TYPES}
 
 
-def _type_of(word: str) -> str:
-    """The entity type a type word that _TYPE_WORD_ALT matched names."""
-    entity_type = _WORD_TO_TYPE.get(word.lower())
-    if entity_type is None:  # re.IGNORECASE read a letter str.lower leaves, such as "ſ" in "ſign"
-        entity_type = next(t for w, t in _WORD_TO_TYPE.items() if re.fullmatch(w, word, re.IGNORECASE))
-    return entity_type
+def _fold(text: str) -> str:
+    """text in decoding's one letter case: str.lower, after "İ", "ı" and "ſ", which
+    an ignore-case regex reads as ASCII letters, are made ASCII. One character
+    becomes one, so an offset into the folded text is an offset into text."""
+    return text.replace("İ", "i").replace("ı", "i").replace("ſ", "s").lower()
 
 # Entity spans may not cross sentence boundaries, so a mangled sentence
 # cannot swallow its well-formed neighbors. _scan relies on this too: every
@@ -235,15 +233,15 @@ def _as_read(sentence: str) -> str:
 
 
 def _template(sentence: str) -> tuple[re.Pattern, re.Pattern]:
-    """(the head every match starts with, the whole pattern), compiled from a
-    sentence encode_target writes, whose words are regex-safe. The head ends
-    before the first span, so the rest begins with a span; _scan relies on it.
+    """(the head every match starts with, the whole pattern) in folded text,
+    compiled from a sentence encode_target writes, whose words are regex-safe.
+    The head ends before the first span, so the rest begins with a span.
     """
     # a closing span or noun ends at a period or the text's end; other endings may omit the period
     closing = r"(?:\.|$)" if sentence.endswith(("{s1}", "{s2}", "{noun}")) else r"\.?"
-    pattern = _as_read(sentence).format(**{name: f"(?P<{name}>{body})" for name, body in _GROUPS.items()}) + closing
+    pattern = _as_read(sentence.lower()).format(**{name: f"(?P<{name}>{body})" for name, body in _GROUPS.items()})
     head = pattern[: pattern.index("(?P<s")]
-    return re.compile(head, re.IGNORECASE), re.compile(pattern, re.IGNORECASE)
+    return re.compile(head), re.compile(pattern + closing)
 
 
 _REL_IS_PATTERN = _template(_REL_IS_SENTENCE)
@@ -255,7 +253,7 @@ _PLACEHOLDER_RE = re.compile(r"\{\w+\}")
 
 def _fixed_phrase(sentence: str) -> str:
     """The longest stretch between placeholders that _template copies into the
-    pattern unchanged, lowered. Every match holds it, up to letter case."""
+    pattern unchanged, lowered. Every match in folded text holds it."""
     stretches = zip(_PLACEHOLDER_RE.split(sentence), _PLACEHOLDER_RE.split(_as_read(sentence)))
     return max((written for written, read in stretches if written == read), key=len).lower()
 
@@ -365,7 +363,7 @@ def _decode_seq2rel(generation: str, report: list[tuple[str, str]]) -> list[Trip
 
 def _decode_by_patterns(generation, candidates, report, build) -> list[Triple]:
     """Accept non-overlapping matches left to right, from (predicate, match)
-    candidates ordered by start, longer first; report uncovered text."""
+    candidates in the folded generation ordered by start, longer first; report uncovered text."""
     triples = []
     cursor = 0
     for predicate, match in candidates:
@@ -378,7 +376,7 @@ def _decode_by_patterns(generation, candidates, report, build) -> list[Triple]:
         try:
             triple = build(predicate, match)
         except ValueError:  # Triple refuses a blank entity text
-            report.append((match.group(0).strip(), "empty entity span"))
+            report.append((generation[start:end].strip(), "empty entity span"))
             triple = None
         if triple is not None:
             triples.append(triple)
@@ -394,35 +392,35 @@ def _decode_rel_is(generation: str, noun_map: dict[str, str], report: list[tuple
     noun_to_pred.setdefault("synonyms", noun_to_pred.get("synonym", "is_synon"))
 
     def build(_: str, match: re.Match) -> Triple | None:
-        s1, s2, noun = match.group("s1", "s2", "noun")
-        noun = noun.strip().lower()
+        noun = match.group("noun")  # folded; the \s* after it takes any trailing space
         predicate = noun_to_pred.get(noun)
         if predicate is None:
-            report.append((match.group(0).strip(), f"unknown relation noun {noun!r}"))
+            report.append((generation[match.start() : match.end()].strip(), f"unknown relation noun {noun!r}"))
             return None
-        return Triple(s1.strip(), None, predicate, s2.strip(), None)
+        (a, b), (c, d) = match.span("s1"), match.span("s2")
+        return Triple(generation[a:b].strip(), None, predicate, generation[c:d].strip(), None)
 
     # one template's scan yields its matches in order
-    candidates = (("", m) for m in _scan(_REL_IS_PATTERN, generation))
+    candidates = (("", m) for m in _scan(_REL_IS_PATTERN, _fold(generation)))
     return _decode_by_patterns(generation, candidates, report, build)
 
 
 def _decode_natural_lang(generation: str, report: list[tuple[str, str]]) -> list[Triple]:
     def build(predicate: str, match: re.Match) -> Triple:
-        groups = match.groupdict()
-        t1 = _type_of(groups["t1"]) if groups.get("t1") else None
-        t2 = _type_of(groups["t2"]) if groups.get("t2") else None
+        groups = match.groupdict()  # type words read folded
+        t1 = _WORD_TO_TYPE[groups["t1"]] if "t1" in groups else None
+        t2 = _WORD_TO_TYPE[groups["t2"]] if "t2" in groups else None
         if predicate == "anaphora":
             t2 = "anaphor"  # the template itself asserts the term is an anaphor
-        return Triple(groups["s1"].strip(), t1, predicate, _strip_quotes(groups["s2"].strip()), t2)
+        (a, b), (c, d) = match.span("s1"), match.span("s2")
+        return Triple(generation[a:b].strip(), t1, predicate, _strip_quotes(generation[c:d].strip()), t2)
 
-    # for ASCII text, str.lower folds letter case exactly as re.IGNORECASE does
-    lowered = generation.lower() if generation.isascii() else None
+    folded = _fold(generation)
     candidates = [
         (predicate, match)
         for predicate, template in _NL_PATTERNS.items()
-        if lowered is None or _NL_PHRASES[predicate] in lowered
-        for match in _scan(template, generation)
+        if _NL_PHRASES[predicate] in folded
+        for match in _scan(template, folded)
     ]
     candidates.sort(key=lambda item: (item[1].start(), -item[1].end()))
     return _decode_by_patterns(generation, candidates, report, build)

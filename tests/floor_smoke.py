@@ -3,7 +3,8 @@
 For interpreters that have no pytest or hypothesis, such as the oldest
 Python that pyproject.toml declares. It writes a defective synthetic corpus
 into an empty work directory, runs the CLI steps on it for all three
-schemas, and checks that decoding the gold encodings scores F1 1.0.
+schemas, and checks that decoding the gold encodings scores F1 1.0. It also
+checks decoding's case rule, schema._fold, against this interpreter's re.
 
     PYTHONPATH=src python tests/floor_smoke.py <empty work directory>
 
@@ -12,11 +13,13 @@ Prints "ok" and exits 0, or exits non-zero naming the step that failed.
 
 import json
 import random
+import re
+import string
 import sys
 from pathlib import Path
 
 from raredis_toolkit.cli import run_cli
-from raredis_toolkit.schema import occurrence_ordered_triples
+from raredis_toolkit.schema import _fold, occurrence_ordered_triples
 from raredis_toolkit.scoring import write_triples_file
 from raredis_toolkit.standoff import load_corpus_dir, write_corpus_dir
 from synth import (
@@ -36,7 +39,27 @@ def cli(*argv) -> None:
         sys.exit(f"failed: raredis {' '.join(argv)}")
 
 
+def fold_mismatches() -> list[str]:
+    """What _fold reads otherwise than re does, over a string of every code
+    point: a changed length, or a character of the sentence patterns (each
+    lowercase ASCII letter, space, comma and period, matched ignoring case,
+    and \\s) found at other positions in the folded string."""
+    every = "".join(map(chr, range(0x110000)))
+    folded = _fold(every)
+    if len(folded) != len(every):
+        return [f"length {len(every)} -> {len(folded)}"]
+
+    def starts(pattern: str, text: str, flags: int = 0) -> list[int]:
+        return [m.start() for m in re.finditer(pattern, text, flags)]
+
+    found = [(re.escape(c), re.IGNORECASE) for c in string.ascii_lowercase + " ,."] + [(r"\s", 0)]
+    return [pattern for pattern, flags in found if starts(pattern, every, flags) != starts(pattern, folded)]
+
+
 def main(work: Path) -> None:
+    mismatches = fold_mismatches()
+    if mismatches:
+        sys.exit(f"failed: _fold and re disagree on {mismatches}")
     rng = random.Random(7)
     docs = [
         corrupt_fragment_order(corrupt_trailing_char(corrupt_relation_argument(d, rng), rng), rng)

@@ -797,6 +797,16 @@ class TestFailedRunsWriteNothing:
             "or ends in a carriage return, which no .ann line can hold\n"
         )
 
+    def test_split_refuses_a_doc_id_its_manifest_cannot_hold(self, tmp_path, monkeypatch, capsys):
+        """A file name may hold a line feed; a manifest record may not."""
+        (tmp_path / "c").mkdir()
+        (tmp_path / "c" / "a\nb.txt").write_text("Alpha", encoding="utf-8")
+        (tmp_path / "c" / "a\nb.ann").write_text("T1\tSIGN 0 5\tAlpha", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        err = fails_leaving_tree_unchanged(tmp_path, ["split", "--in", "c", "--out", "s", "--ratios", "1,0,0"], capsys)
+        assert err == "error: s/train.txt:1: a record may not contain a line feed or end in a carriage return\n"
+        assert not (tmp_path / "s").exists()
+
     def test_repair_log_on_a_directory(self, mini_corpus_dir, tmp_path, capsys):
         (tmp_path / "log").mkdir()
         argv = ["repair", "--in", mini_corpus_dir, "--out", tmp_path / "fixed", "--log", tmp_path / "log"]

@@ -1,13 +1,18 @@
 """The decoders: same output as their oracles, linear time.
 
 The sentence-template oracle below is the finditer decoding that
-schema._scan replaced: the same regular expressions, tried at every start
-position by finditer, every template on every generation. The seq2rel oracle
-is the finditer loop that the one-split decoder replaced.
+schema._scan replaced: the same regular expressions, written by hand and
+matched with re.IGNORECASE on the generation as written, tried at every start
+position by finditer, every template on every generation. The decoders match
+their lowered patterns exactly on schema._fold of the generation instead. The
+seq2rel oracle is the finditer loop that the one-split decoder replaced.
 """
 
+import io
 import random
 import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
@@ -16,9 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raredis_toolkit import schema
+from raredis_toolkit.cli import run_cli
 from raredis_toolkit.schema import (
     SCHEMA_KINDS,
     TYPE_WORDS,
+    _fold,
     decode_target_report,
     encode_target,
     normalize_generation,
@@ -30,8 +37,10 @@ from raredis_toolkit.standoff import (
     normalize_predicate,
     parse_document,
 )
+from raredis_toolkit.scoring import read_triples_file, triple_writable
 from raredis_toolkit.triples import Triple
 from conftest import MAX_SCALE_RATIO, time_ratio
+from floor_smoke import fold_mismatches
 
 _SPAN = r"[^.]+?"
 _TYPES = "|".join(sorted(TYPE_WORDS.values(), key=len, reverse=True))
@@ -142,7 +151,8 @@ def oracle_seq2rel(generation: str):
 
 
 def _matches(found) -> list:
-    return [(m.span(), m.groupdict()) for m in found]
+    """Each match's span and its groups, folded."""
+    return [(m.span(), {name: _fold(group) for name, group in m.groupdict().items()}) for m in found]
 
 
 # --- one definition per sentence ---------------------------------------------
@@ -151,13 +161,13 @@ def _matches(found) -> list:
 class TestTemplatesAreDerived:
     def test_each_template_is_the_oracle_pattern(self):
         """The head and pattern compiled from each sentence encode writes are
-        the hand-written oracle above and its part before the first span."""
+        the hand-written oracle above and its part before the first span, up
+        to letter case, and match case-sensitively."""
         for template, oracle in ORACLE_BY_TEMPLATE.items():
-            head, pattern = (compiled.pattern for compiled in template)
-            if template is schema._REL_IS_PATTERN:  # encode writes "The", the oracle reads "the"
-                head, pattern = head[0].lower() + head[1:], pattern[0].lower() + pattern[1:]
-            assert (head, pattern) == (oracle.pattern[: oracle.pattern.index("(?P<s")], oracle.pattern)
-            assert template[0].flags == template[1].flags == oracle.flags
+            head, pattern = (compiled.pattern.lower() for compiled in template)
+            expected = oracle.pattern.lower()
+            assert (head, pattern) == (expected[: expected.index("(?p<s")], expected)
+            assert not (template[0].flags | template[1].flags) & re.IGNORECASE
 
     def test_each_fixed_phrase_is_written_once(self):
         """A sentence's words live in its template only; no regex respells them."""
@@ -197,13 +207,12 @@ _CASES = [str, str.upper, str.lower, str.title, str.swapcase]
 
 
 def _generations(fragments):
-    return st.lists(
-        st.tuples(st.sampled_from(fragments), st.sampled_from(_CASES)), max_size=40
-    ).map(lambda parts: "".join(case(fragment) for fragment, case in parts))
+    return st.lists(st.tuples(fragments, st.sampled_from(_CASES)), max_size=40).map(
+        lambda parts: "".join(case(fragment) for fragment, case in parts)
+    )
 
 
-generations = _generations(_FRAGMENTS)
-ascii_generations = _generations([f for f in _FRAGMENTS if f.isascii()])
+generations = _generations(st.sampled_from(_FRAGMENTS))
 
 
 class TestScanMatchesFinditer:
@@ -211,26 +220,28 @@ class TestScanMatchesFinditer:
     @settings(max_examples=400, deadline=None)
     @given(generation=generations)
     def test_same_matches_and_decoding(self, kind, generation):
+        """Scanning the folded text finds the spans the oracle finds in the
+        text, and the same groups up to folding."""
         for text in (generation, normalize_generation(generation)):
             for template, oracle in ORACLE_BY_TEMPLATE.items():
-                assert _matches(schema._scan(template, text)) == _matches(oracle.finditer(text))
+                assert _matches(schema._scan(template, _fold(text))) == _matches(oracle.finditer(text))
             assert decode_target_report(text, kind) == oracle_decode_report(text, kind)
 
     @settings(max_examples=400, deadline=None)
-    @given(generation=ascii_generations)
+    @given(generation=generations)
     def test_every_match_holds_its_fixed_phrase(self, generation):
-        """So an ASCII generation that lacks a template's phrase has no match of it."""
+        """So a generation whose folded text lacks a template's phrase has no match of it."""
         for text in (generation, normalize_generation(generation)):
             for predicate, oracle in ORACLE_NL.items():
                 for match in oracle.finditer(text):
-                    assert schema._NL_PHRASES[predicate] in match.group(0).lower()
+                    assert schema._NL_PHRASES[predicate] in _fold(match.group(0))
 
     @pytest.mark.parametrize(
         "generation, templates",
         [
             ("The acronym BS stands for Bolem syndrome, a rare disease. The acronym T stands for tinea, a disease",
              ["is_acron"]),
-            ("The acronym BS ſtands for Bolem syndrome, a rare disease", list(schema._NL_PATTERNS)),
+            ("The acronym BS ſtands for Bolem syndrome, a rare disease", ["is_acron"]),
         ],
         ids=["ascii", "non_ascii"],
     )
@@ -249,9 +260,32 @@ class TestScanMatchesFinditer:
         assert (triples, report) == oracle_decode_report(generation, "natural_lang")
 
     def test_a_type_word_in_a_folded_spelling_decodes(self):
-        """re.IGNORECASE reads "ſign" as "sign", and so does the type lookup."""
+        """re.IGNORECASE reads "ſign" as "sign", and so does _fold."""
         triples, report = decode_target_report("The ſign x is a type of 7, a rare sKin dİsease", "natural_lang")
         assert triples == [Triple("x", "sign", "is_a", "7", "rare_skin_disease")] and report == []
+
+    def test_a_rel_is_noun_in_a_folded_spelling_decodes(self):
+        triples, report = decode_target_report("The relation between a and b is ſynonym.", "rel_is")
+        assert triples == [Triple("a", None, "is_synon", "b", None)] and report == []
+
+    def test_an_unknown_noun_is_named_folded_and_its_sentence_as_written(self):
+        generation = "The relation between İa and b is İdiot."
+        assert decode_target_report(generation, "rel_is") == ([], [(generation, "unknown relation noun 'idiot'")])
+
+    @pytest.mark.parametrize(
+        "generation, kind, triple",
+        [
+            ("The relation between ſİ and \u212a is hyponym.", "rel_is", Triple("ſİ", None, "is_a", "\u212a", None)),
+            ("The Sign ſİ Is A Type Of \u212a, A Sign", "natural_lang", Triple("ſİ", "sign", "is_a", "\u212a", "sign")),
+        ],
+    )
+    def test_entity_texts_keep_the_generation_spelling(self, generation, kind, triple):
+        assert decode_target_report(generation, kind) == ([triple], [])
+
+    def test_fold_reads_every_code_point_as_re_does(self):
+        """_fold keeps every length, and each character of the sentence
+        patterns sits where an ignore-case regex finds it (see floor_smoke)."""
+        assert fold_mismatches() == []
 
     def test_span_before_a_head_still_decodes(self):
         generation = "Garbage The disease X and the sign Y are synonyms."
@@ -272,6 +306,52 @@ class TestSeq2relMatchesItsOracle:
     def test_same_triples_and_report(self, generation):
         for text in (generation, normalize_generation(generation)):
             assert decode_target_report(text, "seq2rel") == oracle_seq2rel(text)
+
+
+# --- the CLI over hostile text -----------------------------------------------
+
+# characters a model or a file may put anywhere: line and record breaks, NUL,
+# an astral character, and the letters re.IGNORECASE folds onto ASCII ones
+_HOSTILE = ["\r", "\t", "\n", "\x85", "\x00", "\U0001F9EC", "ſ", "İ", "ı", "\u212a"]
+# whole rel_is and seq2rel units, which the fragments above rarely assemble
+_UNITS = ["The relation between Beta syndrome and x is hyponym. ", "Beta syndrome @RareDisease@ x @Sign@ @IS_A@ "]
+# parts drawn about equally from fragments and tokens, hostile characters and whole units
+_HOSTILE_PARTS = st.sampled_from(_FRAGMENTS + _TOKENS) | st.sampled_from(_HOSTILE) | st.sampled_from(_UNITS)
+
+
+class TestCliDecodesHostileText:
+    """decode (normalized and --raw), then score and errors on the two
+    triples files, for each schema: every command exits 0 and prints no
+    error, and the triples file holds what decoding each text gives, less the
+    triples a TSV record cannot hold."""
+
+    @staticmethod
+    def decoded(texts: list[str], kind: str) -> dict[str, list[Triple]]:
+        decoded = {}
+        for i, text in enumerate(texts):
+            triples = [t for t in decode_target_report(text, kind)[0] if triple_writable(t)]
+            if triples:
+                decoded[f"d{i}"] = triples
+        return decoded
+
+    @settings(max_examples=150, deadline=None)
+    @given(texts=st.lists(_generations(_HOSTILE_PARTS), min_size=1, max_size=3))
+    def test_round_trip(self, texts):
+        with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            root = Path(tmp)
+            (root / "gen").mkdir()
+            for i, text in enumerate(texts):
+                (root / "gen" / f"d{i}.txt").write_bytes(text.encode("utf-8"))
+            for kind in SCHEMA_KINDS:
+                normalized, raw = root / f"{kind}.tsv", root / f"{kind}-raw.tsv"
+                runs = ((normalized, [], [normalize_generation(t) for t in texts]), (raw, ["--raw"], texts))
+                for out, flags, read in runs:
+                    argv = ["decode", "--in", root / "gen", "--out", out, "--schema", kind.replace("_", "-"), *flags]
+                    assert run_cli([str(a) for a in argv]) == 0
+                    assert read_triples_file(out) == self.decoded(read, kind)
+                for argv in (["score", "--out", root / "score.json"], ["errors", "--audit", root / "audit.jsonl"]):
+                    assert run_cli([str(a) for a in [*argv, "--gold", normalized, "--pred", raw]]) == 0
+            assert err.getvalue() == ""
 
 
 # --- scaling ----------------------------------------------------------------

@@ -294,6 +294,10 @@ class TestDecode:
         assert [(t.subject_text, t.object_text) for t in triples] == [("x", "y")]
         assert report == []
 
+    def test_an_unmatched_opening_quote_is_kept(self):
+        triples, report = decode_target_report('The acronym X stands for "Bolem syndrome, a sign.', "natural_lang")
+        assert (triples, report) == ([Triple("X", None, "is_acron", '"Bolem syndrome', "sign")], [])
+
     def test_quotes_around_only_whitespace_are_an_empty_span(self):
         # Triple refuses a blank text
         triples, report = decode_target_report('The acronym X stands for " ", a sign.', "natural_lang")
