@@ -11,6 +11,7 @@ from .corpus import (
     split_corpus,
 )
 from .errors import (
+    DocumentError,
     FlattenError,
     RepairError,
     SplitError,
@@ -62,6 +63,7 @@ __all__ = [
     "AnnotatedDocument",
     "CorpusStats",
     "DEFAULT_NOUN_MAP",
+    "DocumentError",
     "ENTITY_TYPES",
     "EntityMention",
     "ErrorRecord",

@@ -10,7 +10,9 @@ modified.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import logging
 import os
@@ -24,7 +26,7 @@ from . import repair as repair_mod
 from . import schema as schema_mod
 from . import scoring as scoring_mod
 from . import standoff
-from .errors import RepairError, ToolkitError
+from .errors import DocumentError, ToolkitError
 from .triples import collapse_whitespace
 
 logger = logging.getLogger(__name__)
@@ -67,32 +69,9 @@ def _load_noun_map(path: str | None) -> dict[str, str]:
         raise ToolkitError(f"{path}: {exc}") from None
 
 
-def _ann_error(args, doc_id: str, exc: Exception) -> ToolkitError:
-    """exc, whose message the library starts with the doc id, naming the document's input .ann instead."""
-    reason = str(exc).removeprefix(f"{doc_id}: ")
-    return ToolkitError(f"{Path(args.input_dir) / doc_id}.ann: {reason}")
-
-
-def _corpus_files(args, docs, path):
-    """standoff.corpus_files, naming the input .ann of a document it cannot write."""
-    yield path, None  # made even for no documents
-    for doc in docs:
-        try:
-            yield from standoff.corpus_files([doc], path)
-        except ToolkitError as exc:  # a surface no .ann line can hold
-            raise _ann_error(args, doc.doc_id, exc) from None
-
-
 def cmd_repair(args):
     docs = _load_corpus(args)
-
-    def repaired(doc):
-        try:
-            return repair_mod.repair_all(doc)
-        except RepairError as exc:
-            raise _ann_error(args, doc.doc_id, exc) from None
-
-    results = [repaired(doc) for doc in docs]
+    results = [repair_mod.repair_all(doc) for doc in docs]
     yield from standoff.corpus_files((fixed for fixed, _ in results), args.output_dir)
     if args.log:
         yield args.log, repair_mod.repair_log_text([log for _, log in results], args.log)
@@ -117,12 +96,14 @@ def cmd_stats(args):
 
 
 def cmd_split(args):
+    manifests = (args.train_list, args.dev_list, args.test_list)
+    if any(manifests) and args.ratios:
+        raise ToolkitError("split takes either --ratios or the three --*-list flags, not both")
     docs = _load_corpus(args)
-    if args.train_list or args.dev_list or args.test_list:
-        if not (args.train_list and args.dev_list and args.test_list):
+    if any(manifests):
+        if not all(manifests):
             raise ToolkitError("file_list mode needs --train-list, --dev-list, and --test-list")
-        lists = corpus_mod.read_manifests((args.train_list, args.dev_list, args.test_list), docs)
-        spec = corpus_mod.SplitSpec(mode="file_list", lists=lists)
+        spec = corpus_mod.SplitSpec(mode="file_list", lists=corpus_mod.read_manifests(manifests, docs))
     elif args.ratios:
         try:
             parts = [float(x) for x in args.ratios.split(",")]
@@ -136,7 +117,7 @@ def cmd_split(args):
 
     splits = list(zip(("train", "dev", "test"), corpus_mod.split_corpus(docs, spec)))
     for name, split in splits:
-        yield from _corpus_files(args, split, os.path.join(args.output_dir, name))
+        yield from standoff.corpus_files(split, os.path.join(args.output_dir, name))
         manifest = os.path.join(args.output_dir, f"{name}.txt")
         yield manifest, corpus_mod.manifest_text(split, manifest)
     for name, split in splits:
@@ -148,7 +129,7 @@ def cmd_flatten(args):
     yield args.output_dir, None  # made even for a corpus of no documents
     for doc in docs:
         flat, offset_map = flatten_mod.flatten_document(doc)
-        yield from _corpus_files(args, [flat], args.output_dir)
+        yield from standoff.corpus_files([flat], args.output_dir)
         sidecar = os.path.join(args.output_dir, f"{doc.doc_id}.offsets.json")
         yield sidecar, flatten_mod.offset_map_json(offset_map)
     print(f"flattened {len(docs)} documents")
@@ -164,11 +145,7 @@ def cmd_encode(args):
             source = schema_mod.build_prompt(doc.text, args.copy_instruct)
         except ValueError as exc:  # an empty document text
             raise ToolkitError(f"{Path(args.input_dir) / doc.doc_id}.txt: {exc}") from None
-        try:
-            target = schema_mod._encode(doc, args.schema, noun_map)
-        except ValueError as exc:  # a blank entity text, named by its entity id
-            raise ToolkitError(f"{Path(args.input_dir) / doc.doc_id}.ann: {exc}") from None
-        return {"doc_id": doc.doc_id, "source": source, "target": target}
+        return {"doc_id": doc.doc_id, "source": source, "target": schema_mod._encode(doc, args.schema, noun_map)}
 
     records = map(record, docs)
     yield out, standoff.join_records((json.dumps(r, ensure_ascii=False) for r in records), out)
@@ -337,14 +314,20 @@ def run_cli(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
+    summary = io.StringIO()  # printed once the outputs are in place
     try:
-        standoff.write_outputs(args.func(args))
+        with contextlib.redirect_stdout(summary):
+            standoff.write_outputs(args.func(args))
+        sys.stdout.write(summary.getvalue())
         return 0
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc.filename}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 1
+    except DocumentError as exc:  # every command that can raise one reads --in
+        print(f"error: {Path(args.input_dir) / exc.doc_id}.ann: {exc.reason}", file=sys.stderr)
         return 1
     except (ToolkitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,11 +16,23 @@ class StandoffParseError(ToolkitError):
         super().__init__(f"{where}{line_no}: {reason}")
 
 
-class RepairError(ToolkitError):
+class DocumentError(ToolkitError):
+    """A corpus document the library cannot take. Carries its doc id and the reason."""
+
+    def __init__(self, doc_id: str, reason: str):
+        self.doc_id = doc_id
+        self.reason = reason
+        super().__init__(doc_id, reason)
+
+    def __str__(self) -> str:
+        return f"{self.doc_id}: {self.reason}"
+
+
+class RepairError(DocumentError):
     """A document defect falls outside the supported repair rules."""
 
 
-class FlattenError(ToolkitError):
+class FlattenError(DocumentError):
     """A discontinuous entity cannot be rewritten without guessing."""
 
 

@@ -86,7 +86,7 @@ def flatten_document(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, OffsetM
     for start, end, members in _overlap_clusters(doc.entities):
         if start < 0 or end > len(text):
             fragment = next(f for _, e in members for f in e.fragments if f[0] < 0 or f[1] > len(text))
-            raise FlattenError(f"{doc.doc_id}: fragment {fragment} outside any copied stretch")
+            raise FlattenError(doc.doc_id, f"fragment {fragment} outside any copied stretch")
         if not any(e.is_discontinuous for _, e in members):
             delta = new_pos - orig_pos
             for _, ent in members:

@@ -55,9 +55,7 @@ def _sort_fragments(doc: AnnotatedDocument, ent: EntityMention) -> tuple[EntityM
     ordered = tuple(sorted(ent.fragments))
     for (_, prev_end), (next_start, _) in zip(ordered, ordered[1:]):
         if prev_end > next_start:
-            raise RepairError(
-                f"{doc.doc_id}: entity {ent.id} has overlapping fragments {format_offsets(ordered)}"
-            )
+            raise RepairError(doc.doc_id, f"entity {ent.id} has overlapping fragments {format_offsets(ordered)}")
     if ordered == ent.fragments:
         return ent, None
     fixed = ent._replace(fragments=ordered, surface_text=slices_text(doc.text, ordered))
@@ -117,7 +115,7 @@ def repair_all(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, RepairLog]:
         ent, order_entry = _sort_fragments(doc, ent)
         ent, span_entry = _fix_entity_span(doc.text, ent)
         if not is_ann_surface(ent.surface_text):
-            raise RepairError(f"{doc.doc_id}: entity {ent.id}: repaired {UNWRITABLE_SURFACE}")
+            raise RepairError(doc.doc_id, f"entity {ent.id}: repaired {UNWRITABLE_SURFACE}")
         entities.append(ent)
         reordered.append(order_entry)
         respanned.append(span_entry)

@@ -22,6 +22,7 @@ import re
 from collections.abc import Iterator
 from functools import lru_cache
 
+from .errors import DocumentError
 from .standoff import (
     ENTITY_TYPES,
     PREDICATES,
@@ -111,7 +112,8 @@ def occurrence_ordered_triples(doc: AnnotatedDocument) -> list[Triple]:
     Order: subject first-fragment start, then object first-fragment start,
     then predicate token. Relations with unresolved arguments are skipped;
     doc.unresolved_refs names them. Multi-fragment entity text is the
-    recorded surface text (fragments joined by single spaces).
+    recorded surface text (fragments joined by single spaces). A blank one
+    raises DocumentError naming its entity.
     """
     keyed = []
     for rel, subj, obj in doc.resolved_relations():
@@ -121,7 +123,7 @@ def occurrence_ordered_triples(doc: AnnotatedDocument) -> list[Triple]:
             )
         except ValueError as exc:  # a blank surface text: name its entity
             blank = subj if is_blank(subj.surface_text) else obj
-            raise ValueError(f"entity {blank.id}: {exc}") from None
+            raise DocumentError(doc.doc_id, f"entity {blank.id}: {exc}") from None
         keyed.append(((subj.first_start, obj.first_start, PREDICATE_TOKENS[rel.predicate]), triple))
     keyed.sort(key=lambda item: item[0])
     return list(distinct_triples(triple for _, triple in keyed).values())

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
 
-from .errors import StandoffParseError, ToolkitError
+from .errors import DocumentError, StandoffParseError, ToolkitError
 
 logger = logging.getLogger(__name__)
 
@@ -287,7 +287,7 @@ def serialize_document(doc: AnnotatedDocument) -> tuple[str, str]:
     lines = []
     for ent in doc.entities:
         if not is_ann_surface(ent.surface_text):
-            raise ToolkitError(f"{doc.doc_id}: entity {ent.id}: {UNWRITABLE_SURFACE}")
+            raise DocumentError(doc.doc_id, f"entity {ent.id}: {UNWRITABLE_SURFACE}")
         lines.append(
             f"{ent.id}\t{ENTITY_TYPE_LABELS[ent.entity_type]} {format_offsets(ent.fragments)}"
             f"\t{ent.surface_text}"

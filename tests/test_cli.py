@@ -253,6 +253,10 @@ class TestSplitCommand:
             (["--train-list", "t.txt", "--dev-list", "d.txt"], "file_list mode needs --train-list, --dev-list, and --test-list"),
             (["--ratios", "0.5,0.5"], "--ratios needs three comma-separated fractions"),
             ([], "split needs either --ratios or the three --*-list flags"),
+            (
+                ["--ratios", "0.5,0.5,0", "--train-list", "t.txt", "--dev-list", "d.txt", "--test-list", "e.txt"],
+                "split takes either --ratios or the three --*-list flags, not both",
+            ),
         ],
     )
     def test_flag_errors(self, mini_corpus_dir, tmp_path, capsys, flags, message):
@@ -846,6 +850,25 @@ class TestFailedRunsWriteNothing:
         out = tmp_path / "s.json"
         err = fails_leaving_tree_unchanged(tmp_path, ["stats", "--in", mini_corpus_dir, "--out", out], capsys)
         assert err == f"error: {out}: No space left on device\n"
+
+    def test_a_failed_rename_prints_no_summary(self, mini_corpus_dir, tmp_path, monkeypatch, capsys):
+        """The summary is printed only once every output is in place."""
+        argv = [str(a) for a in ["repair", "--in", mini_corpus_dir, "--out", tmp_path / "o"]]
+        assert run_cli(argv) == 0
+        capsys.readouterr()
+
+        refused = []
+
+        def refuse(src, dst):
+            refused.append(dst)
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), dst)
+
+        monkeypatch.setattr(standoff.os, "replace", refuse)
+        before = tree_snapshot(tmp_path)
+        assert run_cli(argv) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {refused[0]}: {os.strerror(errno.EACCES)}\n")
+        assert tree_snapshot(tmp_path) == before
 
     def test_encode_special_tokens_on_a_directory(self, mini_corpus_dir, tmp_path, capsys):
         (tmp_path / "enc" / "special_tokens.txt").mkdir(parents=True)

@@ -1,0 +1,63 @@
+"""A document the library cannot take raises DocumentError, which carries the
+doc id and the reason as data; the CLI names the document's .ann from them."""
+
+import pickle
+
+import pytest
+
+from raredis_toolkit.errors import DocumentError, ToolkitError
+from raredis_toolkit.flatten import flatten_document
+from raredis_toolkit.repair import repair_all
+from raredis_toolkit.schema import encode_target
+from raredis_toolkit.standoff import (
+    UNWRITABLE_SURFACE,
+    AnnotatedDocument,
+    EntityMention,
+    parse_document,
+    serialize_document,
+)
+
+RAISERS = {
+    "repair_overlapping_fragments": (
+        lambda: repair_all(parse_document("a" * 50, "T1\tSIGN 10 20;15 25\taaa\n", "d1")),
+        "d1",
+        "entity T1 has overlapping fragments 10 20;15 25",
+    ),
+    "repair_unwritable_surface": (
+        lambda: repair_all(parse_document("a\nb c", "T1\tSIGN 0 3\ta b", "d2")),
+        "d2",
+        f"entity T1: repaired {UNWRITABLE_SURFACE}",
+    ),
+    "serialize_surface_ending_in_cr": (
+        lambda: serialize_document(parse_document("Beta syndrome", "T1\tDISEASE 0 4\tBeta\r\r\n", "d3")),
+        "d3",
+        f"entity T1: {UNWRITABLE_SURFACE}",
+    ),
+    "encode_blank_entity_text": (
+        lambda: encode_target(
+            parse_document(" x tremor", "T1\tSIGN 0 1\t \nT2\tSIGN 3 9\ttremor\nR1\tproduces Arg1:T1 Arg2:T2\n", "d4"),
+            "rel_is",
+        ),
+        "d4",
+        "entity T1: triple entity texts may not be blank",
+    ),
+    "flatten_fragment_out_of_range": (
+        lambda: flatten_document(
+            AnnotatedDocument("d5", "aaaa bbbb cccc", (EntityMention("T1", "sign", ((0, 4), (10, 20)), ""),), ())
+        ),
+        "d5",
+        "fragment (10, 20) outside any copied stretch",
+    ),
+}
+
+
+@pytest.mark.parametrize("raise_it, doc_id, reason", RAISERS.values(), ids=RAISERS.keys())
+def test_a_document_error_carries_its_doc_id_and_reason(raise_it, doc_id, reason):
+    with pytest.raises(DocumentError) as caught:
+        raise_it()
+    exc = caught.value
+    assert isinstance(exc, ToolkitError)
+    assert (exc.doc_id, exc.reason) == (doc_id, reason)
+    assert str(exc) == f"{doc_id}: {reason}"
+    copy = pickle.loads(pickle.dumps(exc))
+    assert (type(copy), copy.doc_id, copy.reason) == (type(exc), doc_id, reason)

@@ -196,7 +196,7 @@ def oracle_flatten_document(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, 
         if i is not None:
             delta = copied_stretches[i][1]
             return (fs + delta, fe + delta)
-        raise FlattenError(f"{doc.doc_id}: fragment {fragment} outside any copied stretch")
+        raise FlattenError(doc.doc_id, f"fragment {fragment} outside any copied stretch")
 
     entities = []
     for ent in doc.entities:

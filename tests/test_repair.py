@@ -52,7 +52,7 @@ def oracle_fix_fragment_order(doc):
         for (_, prev_end), (next_start, _) in zip(ordered, ordered[1:]):
             if prev_end > next_start:
                 raise RepairError(
-                    f"{doc.doc_id}: entity {ent.id} has overlapping fragments {format_offsets(ordered)}"
+                    doc.doc_id, f"entity {ent.id} has overlapping fragments {format_offsets(ordered)}"
                 )
         if ordered != ent.fragments:
             fixed = ent._replace(fragments=ordered)
