@@ -327,7 +327,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
     except DocumentError as exc:  # every command that can raise one reads --in
-        print(f"error: {Path(args.input_dir) / exc.doc_id}.ann: {exc.reason}", file=sys.stderr)
+        print(f"error: {exc.located(f'{Path(args.input_dir) / exc.doc_id}.ann')}", file=sys.stderr)
         return 1
     except (ToolkitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

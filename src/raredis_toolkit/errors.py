@@ -5,27 +5,27 @@ class ToolkitError(Exception):
     """Base class for all toolkit errors."""
 
 
-class StandoffParseError(ToolkitError):
-    """A .ann line could not be parsed. Carries the 1-based line number."""
-
-    def __init__(self, line_no: int, reason: str, doc_id: str = ""):
-        self.line_no = line_no
-        self.reason = reason
-        self.doc_id = doc_id
-        where = f"{doc_id}:" if doc_id else "line "
-        super().__init__(f"{where}{line_no}: {reason}")
-
-
 class DocumentError(ToolkitError):
-    """A corpus document the library cannot take. Carries its doc id and the reason."""
+    """A corpus document the library cannot take. Carries its doc id, the
+    reason and, for an error at one .ann line, its 1-based line number."""
 
-    def __init__(self, doc_id: str, reason: str):
+    def __init__(self, doc_id: str, reason: str, line_no: int | None = None):
         self.doc_id = doc_id
         self.reason = reason
-        super().__init__(doc_id, reason)
+        self.line_no = line_no
+        super().__init__(doc_id, reason, line_no)
+
+    def located(self, name: str) -> str:
+        """The message with `name` for the document: `<name>[:<line>]: <reason>`."""
+        line = "" if self.line_no is None else f":{self.line_no}"
+        return f"{name}{line}: {self.reason}"
 
     def __str__(self) -> str:
-        return f"{self.doc_id}: {self.reason}"
+        return self.located(self.doc_id)
+
+
+class StandoffParseError(DocumentError):
+    """A .ann line could not be parsed."""
 
 
 class RepairError(DocumentError):

@@ -134,15 +134,18 @@ def _interval(value) -> tuple[int, int] | None:
 
 
 def read_offset_map(path: str | Path) -> OffsetMap:
-    """The map in a `.offsets.json` sidecar, the only reader of what `flatten` writes.
-    Every error names `path`; the pairs must be in order, as `to_original` bisects them."""
+    """The map in a `.offsets.json` sidecar, the only reader of what `flatten` writes. Every error names
+    `path`; the pairs must be in order, as `to_original` bisects them, with each original interval
+    as long as its rewritten one, as `flatten` copies text."""
     content = read_file(path)
     try:
         pairs = tuple((_interval(e["rewritten"]), _interval(e["original"])) for e in json.loads(content)["pairs"])
         previous_end = 0
-        for (ns, ne), _ in pairs:
+        for (ns, ne), original in pairs:
             if not previous_end <= ns <= ne:
                 raise ToolkitError(f"{path}: offset map pairs must be ordered and non-overlapping, at {[ns, ne]}")
+            if original is not None and original[1] - original[0] != ne - ns:
+                raise ToolkitError(f"{path}: offset map pair {[ns, ne]} -> {list(original)}: lengths differ")
             previous_end = ne
     except json.JSONDecodeError as exc:
         raise ToolkitError(f"{path}:{exc.lineno}: {exc.msg}") from None

@@ -70,8 +70,8 @@ def _label_key(label: str) -> str:
     return _LABEL_SEPARATORS.sub("_", label.strip().lower())
 
 
-# Both lookups are memoized per spelling. The bound matters: seq2rel decoding
-# passes every @Name@ token of model output through them.
+# Both lookups are memoized per spelling. The bound matters: every .ann and TSV label passes
+# through them, as does each seq2rel @Name@ token of model output that schema._seq2rel_token's cache misses.
 @lru_cache(maxsize=1024)
 def normalize_entity_type(label: str) -> str | None:
     """Map a type label spelling to its canonical name, or None if unknown.
@@ -218,9 +218,12 @@ def parse_document(text_content: str, ann_content: str, doc_id: str) -> Annotate
     not dropped. Fragment order and span/surface mismatches are preserved
     verbatim; repair is a separate stage.
 
-    Raises StandoffParseError (with the 1-based line number) on malformed
-    lines, unknown type labels, offsets outside the text, and duplicate ids.
+    Raises StandoffParseError, a DocumentError carrying doc_id, the reason
+    and the 1-based line_no, on malformed lines, unknown type labels, offsets
+    outside the text, and duplicate ids; ValueError on an empty doc_id.
     """
+    if not doc_id:
+        raise ValueError("doc_id must be non-empty")
     found: dict[str, list] = {letter: [] for letter in _LINE_KINDS}
     seen_ids: set[str] = set()
 
@@ -231,20 +234,20 @@ def parse_document(text_content: str, ann_content: str, doc_id: str) -> Annotate
         ann_id = fields[0]
         letter = ann_id[:1]
         if letter not in _LINE_KINDS:
-            raise StandoffParseError(line_no, f"unsupported line type {letter!r}", doc_id)
+            raise StandoffParseError(doc_id, f"unsupported line type {letter!r}", line_no)
         holds, n_fields, mid_re, mid_name, lookup = _LINE_KINDS[letter]
         if not is_ann_id(ann_id, letter):
-            raise StandoffParseError(line_no, f"bad {holds} id {ann_id!r}", doc_id)
+            raise StandoffParseError(doc_id, f"bad {holds} id {ann_id!r}", line_no)
         if len(fields) != n_fields:
             raise StandoffParseError(
-                line_no, f"{holds} line has {len(fields)} tab-separated fields, expected {n_fields}", doc_id
+                doc_id, f"{holds} line has {len(fields)} tab-separated fields, expected {n_fields}", line_no
             )
         mid = mid_re.match(fields[1])
         if mid is None:
-            raise StandoffParseError(line_no, f"cannot parse {mid_name} {fields[1]!r}", doc_id)
+            raise StandoffParseError(doc_id, f"cannot parse {mid_name} {fields[1]!r}", line_no)
         label = lookup(mid["label"])
         if label is None:
-            raise StandoffParseError(line_no, f"unknown {holds} type {mid['label']!r}", doc_id)
+            raise StandoffParseError(doc_id, f"unknown {holds} type {mid['label']!r}", line_no)
 
         if letter == "T":
             fragments = []
@@ -253,16 +256,16 @@ def parse_document(text_content: str, ann_content: str, doc_id: str) -> Annotate
                 start, end = int(start_s), int(end_s)
                 if not 0 <= start < end <= len(text_content):
                     need = f"need 0 <= start < end <= document length {len(text_content)}"
-                    raise StandoffParseError(line_no, f"invalid offsets {start} {end} ({need})", doc_id)
+                    raise StandoffParseError(doc_id, f"invalid offsets {start} {end} ({need})", line_no)
                 fragments.append((start, end))
             annotation = EntityMention(ann_id, label, tuple(fragments), fields[2])
         else:
             if not (is_ann_id(mid["arg1"], "T") and is_ann_id(mid["arg2"], "T")):
-                raise StandoffParseError(line_no, "relation arguments must be T<digits> ids", doc_id)
+                raise StandoffParseError(doc_id, "relation arguments must be T<digits> ids", line_no)
             annotation = RelationInstance(ann_id, label, mid["arg1"], mid["arg2"])
 
         if ann_id in seen_ids:
-            raise StandoffParseError(line_no, f"duplicate id {ann_id}", doc_id)
+            raise StandoffParseError(doc_id, f"duplicate id {ann_id}", line_no)
         seen_ids.add(ann_id)
         found[letter].append(annotation)
 
@@ -307,18 +310,11 @@ def path_stem(path: str) -> str:
     return name[:i] if 0 < i < len(name) - 1 else name
 
 
-def _read_pair(txt_path: str, ann_path: str, doc_id: str) -> AnnotatedDocument:
-    try:
-        return parse_document(read_file(txt_path), read_file(ann_path), doc_id)
-    except StandoffParseError as exc:
-        exc.args = (f"{ann_path}:{exc.line_no}: {exc.reason}",)
-        raise
-
-
 def read_document_pair(txt_path: str | Path) -> AnnotatedDocument:
-    """Load one <doc_id>.txt / <doc_id>.ann pair (UTF-8); a parse error names the .ann file."""
+    """Load one <doc_id>.txt / <doc_id>.ann pair (UTF-8) as the document <doc_id>;
+    a parse error is a StandoffParseError carrying that doc_id and the line."""
     txt_path = Path(txt_path)
-    return _read_pair(str(txt_path), str(txt_path.with_suffix(".ann")), txt_path.stem)
+    return parse_document(read_file(txt_path), read_file(txt_path.with_suffix(".ann")), txt_path.stem)
 
 
 def _listing(path: str | Path) -> tuple[str, list[str]]:
@@ -369,7 +365,7 @@ def paired_texts(path: str | Path, strict_pairs: bool = True) -> dict[str, str]:
 def load_corpus_dir(path: str | Path, strict_pairs: bool = True) -> list[AnnotatedDocument]:
     """Load every .txt/.ann pair in a directory (see paired_texts), sorted by doc_id."""
     return [
-        _read_pair(txt, txt[:-4] + ".ann", doc_id)
+        parse_document(read_file(txt), read_file(txt[:-4] + ".ann"), doc_id)
         for doc_id, txt in paired_texts(path, strict_pairs).items()
     ]
 

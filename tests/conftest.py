@@ -13,6 +13,10 @@ from raredis_toolkit.standoff import parse_document
 # characters str.splitlines() breaks on, plus tab and the record separator
 LINE_BREAK_ALPHABET = "ab \t\n\r\x85\u2028\x0b\x0c\x1c\x1d\x1e"
 
+# characters a model or a file may put anywhere: line and record breaks, NUL,
+# an astral character, and the letters re.IGNORECASE folds onto ASCII ones
+HOSTILE_CHARACTERS = ["\r", "\t", "\n", "\x85", "\x00", "\U0001F9EC", "ſ", "İ", "ı", "\u212a"]
+
 # Scaling bounds: doubling a layer's input may at most triple its time.
 MAX_SCALE_RATIO = 3.0
 

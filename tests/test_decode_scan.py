@@ -39,7 +39,7 @@ from raredis_toolkit.standoff import (
 )
 from raredis_toolkit.scoring import read_triples_file, triple_writable
 from raredis_toolkit.triples import Triple
-from conftest import MAX_SCALE_RATIO, time_ratio
+from conftest import HOSTILE_CHARACTERS, MAX_SCALE_RATIO, time_ratio
 from floor_smoke import fold_mismatches
 
 _SPAN = r"[^.]+?"
@@ -310,13 +310,10 @@ class TestSeq2relMatchesItsOracle:
 
 # --- the CLI over hostile text -----------------------------------------------
 
-# characters a model or a file may put anywhere: line and record breaks, NUL,
-# an astral character, and the letters re.IGNORECASE folds onto ASCII ones
-_HOSTILE = ["\r", "\t", "\n", "\x85", "\x00", "\U0001F9EC", "ſ", "İ", "ı", "\u212a"]
 # whole rel_is and seq2rel units, which the fragments above rarely assemble
 _UNITS = ["The relation between Beta syndrome and x is hyponym. ", "Beta syndrome @RareDisease@ x @Sign@ @IS_A@ "]
 # parts drawn about equally from fragments and tokens, hostile characters and whole units
-_HOSTILE_PARTS = st.sampled_from(_FRAGMENTS + _TOKENS) | st.sampled_from(_HOSTILE) | st.sampled_from(_UNITS)
+_HOSTILE_PARTS = st.sampled_from(_FRAGMENTS + _TOKENS) | st.sampled_from(HOSTILE_CHARACTERS) | st.sampled_from(_UNITS)
 
 
 class TestCliDecodesHostileText:

@@ -315,9 +315,10 @@ class TestOffsetMapIO:
             ('{"pairs": [{"rewritten": [0, 5], "original": [1, "6"]}]}', ": "),
             ('{"pairs": [{"rewritten": null, "original": null}]}', ": "),
             ('{"pairs": [[0, 5]]}', ": "),
+            ('{"pairs": [{"rewritten": [0, 3], "original": [10, 2]}]}', ": offset map pair [0, 3] -> [10, 2]: "),
         ],
         ids=["bad-json", "no-pairs", "not-an-object", "long-rewritten", "short-rewritten", "no-original",
-             "text-offset", "null-rewritten", "pair-not-an-object"],
+             "text-offset", "null-rewritten", "pair-not-an-object", "unequal-lengths"],
     )
     def test_malformed_map_names_its_file(self, content, where, tmp_path):
         path = tmp_path / "m.offsets.json"

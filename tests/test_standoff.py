@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raredis_toolkit import standoff
+from raredis_toolkit.cli import run_cli
 from raredis_toolkit.errors import StandoffParseError, ToolkitError
 from raredis_toolkit.repair import RepairEntry
 from raredis_toolkit.schema import ENTITY_TOKENS, PREDICATE_TOKENS, decode_target_report
@@ -131,6 +132,8 @@ class TestParse:
     def test_empty_doc_id_rejected(self):
         with pytest.raises(ValueError, match="^doc_id must be non-empty$"):
             AnnotatedDocument("", "text", (), ())
+        with pytest.raises(ValueError, match="^doc_id must be non-empty$"):  # before any line is read
+            parse_document("text", "X1\tnot a line\n", "")
 
     def test_span_text_mismatch_preserved_verbatim(self):
         doc = parse_document("abcdefghij", "T1\tSIGN 0 3\tWRONG\n", "d")
@@ -466,12 +469,13 @@ class TestStringListing:
         assert [doc.doc_id for doc in docs] == list(pairs)
         assert docs == [standoff.read_document_pair(Path(txt)) for txt in pairs.values()]
 
-    def test_parse_errors_name_the_ann_as_pathlib_spells_it(self, corpus):
+    def test_parse_errors_name_the_ann_as_pathlib_spells_it(self, corpus, capsys):
         (corpus / "x.y.ann").write_text("T1\tSIGN 9 9\tx\n", encoding="utf-8")
         for spelling in ("./c/", "c//"):
-            with pytest.raises(StandoffParseError) as exc:
-                load_corpus_dir(spelling, strict_pairs=False)
-            assert str(exc.value).startswith(f"{Path(spelling, 'x.y.txt').with_suffix('.ann')}:1: invalid offsets")
+            assert run_cli(["stats", "--in", spelling, "--lenient-pairs"]) == 1
+            assert capsys.readouterr().err == (
+                "error: c/x.y.ann:1: invalid offsets 9 9 (need 0 <= start < end <= document length 4)\n"
+            )
 
     def test_missing_files_are_named_as_pathlib_spells_them(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
