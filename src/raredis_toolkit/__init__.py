@@ -29,7 +29,7 @@ from .schema import (
     DEFAULT_NOUN_MAP,
     SCHEMA_KINDS,
     build_prompt,
-    decode_target,
+    codec,
     decode_target_report,
     encode_target,
     normalize_generation,
@@ -84,9 +84,9 @@ __all__ = [
     "Triple",
     "build_prompt",
     "categorize_errors",
+    "codec",
     "collapse_duplicates",
     "corpus_statistics",
-    "decode_target",
     "decode_target_report",
     "document_shapes",
     "encode_target",

@@ -59,14 +59,13 @@ def _add_schema_args(parser):
     parser.add_argument("--noun-map", help="JSON file mapping predicates to nouns (rel-is)")
 
 
-def _load_noun_map(path: str | None) -> dict[str, str]:
-    """The --noun-map file's map, validated here once per run, or the default."""
-    if path is None:
-        return schema_mod.DEFAULT_NOUN_MAP
+def _load_codec(args) -> schema_mod.Codec:
+    """The --schema codec, with the --noun-map file's map checked here once per run."""
     try:
-        return schema_mod.validate_noun_map(json.loads(standoff.read_file(path)))
+        noun_map = None if args.noun_map is None else json.loads(standoff.read_file(args.noun_map))
+        return schema_mod.codec(args.schema, noun_map)
     except ValueError as exc:  # malformed JSON too
-        raise ToolkitError(f"{path}: {exc}") from None
+        raise ToolkitError(f"{args.noun_map}: {exc}") from None
 
 
 def cmd_repair(args):
@@ -137,15 +136,15 @@ def cmd_flatten(args):
 
 def cmd_encode(args):
     docs = _load_corpus(args)
-    noun_map = _load_noun_map(args.noun_map)
+    codec = _load_codec(args)
     out = Path(args.out_file)
 
     def record(doc) -> dict:
         try:
             source = schema_mod.build_prompt(doc.text, args.copy_instruct)
         except ValueError as exc:  # an empty document text
-            raise ToolkitError(f"{Path(args.input_dir) / doc.doc_id}.txt: {exc}") from None
-        return {"doc_id": doc.doc_id, "source": source, "target": schema_mod._encode(doc, args.schema, noun_map)}
+            raise DocumentError(doc.doc_id, str(exc), suffix=".txt") from None
+        return {"doc_id": doc.doc_id, "source": source, "target": codec.encode(doc)}
 
     records = map(record, docs)
     yield out, standoff.join_records((json.dumps(r, ensure_ascii=False) for r in records), out)
@@ -154,16 +153,16 @@ def cmd_encode(args):
     ]
     if skipped:
         logger.warning("skipping relations with unresolved arguments: %s", ", ".join(skipped))
-    if args.schema == schema_mod.SCHEMA_SEQ2REL:
+    if codec.special_tokens:
         vocab_path = out.parent / "special_tokens.txt"
-        yield vocab_path, standoff.join_records(schema_mod.special_tokens(), vocab_path)
+        yield vocab_path, standoff.join_records(codec.special_tokens, vocab_path)
         print(f"wrote {len(docs)} examples to {out} and tokens to {vocab_path}")
     else:
         print(f"wrote {len(docs)} examples to {out}")
 
 
 def cmd_decode(args):
-    noun_map = _load_noun_map(args.noun_map)
+    decode = _load_codec(args).decode
     triples_by_doc = {}
     sources: dict[str, str] = {}  # the generation file of each doc id
     report_lines = []
@@ -178,7 +177,7 @@ def cmd_decode(args):
         generation = standoff.read_file(path)
         if not args.raw:
             generation = schema_mod.normalize_generation(generation)
-        triples, skipped = schema_mod._decode(generation, args.schema, noun_map)
+        triples, skipped = decode(generation)
         kept = []
         for t in triples:
             if scoring_mod.triple_writable(t):
@@ -327,7 +326,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
     except DocumentError as exc:  # every command that can raise one reads --in
-        print(f"error: {exc.located(f'{Path(args.input_dir) / exc.doc_id}.ann')}", file=sys.stderr)
+        print(f"error: {exc.located(f'{Path(args.input_dir) / exc.doc_id}{exc.suffix}')}", file=sys.stderr)
         return 1
     except (ToolkitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

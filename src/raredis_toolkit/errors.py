@@ -7,13 +7,15 @@ class ToolkitError(Exception):
 
 class DocumentError(ToolkitError):
     """A corpus document the library cannot take. Carries its doc id, the
-    reason and, for an error at one .ann line, its 1-based line number."""
+    reason, for an error at one .ann line its 1-based line number, and the
+    suffix of the file of the pair it is about: ".ann" or ".txt"."""
 
-    def __init__(self, doc_id: str, reason: str, line_no: int | None = None):
+    def __init__(self, doc_id: str, reason: str, line_no: int | None = None, suffix: str = ".ann"):
         self.doc_id = doc_id
         self.reason = reason
         self.line_no = line_no
-        super().__init__(doc_id, reason, line_no)
+        self.suffix = suffix
+        super().__init__(doc_id, reason, line_no, suffix)
 
     def located(self, name: str) -> str:
         """The message with `name` for the document: `<name>[:<line>]: <reason>`."""

@@ -12,8 +12,9 @@ Three rules, which repair_all applies in one pass over a document:
                        extra zero (T90 where only T9 exists) is stripped.
 
 After repair_all every entity satisfies: fragments strictly increasing and
-non-overlapping, and document slices joined by single spaces equal the
-surface text.
+non-overlapping, document slices joined by single spaces equal the surface
+text, and that surface is not blank and fits on an .ann line. repair_all
+raises RepairError for an entity it cannot bring there.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from pathlib import Path
 from .errors import RepairError
 from .standoff import UNWRITABLE_SURFACE, AnnotatedDocument, EntityMention, format_offsets, is_ann_id
 from .standoff import is_ann_surface, join_records, slices_text
+from .triples import is_blank
 
 RULE_RELATION_ARGUMENT = "relation_argument"
 RULE_SPAN_BOUNDARY = "span_boundary"
@@ -114,8 +116,11 @@ def repair_all(doc: AnnotatedDocument) -> tuple[AnnotatedDocument, RepairLog]:
     for ent in doc.entities:
         ent, order_entry = _sort_fragments(doc, ent)
         ent, span_entry = _fix_entity_span(doc.text, ent)
+        # what every entity's surface must be: one an .ann line and a triple can hold
         if not is_ann_surface(ent.surface_text):
             raise RepairError(doc.doc_id, f"entity {ent.id}: repaired {UNWRITABLE_SURFACE}")
+        if is_blank(ent.surface_text):
+            raise RepairError(doc.doc_id, f"entity {ent.id}: repaired surface is blank, which no triple can hold")
         entities.append(ent)
         reordered.append(order_entry)
         respanned.append(span_entry)

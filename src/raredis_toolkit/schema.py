@@ -14,13 +14,17 @@ total: malformed stretches of a generation are skipped and reported, never
 fatal. It has one case rule, _fold: each generation is folded once and
 matched exactly, and entity texts are sliced from the generation as written.
 natural_lang tries only the templates whose fixed phrase the folded text holds.
+
+codec(kind, noun_map) is the one dispatch on the kind, with the noun map
+checked once; encode_target, decode_target_report and the CLI all use it.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Iterator
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import DocumentError
 from .standoff import (
@@ -75,9 +79,7 @@ _REL_IS_SENTENCE = "The relation between {s1} and {s2} is {noun}"
 
 def special_tokens() -> list[str]:
     """All @...@ tokens, for tokenizer setup."""
-    return [ENTITY_TOKENS[t] for t in ENTITY_TYPES] + [
-        PREDICATE_TOKENS[p] for p in PREDICATES
-    ] + [NOREL_TOKEN, END_TOKEN]
+    return [*ENTITY_TOKENS.values(), *PREDICATE_TOKENS.values(), NOREL_TOKEN, END_TOKEN]
 
 
 # a noun as the rel_is pattern reads it back once normalize_generation collapses spaces
@@ -100,7 +102,7 @@ def validate_noun_map(noun_map: dict[str, str]) -> dict[str, str]:
         raise ValueError(f"noun map nouns must be letters in words split by single spaces: {', '.join(malformed)}")
     if noun_map["is_a"] != "hyponym" or noun_map["is_synon"] != "synonym":
         raise ValueError('noun map must keep is_a="hyponym" and is_synon="synonym"')
-    # decoding reads "synonyms" as is_synon's noun too (see _decode_rel_is)
+    # decoding reads "synonyms" as is_synon's noun too (see codec)
     if len({noun.lower() for noun in noun_map.values()} | {"synonyms"}) <= len(noun_map):
         raise ValueError('noun map gives two predicates the same noun (case-insensitive; "synonyms" is "synonym")')
     return noun_map
@@ -131,41 +133,33 @@ def occurrence_ordered_triples(doc: AnnotatedDocument) -> list[Triple]:
 
 def encode_target(doc: AnnotatedDocument, kind: str, noun_map: dict[str, str] | None = None) -> str:
     """Render a repaired document's relation set in the given schema."""
-    return _encode(doc, kind, DEFAULT_NOUN_MAP if noun_map is None else validate_noun_map(noun_map))
+    return codec(kind, noun_map).encode(doc)
 
 
-def _encode(doc: AnnotatedDocument, kind: str, noun_map: dict[str, str]) -> str:
-    """encode_target with a noun map validate_noun_map has passed."""
+def _encode_seq2rel(doc: AnnotatedDocument) -> str:
     triples = occurrence_ordered_triples(doc)
+    if not triples:
+        return NOREL_TOKEN
+    units = [
+        f"{t.subject_text} {ENTITY_TOKENS[t.subject_type]} "
+        f"{t.object_text} {ENTITY_TOKENS[t.object_type]} {PREDICATE_TOKENS[t.predicate]}"
+        for t in triples
+    ]
+    return " ".join(units) + f" {END_TOKEN}"
 
-    if kind == SCHEMA_SEQ2REL:
-        if not triples:
-            return NOREL_TOKEN
-        units = [
-            f"{t.subject_text} {ENTITY_TOKENS[t.subject_type]} "
-            f"{t.object_text} {ENTITY_TOKENS[t.object_type]} {PREDICATE_TOKENS[t.predicate]}"
-            for t in triples
-        ]
-        return " ".join(units) + f" {END_TOKEN}"
 
-    if kind == SCHEMA_REL_IS:
-        return " ".join(
-            _REL_IS_SENTENCE.format(s1=t.subject_text, s2=t.object_text, noun=noun_map[t.predicate]) + "."
-            for t in triples
+def _encode_sentences(templates: dict[str, str], close: str, doc: AnnotatedDocument) -> str:
+    """One sentence per relation from its predicate's template, joined by ". ", then close."""
+    sentences = [
+        templates[t.predicate].format(
+            s1=t.subject_text,
+            t1=TYPE_WORDS[t.subject_type],
+            s2=t.object_text,
+            t2=TYPE_WORDS[t.object_type],
         )
-
-    if kind == SCHEMA_NATURAL_LANG:
-        return ". ".join(
-            _NL_TEMPLATES[t.predicate].format(
-                s1=t.subject_text,
-                t1=TYPE_WORDS[t.subject_type],
-                s2=t.object_text,
-                t2=TYPE_WORDS[t.object_type],
-            )
-            for t in triples
-        )
-
-    raise ValueError(f"unknown schema kind {kind!r}")
+        for t in occurrence_ordered_triples(doc)
+    ]
+    return ". ".join(sentences) + close if sentences else ""
 
 
 def build_prompt(doc_text: str, copy_instruct: bool) -> str:
@@ -318,24 +312,25 @@ def _seq2rel_token(name: str) -> tuple[int, str | None]:
     return _UNKNOWN, None
 
 
-def _decode_seq2rel(generation: str, report: list[tuple[str, str]]) -> list[Triple]:
+def _decode_seq2rel(generation: str) -> tuple[list[Triple], list[tuple[str, str]]]:
     triples: list[Triple] = []
+    report: list[tuple[str, str]] = []
     pending: list[tuple[str, str]] = []
     pieces = _AT_TOKEN_RE.split(generation)  # text, name, text, ..., name, text
     for before, name in zip(pieces[::2], pieces[1::2]):
         before = before.strip()
-        kind, label = _seq2rel_token(name)
+        token_kind, label = _seq2rel_token(name)
 
-        if kind == _END:
+        if token_kind == _END:
             if before:
                 report.append((before, "text before the end token"))
             break
-        if kind == _NOREL:
+        if token_kind == _NOREL:
             if before:
                 report.append((before, "text before the no-relation token"))
             continue
 
-        if kind == _ENTITY:
+        if token_kind == _ENTITY:
             if not before:
                 report.append((f"@{name}@", "entity-type token without preceding entity text"))
                 continue
@@ -343,7 +338,7 @@ def _decode_seq2rel(generation: str, report: list[tuple[str, str]]) -> list[Trip
             if len(pending) > 2:
                 dropped = pending.pop(0)
                 report.append((dropped[0], "more than two entities before a relation token"))
-        elif kind == _RELATION:
+        elif token_kind == _RELATION:
             if before:
                 report.append((before, "stray text before a relation token"))
             if len(pending) == 2:
@@ -360,13 +355,14 @@ def _decode_seq2rel(generation: str, report: list[tuple[str, str]]) -> list[Trip
             report.append((tail, "trailing text without a closing token"))
     for text, _ in pending:
         report.append((text, "entity never attached to a relation"))
-    return triples
+    return triples, report
 
 
-def _decode_by_patterns(generation, candidates, report, build) -> list[Triple]:
+def _decode_by_patterns(generation, candidates, build) -> tuple[list[Triple], list[tuple[str, str]]]:
     """Accept non-overlapping matches left to right, from (predicate, match)
-    candidates in the folded generation ordered by start, longer first; report uncovered text."""
-    triples = []
+    candidates in the folded generation ordered by start, longer first; report
+    uncovered text, and each match for which build returns a skip reason."""
+    triples, report = [], []
     cursor = 0
     for predicate, match in candidates:
         start, end = match.span()
@@ -376,38 +372,35 @@ def _decode_by_patterns(generation, candidates, report, build) -> list[Triple]:
         if gap:
             report.append((gap, "unrecognized text between relation sentences"))
         try:
-            triple = build(predicate, match)
+            built = build(predicate, match)
         except ValueError:  # Triple refuses a blank entity text
-            report.append((generation[start:end].strip(), "empty entity span"))
-            triple = None
-        if triple is not None:
-            triples.append(triple)
+            built = "empty entity span"
+        if isinstance(built, str):
+            report.append((generation[start:end].strip(), built))
+        else:
+            triples.append(built)
         cursor = end
     tail = generation[cursor:].strip(" .")
     if tail:
         report.append((tail, "unrecognized trailing text"))
-    return triples
+    return triples, report
 
 
-def _decode_rel_is(generation: str, noun_map: dict[str, str], report: list[tuple[str, str]]) -> list[Triple]:
-    noun_to_pred = {noun.lower(): pred for pred, noun in noun_map.items()}
-    noun_to_pred.setdefault("synonyms", noun_to_pred.get("synonym", "is_synon"))
-
-    def build(_: str, match: re.Match) -> Triple | None:
+def _decode_rel_is(noun_to_pred: dict[str, str], generation: str) -> tuple[list[Triple], list[tuple[str, str]]]:
+    def build(_: str, match: re.Match) -> Triple | str:
         noun = match.group("noun")  # folded; the \s* after it takes any trailing space
         predicate = noun_to_pred.get(noun)
         if predicate is None:
-            report.append((generation[match.start() : match.end()].strip(), f"unknown relation noun {noun!r}"))
-            return None
+            return f"unknown relation noun {noun!r}"
         (a, b), (c, d) = match.span("s1"), match.span("s2")
         return Triple(generation[a:b].strip(), None, predicate, generation[c:d].strip(), None)
 
     # one template's scan yields its matches in order
     candidates = (("", m) for m in _scan(_REL_IS_PATTERN, _fold(generation)))
-    return _decode_by_patterns(generation, candidates, report, build)
+    return _decode_by_patterns(generation, candidates, build)
 
 
-def _decode_natural_lang(generation: str, report: list[tuple[str, str]]) -> list[Triple]:
+def _decode_natural_lang(generation: str) -> tuple[list[Triple], list[tuple[str, str]]]:
     def build(predicate: str, match: re.Match) -> Triple:
         groups = match.groupdict()  # type words read folded
         t1 = _WORD_TO_TYPE[groups["t1"]] if "t1" in groups else None
@@ -425,34 +418,40 @@ def _decode_natural_lang(generation: str, report: list[tuple[str, str]]) -> list
         for match in _scan(template, folded)
     ]
     candidates.sort(key=lambda item: (item[1].start(), -item[1].end()))
-    return _decode_by_patterns(generation, candidates, report, build)
+    return _decode_by_patterns(generation, candidates, build)
 
 
 def decode_target_report(
     generation: str, kind: str, noun_map: dict[str, str] | None = None
 ) -> tuple[list[Triple], list[tuple[str, str]]]:
     """Decode a generation; also return (segment, reason) for skipped parts."""
-    return _decode(generation, kind, DEFAULT_NOUN_MAP if noun_map is None else validate_noun_map(noun_map))
+    return codec(kind, noun_map).decode(generation)
 
 
-def _decode(
-    generation: str, kind: str, noun_map: dict[str, str]
-) -> tuple[list[Triple], list[tuple[str, str]]]:
-    """decode_target_report with a noun map validate_noun_map has passed."""
-    report: list[tuple[str, str]] = []
+# what codec gives for a schema kind
+Codec = namedtuple("Codec", "encode decode special_tokens")
+
+
+def codec(kind: str, noun_map: dict[str, str] | None = None) -> Codec:
+    """A schema kind's encode(doc) -> target, its total decode(generation) ->
+    (triples, [(segment, reason) skipped]), and the special tokens a tokenizer
+    must add (none but seq2rel's). rel_is names noun_map's nouns, the default
+    if None; the default codecs are built at import. An unknown kind or a noun
+    map validate_noun_map refuses raises ValueError here, not at a document."""
+    if noun_map is None and (default := _DEFAULT_CODECS.get(kind)):
+        return default
+    nouns = validate_noun_map(DEFAULT_NOUN_MAP if noun_map is None else noun_map)
     if kind == SCHEMA_SEQ2REL:
-        triples = _decode_seq2rel(generation, report)
-    elif kind == SCHEMA_REL_IS:
-        triples = _decode_rel_is(generation, noun_map, report)
-    elif kind == SCHEMA_NATURAL_LANG:
-        triples = _decode_natural_lang(generation, report)
-    else:
-        raise ValueError(f"unknown schema kind {kind!r}")
-    return triples, report
+        return Codec(_encode_seq2rel, _decode_seq2rel, tuple(special_tokens()))
+    if kind == SCHEMA_REL_IS:
+        # decoding also reads "synonyms" as is_synon's noun, which validate_noun_map keeps free
+        noun_to_pred = {noun.lower(): pred for pred, noun in nouns.items()} | {"synonyms": "is_synon"}
+        templates = {pred: _REL_IS_SENTENCE.replace("{noun}", noun) for pred, noun in nouns.items()}
+        return Codec(partial(_encode_sentences, templates, "."), partial(_decode_rel_is, noun_to_pred), ())
+    if kind == SCHEMA_NATURAL_LANG:
+        return Codec(partial(_encode_sentences, _NL_TEMPLATES, ""), _decode_natural_lang, ())
+    raise ValueError(f"unknown schema kind {kind!r}")
 
 
-def decode_target(generation: str, kind: str, noun_map: dict[str, str] | None = None) -> list[Triple]:
-    """Every well-formed relation unit in the generation, in order. Total."""
-    triples, _ = decode_target_report(generation, kind, noun_map)
-    return triples
-
+_DEFAULT_CODECS: dict[str, Codec] = {}
+_DEFAULT_CODECS.update((kind, codec(kind)) for kind in SCHEMA_KINDS)

@@ -21,7 +21,7 @@ from raredis_toolkit.flatten import flatten_document
 from raredis_toolkit.repair import repair_all, summarize_repairs
 from raredis_toolkit.schema import (
     SCHEMA_KINDS,
-    decode_target,
+    decode_target_report,
     encode_target,
     occurrence_ordered_triples,
 )
@@ -148,7 +148,7 @@ def test_criterion_4_schema_round_trip(kind):
     docs = synthetic_corpus(seed=101, size=1000)
     for doc in docs:
         gold = {fidelity_key(t, kind) for t in occurrence_ordered_triples(doc)}
-        decoded = {fidelity_key(t, kind) for t in decode_target(encode_target(doc, kind), kind)}
+        decoded = {fidelity_key(t, kind) for t in decode_target_report(encode_target(doc, kind), kind)[0]}
         if decoded != gold:
             failures += 1
     assert failures == 0
@@ -187,7 +187,7 @@ def test_criterion_6_worked_example_encodings():
     assert linearized == (
         "Vitamin D Deficiency Rickets @RareDisease@ bone disease @Sign@ @PRODUCES@ @END@"
     )
-    [back] = decode_target(linearized, "seq2rel")
+    [back] = decode_target_report(linearized, "seq2rel")[0]
     assert back == Triple(
         "Vitamin D Deficiency Rickets", "rare_disease", "produces", "bone disease", "sign"
     )
@@ -203,7 +203,7 @@ def test_criterion_6_worked_example_encodings():
     sentence = encode_target(doc2, "rel_is")
     assert sentence == "The relation between Wilm's tumor and kidney cancer is hyponym."
     for variant in (sentence, sentence.replace("relation ", "relationship ")):
-        [back2] = decode_target(variant, "rel_is")
+        [back2] = decode_target_report(variant, "rel_is")[0]
         assert (back2.subject_text, back2.predicate, back2.object_text) == (
             "Wilm's tumor", "is_a", "kidney cancer",
         )
@@ -234,7 +234,7 @@ def test_criterion_6_worked_example_encodings():
         doc3 = parse_document(body, ann3, "d3")
         encoded = encode_target(doc3, "natural_lang")
         assert encoded == expected, pred
-        [back3] = decode_target(encoded, "natural_lang")
+        [back3] = decode_target_report(encoded, "natural_lang")[0]
         assert fidelity_key(back3, "natural_lang") == fidelity_key(triple, "natural_lang"), pred
     print("PASS criterion 6: worked-example encodings match character for character and invert")
 

@@ -713,6 +713,16 @@ class TestErrorsNameTheirInput:
                 "or ends in a carriage return, which no .ann line can hold\n"
             )
 
+    def test_repair_refuses_a_blank_entity(self, tmp_path, capsys):
+        """No triple can hold it, so encode would refuse it at the end of the pipeline."""
+        corpus = tmp_path / "c"
+        corpus.mkdir()
+        (corpus / "d.txt").write_text("a b", encoding="utf-8")
+        ann = "T1\tSIGN 1 2\t \nT2\tSIGN 2 3\tb\nR1\tproduces Arg1:T1 Arg2:T2\n"
+        (corpus / "d.ann").write_text(ann, encoding="utf-8")
+        err = fails_leaving_tree_unchanged(tmp_path, ["repair", "--in", corpus, "--out", tmp_path / "r"], capsys)
+        assert err == f"error: {corpus / 'd.ann'}: entity T1: repaired surface is blank, which no triple can hold\n"
+
     def test_ann_parse_error_names_the_file(self, mini_corpus_dir, tmp_path, capsys):
         (mini_corpus_dir / "e.txt").write_text("x" * 10, encoding="utf-8")
         (mini_corpus_dir / "e.ann").write_text("T1\tSIGN 0 3\txxx\nT1\tSIGN 4 7\txxx\n", encoding="utf-8")

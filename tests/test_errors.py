@@ -1,6 +1,6 @@
 """A document the library cannot take raises DocumentError, which carries the
-doc id, the reason and, for an .ann line that does not parse, the line number
-as data; the CLI names the document's .ann from them."""
+doc id, the reason, for an .ann line that does not parse the line number, and
+which file of the pair it is about as data; the CLI names that file from them."""
 
 import pickle
 import tempfile
@@ -32,6 +32,12 @@ RAISERS = {
         lambda: repair_all(parse_document("a\nb c", "T1\tSIGN 0 3\ta b", "d2")),
         "d2",
         f"entity T1: repaired {UNWRITABLE_SURFACE}",
+        None,
+    ),
+    "repair_blank_surface": (
+        lambda: repair_all(parse_document("a b", "T1\tSIGN 1 2\t \n", "d8")),
+        "d8",
+        "entity T1: repaired surface is blank, which no triple can hold",
         None,
     ),
     "serialize_surface_ending_in_cr": (
@@ -86,7 +92,19 @@ def test_a_document_error_carries_its_doc_id_and_reason(raise_it, doc_id, reason
         raise_it()
     exc = caught.value
     assert isinstance(exc, ToolkitError)
-    assert (exc.doc_id, exc.reason, exc.line_no) == (doc_id, reason, line_no)
+    assert (exc.doc_id, exc.reason, exc.line_no, exc.suffix) == (doc_id, reason, line_no, ".ann")
     assert str(exc) == (f"{doc_id}: {reason}" if line_no is None else f"{doc_id}:{line_no}: {reason}")
     copy = pickle.loads(pickle.dumps(exc))
-    assert (type(copy), copy.doc_id, copy.reason, copy.line_no) == (type(exc), doc_id, reason, line_no)
+    assert (type(copy), copy.doc_id, copy.reason, copy.line_no, copy.suffix) == (
+        type(exc), doc_id, reason, line_no, ".ann"
+    )
+
+
+def test_a_document_error_says_which_file_of_the_pair_it_is_about():
+    exc = DocumentError("d", "doc_text must be non-empty", suffix=".txt")
+    assert str(exc) == "d: doc_text must be non-empty"
+    assert exc.located("c/d.txt") == "c/d.txt: doc_text must be non-empty"
+    copy = pickle.loads(pickle.dumps(exc))
+    assert (type(copy), copy.doc_id, copy.reason, copy.line_no, copy.suffix) == (
+        DocumentError, "d", "doc_text must be non-empty", None, ".txt"
+    )

@@ -44,7 +44,7 @@ _MALFORMED = ["X1\tbogus", "R7\tproduces Arg1:T1", "T8\tSIGN 900 999\tx", "T9\tN
 @st.composite
 def documents(draw) -> tuple[str, str]:
     """(text, ann): up to three entities of one or two fragments, in order
-    or reversed, whose surfaces are their slices or "x"; up to two relations,
+    or reversed, whose surfaces are their slices, "x" or blank; up to two relations,
     some dangling; for one document in eight, a malformed line; and "\\n"
     or "\\r\\n" line endings."""
     text = draw(_TEXTS)
@@ -54,7 +54,7 @@ def documents(draw) -> tuple[str, str]:
         fragments = list(zip(ends[::2], ends[1::2]))
         if draw(st.booleans()):  # for repair to sort
             fragments.reverse()
-        surface = draw(st.sampled_from([slices_text(text, fragments), "x"]))
+        surface = draw(st.sampled_from([slices_text(text, fragments), "x", " "]))
         lines.append(f"T{n}\t{draw(st.sampled_from(_ENTITY_LABELS))} {format_offsets(fragments)}\t{surface}")
     arguments = st.sampled_from(["T1", "T2", "T3"])
     for n in range(1, draw(st.integers(0, 2)) + 1):

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from raredis_toolkit import schema as schema_mod
 from raredis_toolkit.schema import (
     DEFAULT_NOUN_MAP,
     SCHEMA_KINDS,
     build_prompt,
-    decode_target,
+    codec,
     decode_target_report,
     encode_target,
     normalize_generation,
@@ -21,7 +22,7 @@ from raredis_toolkit.schema import (
 )
 from raredis_toolkit.standoff import PREDICATES, RelationInstance, parse_document
 from raredis_toolkit.triples import Triple, collapse_whitespace, normalize_text, triple_key
-from conftest import MAX_SCALE_RATIO, time_ratio
+from conftest import MAX_SCALE_RATIO, MINI_CORPUS, time_ratio
 from synth import synthetic_corpus
 
 RICKETS_LINEARIZED = (
@@ -182,12 +183,12 @@ class TestEncodeTemplates:
 
 class TestDecode:
     def test_seq2rel_worked_example(self):
-        assert decode_target(RICKETS_LINEARIZED, "seq2rel") == [
+        assert decode_target_report(RICKETS_LINEARIZED, "seq2rel")[0] == [
             Triple("Vitamin D Deficiency Rickets", "rare_disease", "produces", "bone disease", "sign")
         ]
 
     def test_norel_decodes_to_empty(self):
-        assert decode_target("@NOREL@", "seq2rel") == []
+        assert decode_target_report("@NOREL@", "seq2rel")[0] == []
 
     def test_rel_is_synonyms_normalized_then_decoded(self):
         # hand-decoded: normalization leaves "synonyms" as it is, and the
@@ -195,7 +196,7 @@ class TestDecode:
         raw = "The relation between A and B is synonyms."
         normalized = normalize_generation(raw)
         assert normalized == raw
-        assert decode_target(normalized, "rel_is") == [Triple("A", None, "is_synon", "B", None)]
+        assert decode_target_report(normalized, "rel_is")[0] == [Triple("A", None, "is_synon", "B", None)]
 
     @pytest.mark.parametrize(
         "schema, generation",
@@ -205,11 +206,11 @@ class TestDecode:
         ],
     )
     def test_entity_text_holding_is_synonyms_kept(self, schema, generation):
-        triples = decode_target(normalize_generation(generation), schema)
+        triples = decode_target_report(normalize_generation(generation), schema)[0]
         assert [(t.subject_text, t.object_text) for t in triples] == [("Ataxia is synonyms", "fever")]
 
     def test_rel_is_accepts_relationship_variant(self):
-        out = decode_target("The relationship between A and B is hyponym.", "rel_is")
+        out = decode_target_report("The relationship between A and B is hyponym.", "rel_is")[0]
         assert out == [Triple("A", None, "is_a", "B", None)]
 
     def test_malformed_segments_skipped_and_reported(self):
@@ -230,28 +231,28 @@ class TestDecode:
             "The relation between A and B is hyponym. "
             "The relation between C and D is producer."
         )
-        preds = [t.predicate for t in decode_target(generation, "rel_is")]
+        preds = [t.predicate for t in decode_target_report(generation, "rel_is")[0]]
         assert preds == ["is_a", "produces"]
 
     @given(st.text(max_size=200))
     @settings(max_examples=300, deadline=None)
     def test_decode_is_total_on_arbitrary_strings(self, generation):
         for kind in SCHEMA_KINDS:
-            decode_target(generation, kind)  # must never raise
+            decode_target_report(generation, kind)[0]  # must never raise
 
     def test_decode_is_total_on_adversarial_token_soup(self):
         for generation in (
             "@END@", "@PRODUCES@", "x @Sign@", "@Sign@ y", "a @Sign@ b @Sign@ c @Sign@ @IS_A@",
             "@BOGUS@ a @Sign@ b @Disease@ @PRODUCES@ @END@ trailing", "@NOREL@ extra",
         ):
-            decode_target(generation, "seq2rel")
+            decode_target_report(generation, "seq2rel")[0]
 
     def test_adjacent_template_sentences_do_not_bleed_into_each_other(self):
         generation = (
             "The term it is an anaphor that refers back to the entity of the "
             "disease encephalitis. Pexidorm is a sign that produces cytofane, as a symptom"
         )
-        decoded = decode_target(generation, "natural_lang")
+        decoded = decode_target_report(generation, "natural_lang")[0]
         assert [(t.predicate, t.subject_text, t.object_text) for t in decoded] == [
             ("anaphora", "encephalitis", "it"),
             ("produces", "Pexidorm", "cytofane"),
@@ -268,11 +269,11 @@ class TestDecode:
 
     def test_coordinated_object_splits_at_first_and(self):
         # genuinely ambiguous sentence: deterministic first-split behavior
-        [t] = decode_target("The relation between fingers and toes and tremors is producer.", "rel_is")
+        [t] = decode_target_report("The relation between fingers and toes and tremors is producer.", "rel_is")[0]
         assert (t.subject_text, t.object_text) == ("fingers", "toes and tremors")
 
     def test_case_mangled_special_tokens_still_decode(self):
-        [t] = decode_target("alpha @raredisease@ beta @SIGN@ @produces@ @end@", "seq2rel")
+        [t] = decode_target_report("alpha @raredisease@ beta @SIGN@ @produces@ @end@", "seq2rel")[0]
         assert (t.subject_type, t.object_type, t.predicate) == ("rare_disease", "sign", "produces")
 
     @pytest.mark.parametrize(
@@ -310,8 +311,71 @@ class TestRoundTrip:
         docs = synthetic_corpus(seed=97, size=300)
         for doc in docs:
             gold = {fidelity_key(t, kind) for t in occurrence_ordered_triples(doc)}
-            decoded = decode_target(encode_target(doc, kind), kind)
+            decoded = decode_target_report(encode_target(doc, kind), kind)[0]
             assert {fidelity_key(t, kind) for t in decoded} == gold
+
+
+CUSTOM_NOUN_MAP = dict(DEFAULT_NOUN_MAP, produces="cause", anaphora="back reference")
+
+
+class TestCodec:
+    def test_an_unknown_kind_is_refused(self):
+        with pytest.raises(ValueError, match="^unknown schema kind 'bogus'$"):
+            codec("bogus")
+        with pytest.raises(ValueError, match="^unknown schema kind 'bogus'$"):
+            codec("bogus", CUSTOM_NOUN_MAP)
+
+    @pytest.mark.parametrize("kind", SCHEMA_KINDS)
+    def test_a_bad_noun_map_is_refused_when_the_codec_is_built(self, kind):
+        with pytest.raises(ValueError, match="^noun map missing predicates"):
+            codec(kind, {"produces": "cause"})
+        with pytest.raises(ValueError, match="hyponym"):
+            codec(kind, dict(DEFAULT_NOUN_MAP, is_a="parent"))
+
+    def test_only_seq2rel_adds_tokens(self):
+        assert codec("seq2rel").special_tokens == tuple(special_tokens())
+        assert codec("rel_is").special_tokens == codec("natural_lang", CUSTOM_NOUN_MAP).special_tokens == ()
+
+    @pytest.mark.parametrize("kind", SCHEMA_KINDS)
+    def test_the_default_codec_is_built_once(self, kind, monkeypatch):
+        calls = []
+        monkeypatch.setattr(schema_mod, "validate_noun_map", calls.append)
+        assert codec(kind) is codec(kind)
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", SCHEMA_KINDS)
+    def test_a_noun_map_is_checked_once_per_codec(self, kind, monkeypatch):
+        calls = []
+        validate = schema_mod.validate_noun_map
+        monkeypatch.setattr(schema_mod, "validate_noun_map", lambda m: calls.append(m) or validate(m))
+        built = codec(kind, CUSTOM_NOUN_MAP)
+        for doc_id, pair in MINI_CORPUS.items():
+            built.decode(built.encode(parse_document(*pair(), doc_id)))
+        assert calls == [CUSTOM_NOUN_MAP]
+
+    @pytest.mark.parametrize("noun_map", [None, CUSTOM_NOUN_MAP], ids=["default", "custom"])
+    @pytest.mark.parametrize("kind", SCHEMA_KINDS)
+    def test_a_codec_does_what_the_public_functions_do(self, kind, noun_map):
+        built = codec(kind, noun_map)
+        generations = [
+            RICKETS_LINEARIZED,
+            "The relation between A and B is cause. The relation between C and D is producer.",
+            "The term it is an anaphor that refers back to the entity of the disease Beta. stray text",
+            "The relation between E and F is back reference.",
+        ]
+        for doc_id, pair in MINI_CORPUS.items():
+            doc = parse_document(*pair(), doc_id)
+            target = built.encode(doc)
+            assert target == encode_target(doc, kind, noun_map)
+            generations.append(target)
+        for generation in generations:
+            assert built.decode(generation) == decode_target_report(generation, kind, noun_map)
+
+    def test_a_custom_noun_is_written_and_read(self, rickets_doc):
+        rel_is = codec("rel_is", CUSTOM_NOUN_MAP)
+        target = rel_is.encode(rickets_doc)
+        assert " is cause." in target and "producer" not in target
+        assert {t.predicate for t in rel_is.decode(target)[0]} == {"produces"}
 
 
 class TestPrompt:
