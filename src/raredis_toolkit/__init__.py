@@ -49,6 +49,7 @@ from .standoff import (
     AnnotatedDocument,
     EntityMention,
     RelationInstance,
+    iter_corpus_dir,
     load_corpus_dir,
     parse_document,
     read_document_pair,
@@ -91,6 +92,7 @@ __all__ = [
     "document_shapes",
     "encode_target",
     "flatten_document",
+    "iter_corpus_dir",
     "load_corpus_dir",
     "normalize_generation",
     "normalize_text",

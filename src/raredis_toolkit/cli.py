@@ -32,8 +32,9 @@ from .triples import collapse_whitespace
 logger = logging.getLogger(__name__)
 
 
-def _load_corpus(args) -> list:
-    return standoff.load_corpus_dir(args.input_dir, strict_pairs=not args.lenient_pairs)
+def _corpus(args):
+    """The --in documents, parsed one at a time as they are taken (the files are read here)."""
+    return standoff.iter_corpus_dir(args.input_dir, strict_pairs=not args.lenient_pairs)
 
 
 def _add_io_args(parser, out_required=True):
@@ -69,14 +70,22 @@ def _load_codec(args) -> schema_mod.Codec:
 
 
 def cmd_repair(args):
-    docs = _load_corpus(args)
-    results = [repair_mod.repair_all(doc) for doc in docs]
-    yield from standoff.corpus_files((fixed for fixed, _ in results), args.output_dir)
+    docs = _corpus(args)
+    files, logs = [], []
+
+    def repaired():  # keeps what is written, not the documents
+        for doc in docs:
+            fixed, log = repair_mod.repair_all(doc)
+            files.append(standoff.document_files(fixed))
+            logs.append(log)
+            yield fixed, log
+
+    summary = repair_mod.summarize_repairs(repaired())
+    yield from standoff.corpus_files(files, args.output_dir)
     if args.log:
-        yield args.log, repair_mod.repair_log_text([log for _, log in results], args.log)
-    summary = repair_mod.summarize_repairs(results)
+        yield args.log, repair_mod.repair_log_text(logs, args.log)
     print(
-        f"repaired {len(docs)} documents: "
+        f"repaired {len(files)} documents: "
         f"{summary.relations_argument_fixed}/{summary.total_relations} relation arguments fixed "
         f"({summary.relation_argument_rate:.4f}), "
         f"{summary.entities_span_fixed}/{summary.total_entities} entity spans adjusted "
@@ -87,8 +96,7 @@ def cmd_repair(args):
 
 
 def cmd_stats(args):
-    docs = _load_corpus(args)
-    name, stats = Path(args.input_dir).name or "corpus", corpus_mod.corpus_statistics(docs)
+    name, stats = Path(args.input_dir).name or "corpus", corpus_mod.corpus_statistics(_corpus(args))
     if args.out_json:
         yield args.out_json, corpus_mod.stats_json(name, stats)
     print(corpus_mod.format_stats(name, stats), end="")
@@ -98,7 +106,7 @@ def cmd_split(args):
     manifests = (args.train_list, args.dev_list, args.test_list)
     if any(manifests) and args.ratios:
         raise ToolkitError("split takes either --ratios or the three --*-list flags, not both")
-    docs = _load_corpus(args)
+    docs = [standoff.document_files(doc) for doc in _corpus(args)]
     if any(manifests):
         if not all(manifests):
             raise ToolkitError("file_list mode needs --train-list, --dev-list, and --test-list")
@@ -124,41 +132,40 @@ def cmd_split(args):
 
 
 def cmd_flatten(args):
-    docs = _load_corpus(args)
+    docs = _corpus(args)
     yield args.output_dir, None  # made even for a corpus of no documents
+    count = 0
     for doc in docs:
         flat, offset_map = flatten_mod.flatten_document(doc)
-        yield from standoff.corpus_files([flat], args.output_dir)
+        yield from standoff.corpus_files([standoff.document_files(flat)], args.output_dir)
         sidecar = os.path.join(args.output_dir, f"{doc.doc_id}.offsets.json")
         yield sidecar, flatten_mod.offset_map_json(offset_map)
-    print(f"flattened {len(docs)} documents")
+        count += 1
+    print(f"flattened {count} documents")
 
 
 def cmd_encode(args):
-    docs = _load_corpus(args)
+    docs = _corpus(args)
     codec = _load_codec(args)
     out = Path(args.out_file)
-
-    def record(doc) -> dict:
+    records, skipped = [], []
+    for doc in docs:
         try:
             source = schema_mod.build_prompt(doc.text, args.copy_instruct)
         except ValueError as exc:  # an empty document text
             raise DocumentError(doc.doc_id, str(exc), suffix=".txt") from None
-        return {"doc_id": doc.doc_id, "source": source, "target": codec.encode(doc)}
-
-    records = map(record, docs)
-    yield out, standoff.join_records((json.dumps(r, ensure_ascii=False) for r in records), out)
-    skipped = [
-        f"{doc.doc_id}:{rel_id}" for doc in docs for rel_id in sorted({r for r, _, _ in doc.unresolved_refs})
-    ]
+        record = {"doc_id": doc.doc_id, "source": source, "target": codec.encode(doc)}
+        records.append(json.dumps(record, ensure_ascii=False))
+        skipped += [f"{doc.doc_id}:{rel_id}" for rel_id in sorted({r for r, _, _ in doc.unresolved_refs})]
+    yield out, standoff.join_records(records, out)
     if skipped:
         logger.warning("skipping relations with unresolved arguments: %s", ", ".join(skipped))
     if codec.special_tokens:
         vocab_path = out.parent / "special_tokens.txt"
         yield vocab_path, standoff.join_records(codec.special_tokens, vocab_path)
-        print(f"wrote {len(docs)} examples to {out} and tokens to {vocab_path}")
+        print(f"wrote {len(records)} examples to {out} and tokens to {vocab_path}")
     else:
-        print(f"wrote {len(docs)} examples to {out}")
+        print(f"wrote {len(records)} examples to {out}")
 
 
 def cmd_decode(args):

@@ -8,9 +8,10 @@ from collections import Counter
 from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TypeVar
 
 from .errors import SplitError
-from .standoff import ENTITY_TYPES, PREDICATES, AnnotatedDocument
+from .standoff import ENTITY_TYPES, PREDICATES, AnnotatedDocument, DocumentFiles
 from .standoff import join_records, read_file, split_records
 
 SHAPE_FLAT = "flat"
@@ -18,6 +19,9 @@ SHAPE_DISCONTINUOUS = "discontinuous"
 SHAPE_OVERLAPPED = "overlapped"
 SHAPE_NESTED = "nested"
 SHAPE_CLASSES = (SHAPE_FLAT, SHAPE_DISCONTINUOUS, SHAPE_OVERLAPPED, SHAPE_NESTED)
+
+# Splits read only doc ids, so a corpus may be parsed or already written out.
+_Doc = TypeVar("_Doc", AnnotatedDocument, DocumentFiles)
 
 
 def document_shapes(doc: AnnotatedDocument) -> dict[str, str]:
@@ -87,19 +91,22 @@ class CorpusStats:
         }
 
 
-def corpus_statistics(split: list[AnnotatedDocument]) -> CorpusStats:
-    """Exact counts of entities by type, relations by predicate, and shapes."""
+def corpus_statistics(split: Iterable[AnnotatedDocument]) -> CorpusStats:
+    """Exact counts of documents, entities by type, relations by predicate,
+    and shapes, taking each document once."""
+    documents = 0
     entity_counts = {t: 0 for t in ENTITY_TYPES}
     relation_counts = {p: 0 for p in PREDICATES}
     shape_counts = {s: 0 for s in SHAPE_CLASSES}
     for doc in split:
+        documents += 1
         shapes = document_shapes(doc)
         for ent in doc.entities:
             entity_counts[ent.entity_type] += 1
             shape_counts[shapes[ent.id]] += 1
         for rel in doc.relations:
             relation_counts[rel.predicate] += 1
-    return CorpusStats(len(split), entity_counts, relation_counts, shape_counts)
+    return CorpusStats(documents, entity_counts, relation_counts, shape_counts)
 
 
 def format_stats(name: str, stats: CorpusStats) -> str:
@@ -157,9 +164,7 @@ class SplitSpec:
             raise SplitError(f"unknown split mode {self.mode!r}")
 
 
-def split_corpus(
-    corpus: list[AnnotatedDocument], spec: SplitSpec
-) -> tuple[list[AnnotatedDocument], list[AnnotatedDocument], list[AnnotatedDocument]]:
+def split_corpus(corpus: list[_Doc], spec: SplitSpec) -> tuple[list[_Doc], list[_Doc], list[_Doc]]:
     """Partition a corpus into (train, dev, test); every document lands once."""
     if not corpus:
         raise SplitError("corpus is empty")
@@ -184,7 +189,7 @@ def split_corpus(
     return tuple([by_id[i] for i in part] for part in parts)
 
 
-def read_manifests(paths: tuple[str | Path, ...], corpus: list[AnnotatedDocument]) -> tuple[tuple[str, ...], ...]:
+def read_manifests(paths: tuple[str | Path, ...], corpus: list[_Doc]) -> tuple[tuple[str, ...], ...]:
     """The doc_ids of newline-separated manifest files, blank lines ignored,
     checked as split_corpus checks them; an error names the manifest line."""
     entries = [
@@ -195,5 +200,5 @@ def read_manifests(paths: tuple[str | Path, ...], corpus: list[AnnotatedDocument
     return tuple(tuple(doc_id for _, doc_id in part) for part in entries)
 
 
-def manifest_text(docs: list[AnnotatedDocument], where: str | Path) -> str:
+def manifest_text(docs: list[_Doc], where: str | Path) -> str:
     return join_records(sorted(doc.doc_id for doc in docs), where)

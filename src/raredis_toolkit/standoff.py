@@ -20,7 +20,7 @@ import re
 import shutil
 import tempfile
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -161,12 +161,19 @@ def read_file(path: str | Path) -> str:
     """A whole UTF-8 file, line endings exactly as written. A file that is
     not UTF-8 raises ToolkitError naming it and the offending byte offset.
     Both errors name the file as pathlib spells it (no "./" or doubled slashes)."""
+    return _decode(_read_bytes(path), path)
+
+
+def _read_bytes(path: str | Path) -> bytes:
     try:
         with open(path, "rb") as handle:
-            data = handle.read()
+            return handle.read()
     except OSError as exc:
         exc.filename = str(Path(path))
         raise
+
+
+def _decode(data: bytes, path: str | Path) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -220,12 +227,15 @@ def parse_document(text_content: str, ann_content: str, doc_id: str) -> Annotate
 
     Raises StandoffParseError, a DocumentError carrying doc_id, the reason
     and the 1-based line_no, on malformed lines, unknown type labels, offsets
-    outside the text, and duplicate ids; ValueError on an empty doc_id.
+    outside the text, and duplicate ids; ValueError on an empty doc_id. An
+    unsupported line after an entity whose text spans a line feed names that
+    entity, whose surface most likely ran onto it.
     """
     if not doc_id:
         raise ValueError("doc_id must be non-empty")
     found: dict[str, list] = {letter: [] for letter in _LINE_KINDS}
     seen_ids: set[str] = set()
+    annotation = None  # the last non-blank line's
 
     for line_no, line in enumerate(split_records(ann_content), start=1):
         if not line.strip():
@@ -234,7 +244,12 @@ def parse_document(text_content: str, ann_content: str, doc_id: str) -> Annotate
         ann_id = fields[0]
         letter = ann_id[:1]
         if letter not in _LINE_KINDS:
-            raise StandoffParseError(doc_id, f"unsupported line type {letter!r}", line_no)
+            reason = f"unsupported line type {letter!r}"
+            if isinstance(annotation, EntityMention) and "\n" in annotation.slice_text(text_content):
+                # a surface written out whole runs onto the lines after its entity's
+                reason += f" (entity {annotation.id} before it spans a line feed in the text;"
+                reason += " its surface cannot fit on one .ann line)"
+            raise StandoffParseError(doc_id, reason, line_no)
         holds, n_fields, mid_re, mid_name, lookup = _LINE_KINDS[letter]
         if not is_ann_id(ann_id, letter):
             raise StandoffParseError(doc_id, f"bad {holds} id {ann_id!r}", line_no)
@@ -362,27 +377,52 @@ def paired_texts(path: str | Path, strict_pairs: bool = True) -> dict[str, str]:
     return {doc_id: txts[doc_id] for doc_id in sorted(txts.keys() & anns)}
 
 
-def load_corpus_dir(path: str | Path, strict_pairs: bool = True) -> list[AnnotatedDocument]:
-    """Load every .txt/.ann pair in a directory (see paired_texts), sorted by doc_id."""
-    return [
-        parse_document(read_file(txt), read_file(txt[:-4] + ".ann"), doc_id)
+def iter_corpus_dir(path: str | Path, strict_pairs: bool = True) -> Iterator[AnnotatedDocument]:
+    """Every .txt/.ann pair in a directory (see paired_texts) as a document,
+    in doc_id order, parsed only when taken.
+
+    The bytes of every pair are read before this returns, so a missing or
+    unreadable file fails the call; decoding and parsing wait for each
+    document, so a caller that keeps no document it has taken holds the
+    files' bytes and one parsed document at a time.
+    """
+    pairs = [
+        (doc_id, txt, _read_bytes(txt), _read_bytes(txt[:-4] + ".ann"))
         for doc_id, txt in paired_texts(path, strict_pairs).items()
     ]
+    return (
+        parse_document(_decode(text, txt), _decode(ann, txt[:-4] + ".ann"), doc_id)
+        for doc_id, txt, text, ann in pairs
+    )
 
 
-def corpus_files(docs: Iterable[AnnotatedDocument], path: str | Path):
+def load_corpus_dir(path: str | Path, strict_pairs: bool = True) -> list[AnnotatedDocument]:
+    """Every document of iter_corpus_dir, all parsed at once."""
+    return list(iter_corpus_dir(path, strict_pairs))
+
+
+# A document as it is written: its doc_id and the contents of its .txt and .ann.
+DocumentFiles = namedtuple("DocumentFiles", "doc_id text ann")
+
+
+def document_files(doc: AnnotatedDocument) -> DocumentFiles:
+    """The files serialize_document gives for doc."""
+    return DocumentFiles(doc.doc_id, *serialize_document(doc))
+
+
+def corpus_files(files: Iterable[DocumentFiles], path: str | Path):
     """write_outputs items for a corpus directory: the directory, then each
-    document's <doc_id>.txt and <doc_id>.ann, serialized as they are taken."""
+    document's <doc_id>.txt and <doc_id>.ann, taken one document at a time."""
     yield path, None
-    for doc in docs:
-        text, ann = serialize_document(doc)
-        yield os.path.join(path, f"{doc.doc_id}.txt"), text
-        yield os.path.join(path, f"{doc.doc_id}.ann"), ann
+    for doc_id, text, ann in files:
+        yield os.path.join(path, f"{doc_id}.txt"), text
+        yield os.path.join(path, f"{doc_id}.ann"), ann
 
 
 def write_corpus_dir(docs: Iterable[AnnotatedDocument], path: str | Path) -> None:
-    """Write documents as <doc_id>.txt / <doc_id>.ann pairs, all or none."""
-    write_outputs(corpus_files(docs, path))
+    """Write documents as <doc_id>.txt / <doc_id>.ann pairs, all or none,
+    serializing each as it is taken."""
+    write_outputs(corpus_files(map(document_files, docs), path))
 
 
 def write_outputs(items: Iterable[tuple[str | Path, str | None]]) -> None:

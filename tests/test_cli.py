@@ -729,6 +729,17 @@ class TestErrorsNameTheirInput:
         err = fails_leaving_tree_unchanged(tmp_path, ["stats", "--in", mini_corpus_dir], capsys)
         assert err == f"error: {mini_corpus_dir / 'e.ann'}:2: duplicate id T1\n"
 
+    def test_a_surface_run_onto_the_next_line_names_its_entity(self, tmp_path, capsys):
+        corpus = tmp_path / "c"
+        corpus.mkdir()
+        (corpus / "d.txt").write_bytes(b"a\nb")
+        (corpus / "d.ann").write_bytes(b"T1\tSIGN 0 3\ta\nb")
+        err = fails_leaving_tree_unchanged(tmp_path, ["repair", "--in", corpus, "--out", tmp_path / "o"], capsys)
+        assert err == (
+            f"error: {corpus / 'd.ann'}:2: unsupported line type 'b' "
+            "(entity T1 before it spans a line feed in the text; its surface cannot fit on one .ann line)\n"
+        )
+
     @staticmethod
     def split_lists(root: Path, train: str, dev: str) -> list:
         """split flags for manifests train, dev and test ("empty") of mini_corpus_dir."""

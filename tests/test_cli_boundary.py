@@ -1,6 +1,7 @@
 """The CLI reaches the toolkit's modules through their public names only: it
 reads no `_`-prefixed attribute of a toolkit module it imports, and imports
-no `_`-prefixed name from one."""
+no `_`-prefixed name from one. It never loads a whole parsed corpus either:
+its corpus commands take documents from standoff.iter_corpus_dir."""
 
 import ast
 from pathlib import Path
@@ -52,4 +53,39 @@ def test_the_check_finds_each_kind_of_private_use():
         (3, "from .errors import _private"),
         (8, "standoff._read_pair"),
         (9, "schema_mod._encode"),
+    ]
+
+
+def corpus_loads(source: str) -> list[tuple[int, str]]:
+    """(line, use) for each mention of load_corpus_dir: a name, an attribute
+    (`standoff.load_corpus_dir`, called or not) or an imported name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "load_corpus_dir":
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr == "load_corpus_dir":
+            found.append((node.lineno, f"{ast.unparse(node.value)}.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, f"import {a.name}") for a in node.names if a.name == "load_corpus_dir"]
+    return sorted(found)
+
+
+def test_the_cli_never_loads_a_whole_corpus():
+    assert corpus_loads(Path(raredis_toolkit.cli.__file__).read_text(encoding="utf-8")) == []
+
+
+def test_the_load_check_finds_each_kind_of_use():
+    source = (
+        "from . import standoff\n"
+        "from .standoff import load_corpus_dir as load\n"
+        "def run(args):\n"
+        "    docs = standoff.load_corpus_dir(args.input_dir)\n"
+        "    reader = standoff.load_corpus_dir\n"
+        "    return standoff.iter_corpus_dir(args.input_dir), load_corpus_dir\n"
+    )
+    assert corpus_loads(source) == [
+        (2, "import load_corpus_dir"),
+        (4, "standoff.load_corpus_dir"),
+        (5, "standoff.load_corpus_dir"),
+        (6, "load_corpus_dir"),
     ]

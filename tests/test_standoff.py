@@ -106,6 +106,34 @@ class TestParse:
         assert excinfo.value.line_no == 2
         assert reason_part in str(excinfo.value)
 
+    LINE_FEED_HINT = "(entity T1 before it spans a line feed in the text; its surface cannot fit on one .ann line)"
+
+    @pytest.mark.parametrize(
+        "ann",
+        [
+            "T1\tSIGN 0 3\ta\nb",  # the surface written out whole
+            "T1\tSIGN 0 3\ta\n\nb\n",  # a blank line between
+            "T1\tSIGN 2 3;0 3\tb a\nb",  # the line feed in another fragment
+        ],
+    )
+    def test_a_surface_run_onto_the_next_line_names_its_entity(self, ann):
+        with pytest.raises(StandoffParseError) as excinfo:
+            parse_document("a\nb", ann, "d")
+        line_no = ann.count("\n") + (0 if ann.endswith("\n") else 1)
+        assert str(excinfo.value) == f"d:{line_no}: unsupported line type 'b' {self.LINE_FEED_HINT}"
+
+    @pytest.mark.parametrize(
+        "ann",
+        [
+            "T1\tSIGN 0 1\ta\nb",  # T1 covers no line feed
+            "T1\tSIGN 0 3\ta b\nR1\tproduces Arg1:T1 Arg2:T1\nb",  # a relation line before
+            "b\nT1\tSIGN 0 3\ta b",  # nothing before
+        ],
+    )
+    def test_no_hint_without_an_entity_spanning_a_line_feed_before(self, ann):
+        with pytest.raises(StandoffParseError, match=r"^d:\d: unsupported line type 'b'$"):
+            parse_document("a\nb", ann, "d")
+
     @pytest.mark.parametrize("offsets", ["0 1 ; 2 3", "0 1; 2 3", "0 1 ;2 3", "0 1;2 3"])
     def test_any_spaces_may_surround_a_semicolon(self, offsets):
         doc = parse_document("abcd", f"T1\tSIGN {offsets}\ta c\n", "d")
@@ -392,6 +420,28 @@ class TestDirectoryIO:
         write_corpus_dir([rickets_doc, weakness_doc], tmp_path / "out")
         loaded = load_corpus_dir(tmp_path / "out")
         assert loaded == [rickets_doc, weakness_doc]
+
+    def test_the_reader_reads_every_file_first_and_parses_as_taken(self, tmp_path, rickets_doc, weakness_doc):
+        out = tmp_path / "out"
+        write_corpus_dir([rickets_doc, weakness_doc], out)
+        (out / "z.txt").write_text("abc", encoding="utf-8")
+        (out / "z.ann").write_text("T1\tSIGN 0 9\tabc\n", encoding="utf-8")
+        docs = standoff.iter_corpus_dir(out)
+        for path in out.iterdir():
+            path.unlink()  # every byte is held already
+        assert [next(docs), next(docs)] == [rickets_doc, weakness_doc]
+        with pytest.raises(StandoffParseError, match="^z:1: invalid offsets 0 9"):
+            next(docs)
+
+    def test_bad_utf8_fails_when_its_document_is_taken(self, tmp_path, rickets_doc):
+        out = tmp_path / "out"
+        write_corpus_dir([rickets_doc], out)
+        (out / "z.txt").write_bytes(b"\xff")
+        (out / "z.ann").write_bytes(b"")
+        docs = standoff.iter_corpus_dir(out)
+        assert next(docs) == rickets_doc
+        with pytest.raises(ToolkitError, match="z.txt: not UTF-8 at byte offset 0"):
+            next(docs)
 
     def test_orphan_txt_fails_in_strict_mode(self, tmp_path):
         d = tmp_path / "c"
