@@ -32,9 +32,13 @@ from .triples import collapse_whitespace
 logger = logging.getLogger(__name__)
 
 
-def _corpus(args):
-    """The --in documents, parsed one at a time as they are taken (the files are read here)."""
-    return standoff.iter_corpus_dir(args.input_dir, strict_pairs=not args.lenient_pairs)
+def _corpus(args, read=standoff.iter_corpus_dir):
+    """The --in documents (or, with read=standoff.iter_document_files, their files as read),
+    one at a time as they are taken; the files are read here, after an --out of --in is refused."""
+    out = getattr(args, "output_dir", None)  # the corpus directory repair, split or flatten writes
+    if out is not None and os.path.realpath(out) == os.path.realpath(args.input_dir):
+        raise ToolkitError(f"--out {out} is the --in directory {args.input_dir}")
+    return read(args.input_dir, strict_pairs=not args.lenient_pairs)
 
 
 def _add_io_args(parser, out_required=True):
@@ -106,12 +110,7 @@ def cmd_split(args):
     manifests = (args.train_list, args.dev_list, args.test_list)
     if any(manifests) and args.ratios:
         raise ToolkitError("split takes either --ratios or the three --*-list flags, not both")
-    docs = [standoff.document_files(doc) for doc in _corpus(args)]
-    if any(manifests):
-        if not all(manifests):
-            raise ToolkitError("file_list mode needs --train-list, --dev-list, and --test-list")
-        spec = corpus_mod.SplitSpec(mode="file_list", lists=corpus_mod.read_manifests(manifests, docs))
-    elif args.ratios:
+    if args.ratios:
         try:
             parts = [float(x) for x in args.ratios.split(",")]
         except ValueError as exc:
@@ -119,8 +118,16 @@ def cmd_split(args):
         if len(parts) != 3:
             raise ToolkitError("--ratios needs three comma-separated fractions")
         spec = corpus_mod.SplitSpec(mode="ratio", ratios=tuple(parts), seed=args.seed)
-    else:
+    elif any(manifests) and not all(manifests):
+        raise ToolkitError("file_list mode needs --train-list, --dev-list, and --test-list")
+    elif not any(manifests):
         raise ToolkitError("split needs either --ratios or the three --*-list flags")
+    docs = []  # each pair as read: parsing only validates it
+    for files in _corpus(args, standoff.iter_document_files):
+        standoff.parse_document(files.text, files.ann, files.doc_id)
+        docs.append(files)
+    if not args.ratios:  # the manifests name documents, so they are read after them
+        spec = corpus_mod.SplitSpec(mode="file_list", lists=corpus_mod.read_manifests(manifests, docs))
 
     splits = list(zip(("train", "dev", "test"), corpus_mod.split_corpus(docs, spec)))
     for name, split in splits:
@@ -145,8 +152,8 @@ def cmd_flatten(args):
 
 
 def cmd_encode(args):
-    docs = _corpus(args)
     codec = _load_codec(args)
+    docs = _corpus(args)
     out = Path(args.out_file)
     records, skipped = [], []
     for doc in docs:

@@ -377,32 +377,37 @@ def paired_texts(path: str | Path, strict_pairs: bool = True) -> dict[str, str]:
     return {doc_id: txts[doc_id] for doc_id in sorted(txts.keys() & anns)}
 
 
-def iter_corpus_dir(path: str | Path, strict_pairs: bool = True) -> Iterator[AnnotatedDocument]:
-    """Every .txt/.ann pair in a directory (see paired_texts) as a document,
-    in doc_id order, parsed only when taken.
+# A document as read or written: its doc_id and the contents of its .txt and .ann.
+DocumentFiles = namedtuple("DocumentFiles", "doc_id text ann")
+
+
+def iter_document_files(path: str | Path, strict_pairs: bool = True) -> Iterator[DocumentFiles]:
+    """Every .txt/.ann pair in a directory (see paired_texts) as its files
+    read, in doc_id order, each pair decoded only when taken.
 
     The bytes of every pair are read before this returns, so a missing or
-    unreadable file fails the call; decoding and parsing wait for each
-    document, so a caller that keeps no document it has taken holds the
-    files' bytes and one parsed document at a time.
+    unreadable file fails the call; a caller that keeps no pair it has taken
+    holds the files' bytes and one decoded pair at a time.
     """
     pairs = [
         (doc_id, txt, _read_bytes(txt), _read_bytes(txt[:-4] + ".ann"))
         for doc_id, txt in paired_texts(path, strict_pairs).items()
     ]
     return (
-        parse_document(_decode(text, txt), _decode(ann, txt[:-4] + ".ann"), doc_id)
+        DocumentFiles(doc_id, _decode(text, txt), _decode(ann, txt[:-4] + ".ann"))
         for doc_id, txt, text, ann in pairs
     )
+
+
+def iter_corpus_dir(path: str | Path, strict_pairs: bool = True) -> Iterator[AnnotatedDocument]:
+    """Each pair of iter_document_files parsed when taken: a caller that keeps no
+    document it has taken holds the files' bytes and one parsed document at a time."""
+    return (parse_document(text, ann, doc_id) for doc_id, text, ann in iter_document_files(path, strict_pairs))
 
 
 def load_corpus_dir(path: str | Path, strict_pairs: bool = True) -> list[AnnotatedDocument]:
     """Every document of iter_corpus_dir, all parsed at once."""
     return list(iter_corpus_dir(path, strict_pairs))
-
-
-# A document as it is written: its doc_id and the contents of its .txt and .ann.
-DocumentFiles = namedtuple("DocumentFiles", "doc_id text ann")
 
 
 def document_files(doc: AnnotatedDocument) -> DocumentFiles:

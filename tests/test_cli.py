@@ -2,6 +2,7 @@ import errno
 import json
 import logging
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -81,11 +82,14 @@ class TestRepairCommand:
             assert dir_snapshot(target) == before
             assert len(list(target.iterdir())) == len(before)
 
-    def test_repair_in_place_leaves_only_the_pairs(self, tmp_path):
-        corpus = tmp_path / "in"
+    def test_repair_over_an_earlier_run_leaves_only_the_pairs(self, tmp_path):
+        """Replacing files goes through a staging directory, which is removed."""
+        corpus, out = tmp_path / "in", tmp_path / "fixed"
         self.write_pairs(corpus, {"a": "Beta syndrome is rare."})
-        assert run_cli(["repair", "--in", str(corpus), "--out", str(corpus)]) == 0
-        assert sorted(p.name for p in corpus.iterdir()) == ["a.ann", "a.txt"]
+        self.write_pairs(out, {"a": "Beta syndrome, an earlier run."})
+        assert run_cli(["repair", "--in", str(corpus), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["a.ann", "a.txt"]
+        assert (out / "a.txt").read_text(encoding="utf-8") == "Beta syndrome is rare."
 
 
 class TestUnresolvedRelations:
@@ -278,6 +282,24 @@ class TestSplitCommand:
         ])
         assert code == 0
         assert (out / "dev.txt").read_text(encoding="utf-8") == "balanti\n"
+
+    def test_pairs_are_copied_as_read(self, tmp_path):
+        """split is a partition: a pair that parses is written byte for byte,
+        whatever spelling, spacing, blank lines or line order its .ann has."""
+        corpus = tmp_path / "c"
+        corpus.mkdir()
+        text = b"Rare disease,\r\nthen a sign.\r\n"
+        ann = (
+            b"R1\tincreases_risk_of Arg1:T2 Arg2:T1\n"
+            b"\n"
+            b"T1\tsign 00 3\tRar\r\n"
+            b"T2\tRare  disease 0 4 ; 5 12\tRare disease\n"
+        )
+        (corpus / "d.txt").write_bytes(text)
+        (corpus / "d.ann").write_bytes(ann)
+        out = tmp_path / "s"
+        assert run_cli(["split", "--in", str(corpus), "--out", str(out), "--ratios", "1,0,0"]) == 0
+        assert dir_snapshot(out / "train") == {"d.ann": ann, "d.txt": text}
 
 
 class TestFlattenCommand:
@@ -803,15 +825,13 @@ class TestFailedRunsWriteNothing:
         corpus = self.corpus(tmp_path)
         spec = SplitSpec(mode="ratio", ratios=(0.5, 0.25, 0.25), seed=1)
         last = split_corpus(load_corpus_dir(corpus), spec)[2][-1].doc_id
-        self.make_unwritable(corpus, last)  # so train and dev are written first
+        out = tmp_path / "new" / "splits"
+        blocked = out / "test" / f"{last}.ann"  # so train and dev are written first
+        blocked.mkdir(parents=True)
         err = fails_leaving_tree_unchanged(tmp_path, [
-            "split", "--in", corpus, "--out", tmp_path / "new" / "splits",
-            "--ratios", "0.5,0.25,0.25", "--seed", "1",
+            "split", "--in", corpus, "--out", out, "--ratios", "0.5,0.25,0.25", "--seed", "1",
         ], capsys)
-        assert err == (
-            f"error: {corpus / last}.ann: entity T1: surface holds a tab or newline "
-            "or ends in a carriage return, which no .ann line can hold\n"
-        )
+        assert err == f"error: {blocked}: is a directory, not a file\n"
 
     def test_flatten_writes_no_sidecar(self, tmp_path, capsys):
         corpus = self.corpus(tmp_path)
@@ -838,13 +858,16 @@ class TestFailedRunsWriteNothing:
         err = fails_leaving_tree_unchanged(tmp_path, argv, capsys)
         assert err == f"error: {tmp_path / 'log'}: is a directory, not a file\n"
 
-    def test_repair_in_place_with_a_bad_log_replaces_nothing(self, mini_corpus_dir, tmp_path, capsys):
+    def test_repair_over_unrepaired_files_with_a_bad_log_replaces_nothing(self, mini_corpus_dir, tmp_path, capsys):
         (tmp_path / "log").mkdir()
-        argv = ["repair", "--in", mini_corpus_dir, "--out", mini_corpus_dir, "--log", tmp_path / "log"]
+        out = tmp_path / "fixed"
+        shutil.copytree(mini_corpus_dir, out)
+        argv = ["repair", "--in", mini_corpus_dir, "--out", out, "--log", tmp_path / "log"]
         fails_leaving_tree_unchanged(tmp_path, argv, capsys)
-        # the same run with a good log does change the corpus
+        # the same run with a good log does change the files
         assert run_cli([str(a) for a in argv[:-1]] + [str(tmp_path / "repairs.txt")]) == 0
         assert "rickets relation_argument" in (tmp_path / "repairs.txt").read_text(encoding="utf-8")
+        assert dir_snapshot(out) != dir_snapshot(mini_corpus_dir)
 
     def test_a_failed_write_names_its_output(self, mini_corpus_dir, tmp_path, monkeypatch, capsys):
         """An OSError from a file's write (a full disk, say) carries no file name."""
@@ -902,6 +925,27 @@ class TestFailedRunsWriteNothing:
         argv = ["decode", "--in", generations, "--out", tmp_path / "p.tsv", "--schema", "seq2rel",
                 "--report", tmp_path / "skips"]
         fails_leaving_tree_unchanged(tmp_path, argv, capsys)
+
+
+class TestOutIsNotIn:
+    """No command modifies its input directory: a corpus --out that resolves
+    to --in is refused before any file is read, naming both."""
+
+    @pytest.mark.parametrize("command", ["repair", "split", "flatten"])
+    def test_out_resolving_to_in_is_refused(self, tmp_path, monkeypatch, capsys, command):
+        corpus = tmp_path / "c"
+        corpus.mkdir()
+        # a document named like split's train manifest, which it would replace
+        for doc_id in ("a", "train"):
+            (corpus / f"{doc_id}.txt").write_text("Beta syndrome", encoding="utf-8")
+            (corpus / f"{doc_id}.ann").write_text("T1\tDISEASE 0 4\tbeta\n", encoding="utf-8")
+        (tmp_path / "link").symlink_to(corpus)
+        monkeypatch.chdir(tmp_path)
+        flags = ["--ratios", "1,0,0"] if command == "split" else []
+        for out in ("./c/", "link"):
+            err = fails_leaving_tree_unchanged(tmp_path, [command, "--in", "c", "--out", out, *flags], capsys)
+            assert err == f"error: --out {out} is the --in directory c\n"
+        assert run_cli(["stats", "--in", "c"]) == 0
 
 
 class TestOutputsNameDistinctFiles:

@@ -1,7 +1,8 @@
 """The CLI reaches the toolkit's modules through their public names only: it
 reads no `_`-prefixed attribute of a toolkit module it imports, and imports
 no `_`-prefixed name from one. It never loads a whole parsed corpus either:
-its corpus commands take documents from standoff.iter_corpus_dir."""
+its corpus commands take documents from standoff.iter_corpus_dir (split
+takes each pair's files from standoff.iter_document_files)."""
 
 import ast
 from pathlib import Path

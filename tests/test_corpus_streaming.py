@@ -1,6 +1,7 @@
 """Corpus commands stream their input: each holds the input files' bytes and
 one parsed document at a time, and a corpus with several faults fails on the
-first document, in doc_id order, that fails at any stage."""
+first document, in doc_id order, that fails at any stage. A flag error comes
+before any input file or document error."""
 
 import weakref
 from pathlib import Path
@@ -107,17 +108,38 @@ class TestFirstFailingDocument:
         err = fails_leaving_tree_unchanged(tmp_path, ["repair", "--in", corpus, "--out", tmp_path / "o"], capsys)
         assert err == f"error: {corpus / 'z.ann'}:2: duplicate id T1\n"
 
-    def test_split_refuses_an_unwritable_surface_before_reading_manifests(self, tmp_path, capsys):
+    def test_split_copies_a_surface_it_could_not_write_back(self, tmp_path, capsys):
+        """An .ann line ending in \\r\\r\\n reads as a surface ending in \\r: it
+        parses, and split writes the pair as read rather than serializing it."""
         corpus = failing_corpus(tmp_path)
-        (corpus / "z.ann").write_bytes(b"T1\tSIGN 0 3\txxx\r\r\n")  # parses; cannot be written back
-        (corpus / "a.ann").write_text("T1\tSIGN 0 5\tabcde\n", encoding="utf-8")
+        unwritable = b"T1\tSIGN 0 3\txxx\r\r\n"
+        (corpus / "z.ann").write_bytes(unwritable)
         lists = []
-        for name in ("train", "dev", "test"):
-            (tmp_path / f"{name}.list").write_text("unknown\n" if name == "train" else "", encoding="utf-8")
+        for name, ids in (("train", "a\n"), ("dev", "m\n"), ("test", "z\n")):
+            (tmp_path / f"{name}.list").write_text(ids, encoding="utf-8")
             lists += [f"--{name}-list", tmp_path / f"{name}.list"]
         argv = ["split", "--in", corpus, "--out", tmp_path / "s", *lists]
+        assert run_cli([str(a) for a in argv]) == 0, capsys.readouterr().err
+        assert (tmp_path / "s" / "test" / "z.ann").read_bytes() == unwritable
+        assert (tmp_path / "s" / "test" / "z.txt").read_bytes() == (corpus / "z.txt").read_bytes()
+
+
+class TestFlagsBeforeInputs:
+    """Flags, --noun-map included, are checked before any input file is listed."""
+
+    def test_split_reports_its_ratios_before_a_bad_ann(self, tmp_path, capsys):
+        corpus = failing_corpus(tmp_path)  # z.ann does not parse
+        argv = ["split", "--in", corpus, "--out", tmp_path / "s", "--ratios", "0.5,x,1"]
+        err = fails_leaving_tree_unchanged(tmp_path, argv, capsys)
+        assert err == "error: --ratios: could not convert string to float: 'x'\n"
+
+    def test_encode_reports_its_noun_map_before_an_unpaired_file(self, tmp_path, capsys):
+        corpus = failing_corpus(tmp_path)
+        (corpus / "b.txt").write_text("an orphan", encoding="utf-8")
+        nouns = tmp_path / "nouns.json"
+        nouns.write_text('{"is_a": "parent"}', encoding="utf-8")
+        argv = ["encode", "--in", corpus, "--out", tmp_path / "o.jsonl", "--schema", "rel-is", "--noun-map", nouns]
         err = fails_leaving_tree_unchanged(tmp_path, argv, capsys)
         assert err == (
-            f"error: {corpus / 'z.ann'}: entity T1: surface holds a tab or newline "
-            "or ends in a carriage return, which no .ann line can hold\n"
+            f"error: {nouns}: noun map missing predicates: produces, increases_risk_of, is_acron, is_synon, anaphora\n"
         )

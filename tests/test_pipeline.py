@@ -44,7 +44,8 @@ _MALFORMED = ["X1\tbogus", "R7\tproduces Arg1:T1", "T8\tSIGN 900 999\tx", "T9\tN
 @st.composite
 def documents(draw) -> tuple[str, str]:
     """(text, ann): up to three entities of one or two fragments, in order
-    or reversed, whose surfaces are their slices, "x" or blank; up to two relations,
+    or reversed, whose surfaces are their slices, "x", blank or holding a line
+    feed (which runs onto the next .ann line); up to two relations,
     some dangling; for one document in eight, a malformed line; and "\\n"
     or "\\r\\n" line endings."""
     text = draw(_TEXTS)
@@ -54,7 +55,7 @@ def documents(draw) -> tuple[str, str]:
         fragments = list(zip(ends[::2], ends[1::2]))
         if draw(st.booleans()):  # for repair to sort
             fragments.reverse()
-        surface = draw(st.sampled_from([slices_text(text, fragments), "x", " "]))
+        surface = draw(st.sampled_from([slices_text(text, fragments), "x", " ", "x\nx"]))
         lines.append(f"T{n}\t{draw(st.sampled_from(_ENTITY_LABELS))} {format_offsets(fragments)}\t{surface}")
     arguments = st.sampled_from(["T1", "T2", "T3"])
     for n in range(1, draw(st.integers(0, 2)) + 1):
@@ -102,6 +103,13 @@ class TestPipelineOverHostileText:
                     assert (current / f"{doc.doc_id}.txt").read_bytes() == text.encode("utf-8")
                     assert (current / f"{doc.doc_id}.ann").read_bytes() == ann.encode("utf-8")
             if runs(root, "split", "--in", current, "--out", root / "s", "--ratios", "1,0,0"):
+                # the manifests partition the input doc ids, and each split holds its pairs as read
+                parts = {n: split_records(read_file(root / "s" / f"{n}.txt")) for n in ("train", "dev", "test")}
+                assert sorted(sum(parts.values(), [])) == sorted(p.stem for p in current.glob("*.ann"))
+                for name, ids in parts.items():
+                    copied = {p.name: p.read_bytes() for p in (root / "s" / name).iterdir()}
+                    names = [f"{doc_id}{ext}" for doc_id in ids for ext in (".txt", ".ann")]
+                    assert copied == {n: (current / n).read_bytes() for n in names}
                 current = root / "s" / "train"
             if runs(root, "flatten", "--in", current, "--out", root / "f"):
                 # every contiguous entity maps back to where it stood
