@@ -32,12 +32,31 @@ from .triples import collapse_whitespace
 logger = logging.getLogger(__name__)
 
 
+# (flag, attribute) of every output path and of every input directory a command takes
+_OUTPUTS = (("--out", "output_dir"), ("--out", "out_file"), ("--out", "out_json"), ("--log", "log"),
+            ("--report", "report"), ("--audit", "audit"))
+_INPUT_DIRS = (("--in", "input_dir"), ("--docs", "docs"))
+
+
+def _refuse_outputs_in_inputs(args) -> None:
+    """No output may be an input directory or lie inside one (symbolic links
+    followed), so no command modifies its input; checked before any file is read."""
+    inputs = [(flag, d, os.path.realpath(d)) for flag, attr in _INPUT_DIRS if (d := getattr(args, attr, None))]
+    for out_flag, attr in _OUTPUTS:
+        out = getattr(args, attr, None)
+        if not out:
+            continue
+        real = os.path.realpath(out)
+        for in_flag, in_dir, root in inputs:
+            if real == root:
+                raise ToolkitError(f"{out_flag} {out} is the {in_flag} directory {in_dir}")
+            if os.path.commonpath((real, root)) == root:
+                raise ToolkitError(f"{out_flag} {out} is inside the {in_flag} directory {in_dir}")
+
+
 def _corpus(args, read=standoff.iter_corpus_dir):
     """The --in documents (or, with read=standoff.iter_document_files, their files as read),
-    one at a time as they are taken; the files are read here, after an --out of --in is refused."""
-    out = getattr(args, "output_dir", None)  # the corpus directory repair, split or flatten writes
-    if out is not None and os.path.realpath(out) == os.path.realpath(args.input_dir):
-        raise ToolkitError(f"--out {out} is the --in directory {args.input_dir}")
+    one at a time as they are taken."""
     return read(args.input_dir, strict_pairs=not args.lenient_pairs)
 
 
@@ -177,9 +196,7 @@ def cmd_encode(args):
 
 def cmd_decode(args):
     decode = _load_codec(args).decode
-    triples_by_doc = {}
-    sources: dict[str, str] = {}  # the generation file of each doc id
-    report_lines = []
+    sources: dict[str, str] = {}  # the generation file of each doc id; every name is checked before any is read
     for path in standoff.input_files(args.input_dir):
         doc_id = standoff.path_stem(path)
         if not scoring_mod.tsv_field_ok(doc_id):
@@ -188,30 +205,34 @@ def cmd_decode(args):
         if doc_id in sources:
             raise ToolkitError(f"generation files {sources[doc_id]} and {path} share the doc id {doc_id!r}")
         sources[doc_id] = path
-        generation = standoff.read_file(path)
-        if not args.raw:
-            generation = schema_mod.normalize_generation(generation)
-        triples, skipped = decode(generation)
-        kept = []
-        for t in triples:
-            if scoring_mod.triple_writable(t):
-                kept.append(t)
-            else:
-                segment = f"{t.subject_text} {t.predicate} {t.object_text}"
-                skipped.append((segment, "triple text holds a tab or line feed"))
-        triples_by_doc[doc_id] = kept
-        # a raw generation's segments may hold line breaks; the report keeps one per line
-        report_lines.extend(
-            f"{doc_id}\t{reason}\t{collapse_whitespace(segment)}" for segment, reason in skipped
-        )
-    yield args.out_file, scoring_mod.triples_text(triples_by_doc, args.out_file)
+    report_lines = []
+    total = 0
+
+    def decoded():  # one generation at a time, in doc id order, each written before the next is read
+        nonlocal total
+        for doc_id in sorted(sources):
+            generation = standoff.read_file(sources[doc_id])
+            if not args.raw:
+                generation = schema_mod.normalize_generation(generation)
+            triples, skipped = decode(generation)
+            kept = []
+            for t in triples:
+                if scoring_mod.triple_writable(t):
+                    kept.append(t)
+                else:
+                    segment = f"{t.subject_text} {t.predicate} {t.object_text}"
+                    skipped.append((segment, "triple text holds a tab or line feed"))
+            total += len(kept)
+            # a raw generation's segments may hold line breaks; the report keeps one per line
+            report_lines.extend(
+                f"{doc_id}\t{reason}\t{collapse_whitespace(segment)}" for segment, reason in skipped
+            )
+            yield doc_id, kept
+
+    yield args.out_file, scoring_mod.triples_text(decoded(), args.out_file)
     if args.report:
         yield args.report, standoff.join_records(report_lines, args.report)
-    total = sum(len(v) for v in triples_by_doc.values())
-    print(
-        f"decoded {total} triples from {len(triples_by_doc)} generations "
-        f"({len(report_lines)} segments skipped)"
-    )
+    print(f"decoded {total} triples from {len(sources)} generations ({len(report_lines)} segments skipped)")
 
 
 def _read_scored_files(args):
@@ -233,25 +254,27 @@ def cmd_score(args):
 def cmd_errors(args):
     gold, pred = _read_scored_files(args)
     # hallucination checks need only the texts, so no .ann is parsed
-    paths = standoff.paired_texts(args.docs, strict_pairs=False) if args.docs else {}
-    texts = {doc_id: standoff.read_file(txt) for doc_id, txt in paths.items()}
-    records = []
-    for doc_id in sorted(set(gold) | set(pred)):
-        records.extend(
-            scoring_mod.categorize_errors(
-                gold.get(doc_id, []),
-                pred.get(doc_id, []),
-                doc_text=texts.get(doc_id),
+    texts = standoff.paired_texts(args.docs, strict_pairs=False) if args.docs else {}
+    counts = Counter()
+
+    def records():  # one document at a time, in doc id order; its triples are dropped once categorized
+        for doc_id in sorted(gold.keys() | pred.keys() | texts.keys()):  # every --docs text is read and checked
+            txt = texts.get(doc_id)
+            doc_records = scoring_mod.categorize_errors(
+                gold.pop(doc_id, []),
+                pred.pop(doc_id, []),
+                doc_text=None if txt is None else standoff.read_file(txt),
                 doc_id=doc_id,
                 strict_case=args.strict_case,
                 type_agnostic=args.type_agnostic,
             )
-        )
-    yield args.audit, scoring_mod.error_records_text(records, args.audit)
-    counts = Counter(record.category for record in records)
+            counts.update(record.category for record in doc_records)
+            yield from doc_records
+
+    yield args.audit, scoring_mod.error_records_text(records(), args.audit)
     for category in sorted(counts):
         print(f"{category}: {counts[category]}")
-    print(f"wrote {len(records)} error records to {args.audit}")
+    print(f"wrote {counts.total()} error records to {args.audit}")
 
 
 @functools.cache  # parse_args never changes the parser, so one serves every run_cli call
@@ -329,6 +352,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     summary = io.StringIO()  # printed once the outputs are in place
     try:
+        _refuse_outputs_in_inputs(args)
         with contextlib.redirect_stdout(summary):
             standoff.write_outputs(args.func(args))
         sys.stdout.write(summary.getvalue())
@@ -349,3 +373,7 @@ def run_cli(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

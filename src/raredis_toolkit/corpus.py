@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from collections.abc import Collection, Iterable
+from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TypeVar
@@ -200,5 +200,5 @@ def read_manifests(paths: tuple[str | Path, ...], corpus: list[_Doc]) -> tuple[t
     return tuple(tuple(doc_id for _, doc_id in part) for part in entries)
 
 
-def manifest_text(docs: list[_Doc], where: str | Path) -> str:
+def manifest_text(docs: list[_Doc], where: str | Path) -> Iterator[str]:
     return join_records(sorted(doc.doc_id for doc in docs), where)

@@ -20,7 +20,7 @@ raises RepairError for an entity it cannot bring there.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -191,6 +191,6 @@ def summarize_repairs(results: Iterable[tuple[AnnotatedDocument, RepairLog]]) ->
     )
 
 
-def repair_log_text(logs: list[RepairLog], where: str | Path) -> str:
+def repair_log_text(logs: list[RepairLog], where: str | Path) -> Iterator[str]:
     """Line-oriented audit file: `<doc_id> <rule> <target_id> <before> -> <after>`."""
     return join_records((line for log in logs for line in log.lines()), where)

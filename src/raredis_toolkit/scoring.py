@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -248,17 +249,27 @@ def categorize_errors(
     return records
 
 
-def error_records_text(records: list[ErrorRecord], where: str | Path) -> str:
-    """Line-oriented audit file, one JSON record per line."""
-    return join_records((json.dumps(r.to_dict(), ensure_ascii=False) for r in records), where)
+# what json.dumps(..., ensure_ascii=False) gives, without building an encoder per record
+_to_json = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def error_records_text(records: Iterable[ErrorRecord], where: str | Path) -> Iterator[str]:
+    """Line-oriented audit file, one JSON record per line, each made as its record is taken."""
+    return join_records((_to_json(r.to_dict()) for r in records), where)
 
 
 def read_triples_file(path: str | Path) -> dict[str, list[Triple]]:
     """Tab-separated triples: doc_id, subject text, subject type, predicate,
-    object text, object type. Empty type fields mean the type is unknown."""
+    object text, object type. Empty type fields mean the type is unknown.
+
+    The file's text is dropped once split, and each line once parsed, so the
+    triples are never held beside the text or its lines whole."""
     out: dict[str, list[Triple]] = {}
     types: dict[str, str | None] = {"": None}  # each type spelling looked up once per file
-    for line_no, raw in enumerate(split_records(read_file(path)), start=1):
+    lines = split_records(read_file(path))
+    lines.reverse()  # popped from the end, so each line is dropped once parsed
+    for line_no in range(1, len(lines) + 1):
+        raw = lines.pop()
         if not raw.strip():
             continue
         fields = raw.split("\t")
@@ -293,25 +304,25 @@ def triple_writable(t: Triple) -> bool:
     return tsv_field_ok(t.subject_text) and tsv_field_ok(t.object_text)
 
 
-def triples_text(triples_by_doc: dict[str, list[Triple]], where: str | Path) -> str:
-    lines = []
-    for doc_id in sorted(triples_by_doc):
+def triples_text(docs: Iterable[tuple[str, list[Triple]]], where: str | Path) -> Iterator[str]:
+    """Triples-TSV chunks for write_outputs: each (doc_id, triples) item's
+    records, in the order the items come, made and checked as each is taken."""
+    return join_records(_triple_records(docs), where)
+
+
+def _triple_records(docs: Iterable[tuple[str, list[Triple]]]) -> Iterator[str]:
+    for doc_id, triples in docs:
         if not tsv_field_ok(doc_id):
             raise ToolkitError(f"doc id {doc_id!r} may not contain tabs or line feeds")
-        for t in triples_by_doc[doc_id]:
+        for t in triples:
             if not triple_writable(t):
                 raise ToolkitError(f"{doc_id}: triple texts may not contain tabs or line feeds")
-            fields = (
-                doc_id,
-                t.subject_text,
-                t.subject_type or "",
-                t.predicate,
-                t.object_text,
-                t.object_type or "",
+            yield "\t".join(
+                (doc_id, t.subject_text, t.subject_type or "", t.predicate, t.object_text, t.object_type or "")
             )
-            lines.append("\t".join(fields))
-    return join_records(lines, where)
 
 
 def write_triples_file(triples_by_doc: dict[str, list[Triple]], path: str | Path) -> None:
-    write_outputs([(path, triples_text(triples_by_doc, path))])
+    """Write the triples of every document, in doc_id order, as a triples TSV file."""
+    docs = ((doc_id, triples_by_doc[doc_id]) for doc_id in sorted(triples_by_doc))
+    write_outputs([(path, triples_text(docs, path))])

@@ -189,16 +189,16 @@ def split_records(content: str) -> list[str]:
     return [r[:-1] if r.endswith("\r") else r for r in records]
 
 
-def join_records(records: Iterable[str], where: str | Path) -> str:
-    r"""Each record followed by "\n". Raises ToolkitError, naming `where` and
-    the record number, for a record split_records could not give back."""
-    records = list(records)
+def join_records(records: Iterable[str], where: str | Path) -> Iterator[str]:
+    r"""Each record followed by "\n", yielded as taken: write_outputs content.
+    Raises ToolkitError, naming `where` and the record number, for a record
+    split_records could not give back, when that record is taken."""
     for line_no, record in enumerate(records, start=1):
         if "\n" in record or record.endswith("\r"):
             raise ToolkitError(
                 f"{where}:{line_no}: a record may not contain a line feed or end in a carriage return"
             )
-    return "".join(r + "\n" for r in records)
+        yield record + "\n"
 
 
 # The label is the shortest prefix that leaves an offsets list; offsets are ASCII digits.
@@ -314,7 +314,7 @@ def serialize_document(doc: AnnotatedDocument) -> tuple[str, str]:
         lines.append(
             f"{rel.id}\t{PREDICATE_LABELS[rel.predicate]} Arg1:{rel.subject_ref} Arg2:{rel.object_ref}"
         )
-    return doc.text, join_records(lines, doc.doc_id)
+    return doc.text, "".join(join_records(lines, doc.doc_id))
 
 
 def path_stem(path: str) -> str:
@@ -361,20 +361,19 @@ def paired_texts(path: str | Path, strict_pairs: bool = True) -> dict[str, str]:
     otherwise the orphans are skipped with one logged warning.
     """
     prefix, names = _listing(path)
-    txts: dict[str, str] = {}
-    anns: set[str] = set()
+    found: dict[str, set[str]] = {".txt": set(), ".ann": set()}  # the doc ids of each extension
     for name in names:
         doc_id, ext = os.path.splitext(name)
-        if ext == ".txt":
-            txts[doc_id] = prefix + name
-        elif ext == ".ann":
-            anns.add(doc_id)
-    orphans = sorted(txts.keys() ^ anns)
+        if ext in found:
+            found[ext].add(doc_id)
+    del names  # not held beside the paths built below
+    txts, anns = found.values()
+    orphans = sorted(txts ^ anns)
     if orphans:
         if strict_pairs:
             raise ToolkitError(f"unpaired .txt/.ann files: {', '.join(orphans)}")
         logger.warning("skipping unpaired .txt/.ann files: %s", ", ".join(orphans))
-    return {doc_id: txts[doc_id] for doc_id in sorted(txts.keys() & anns)}
+    return {doc_id: f"{prefix}{doc_id}.txt" for doc_id in sorted(txts & anns)}
 
 
 # A document as read or written: its doc_id and the contents of its .txt and .ann.
@@ -430,15 +429,18 @@ def write_corpus_dir(docs: Iterable[AnnotatedDocument], path: str | Path) -> Non
     write_outputs(corpus_files(map(document_files, docs), path))
 
 
-def write_outputs(items: Iterable[tuple[str | Path, str | None]]) -> None:
+def write_outputs(items: Iterable[tuple[str | Path, str | Iterable[str] | None]]) -> None:
     """Write every (path, content) item, all or none; content None names a directory.
 
-    Items are taken one at a time. A new file or directory, missing parents
-    included, is made in place; a file that replaces an existing one is
-    written into a hidden ".staging-*" directory beside it and renamed over
-    it after the last item. So a failure, even while the items are generated,
-    removes what was made and changes no existing file. A target that is an
-    existing directory, or a file two items name, is an error.
+    A file's content is a str or an iterable of str chunks, each written as
+    it is taken, so a file need never be held whole. Items, and the chunks
+    of each, are taken one at a time. A new file or directory, missing
+    parents included, is made in place; a file that replaces an existing one
+    is written into a hidden ".staging-*" directory beside it and renamed
+    over it after the last item. So a failure, even while the items or their
+    chunks are generated, removes what was made and changes no existing
+    file. A target that is an existing directory, or a file two items name,
+    is an error.
     """
     written: dict[str, dict[str, bool]] = {}  # directory -> {file name: made in place}
     staging: dict[str, str] = {}  # directory -> its staging directory
@@ -472,9 +474,14 @@ def write_outputs(items: Iterable[tuple[str | Path, str | None]]) -> None:
                 handle = open(os.path.join(staging[full], name), "w", encoding="utf-8", newline="")
             try:
                 with handle:
-                    handle.write(content)
-            except OSError as exc:  # a failed write or close (a full disk, say) names no file
-                exc.filename = path
+                    if isinstance(content, str):
+                        handle.write(content)
+                    else:
+                        handle.writelines(content)
+            except OSError as exc:
+                # a failed write or close (a full disk, say) names no file; a chunk's own read names its input
+                if exc.filename is None:
+                    exc.filename = path
                 raise
         for full, staged in staging.items():
             for name in os.listdir(staged):

@@ -1,8 +1,12 @@
+import contextlib
 import errno
+import io
 import json
 import logging
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -946,6 +950,85 @@ class TestOutIsNotIn:
             err = fails_leaving_tree_unchanged(tmp_path, [command, "--in", "c", "--out", out, *flags], capsys)
             assert err == f"error: --out {out} is the --in directory c\n"
         assert run_cli(["stats", "--in", "c"]) == 0
+
+
+class TestOutputsOutsideInputs:
+    """No output path may lie inside an input directory (--in, or errors'
+    --docs) or be one; the run is refused before any file is read, naming both."""
+
+    CASES = {
+        "repair --out": ["repair", "--in", "c", "--out", "c/fixed"],
+        "repair --log": ["repair", "--in", "c", "--out", "fixed", "--log", "c/log.txt"],
+        "stats --out": ["stats", "--in", "c", "--out", "c/stats.json"],
+        "split --out": ["split", "--in", "c", "--out", "c/s", "--ratios", "1,0,0"],
+        "flatten --out": ["flatten", "--in", "c", "--out", "c/sub/flat"],
+        "encode --out": ["encode", "--in", "c", "--out", "c/a.txt", "--schema", "seq2rel"],
+        "decode --out": ["decode", "--in", "c", "--out", "c/p.tsv", "--schema", "seq2rel"],
+        "decode --report": ["decode", "--in", "c", "--out", "p.tsv", "--schema", "seq2rel", "--report", "link/r.tsv"],
+        # the triples files are missing too, and are never read
+        "errors --audit": ["errors", "--gold", "g.tsv", "--pred", "g.tsv", "--audit", "c/a.jsonl", "--docs", "c"],
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_an_output_inside_an_input_directory_is_refused(self, tmp_path, monkeypatch, capsys, case):
+        corpus = tmp_path / "c"
+        corpus.mkdir()
+        (corpus / "a.txt").write_text("Beta syndrome", encoding="utf-8")
+        (corpus / "a.ann").write_text("T1\tDISEASE 0 4\tBeta\n", encoding="utf-8")
+        (tmp_path / "link").symlink_to(corpus)
+        monkeypatch.chdir(tmp_path)
+        argv = self.CASES[case]
+        out = argv[argv.index(case.split()[1]) + 1]
+        in_flag = "--docs" if "--docs" in argv else "--in"
+        err = fails_leaving_tree_unchanged(tmp_path, argv, capsys)
+        assert err == f"error: {case.split()[1]} {out} is inside the {in_flag} directory c\n"
+        assert run_cli(["stats", "--in", "c"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["encode", "--in", "c", "--out", "./c/", "--schema", "seq2rel"],
+        ["errors", "--gold", "g.tsv", "--pred", "g.tsv", "--audit", "link", "--docs", "c"],
+    ])
+    def test_an_output_that_is_an_input_directory_is_refused(self, tmp_path, monkeypatch, capsys, argv):
+        (tmp_path / "c").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "c")
+        monkeypatch.chdir(tmp_path)
+        out_flag = "--out" if "--out" in argv else "--audit"
+        in_flag = "--docs" if "--docs" in argv else "--in"
+        err = fails_leaving_tree_unchanged(tmp_path, argv, capsys)
+        assert err == f"error: {out_flag} {argv[argv.index(out_flag) + 1]} is the {in_flag} directory c\n"
+
+    def test_an_output_beside_an_input_directory_is_written(self, tmp_path, monkeypatch):
+        """c2 starts with c, but it is not inside it."""
+        (tmp_path / "c").mkdir()
+        (tmp_path / "c" / "a.txt").write_text("Beta syndrome", encoding="utf-8")
+        (tmp_path / "c" / "a.ann").write_text("", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["stats", "--in", "c", "--out", "c2/stats.json"]) == 0
+        assert (tmp_path / "c2" / "stats.json").is_file()
+
+
+class TestModuleEntryPoint:
+    """python -m raredis_toolkit and python -m raredis_toolkit.cli run the command line."""
+
+    @pytest.mark.parametrize("module", ["raredis_toolkit", "raredis_toolkit.cli"])
+    def test_runs_a_subcommand_and_exits_2_on_a_usage_error(self, mini_corpus_dir, module):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                                             os.environ.get("PYTHONPATH", "")])}
+        stats = subprocess.run([sys.executable, "-m", module, "stats", "--in", str(mini_corpus_dir)],
+                               capture_output=True, text=True, env=env, timeout=60)
+        assert (stats.returncode, stats.stderr) == (0, "")
+        assert stats.stdout == self.stats_table(mini_corpus_dir)
+        usage = subprocess.run([sys.executable, "-m", module, "stats"], capture_output=True, text=True, env=env,
+                               timeout=60)
+        assert usage.returncode == 2
+        assert "the following arguments are required: --in" in usage.stderr
+
+    @staticmethod
+    def stats_table(corpus: Path) -> str:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run_cli(["stats", "--in", str(corpus)]) == 0
+        return out.getvalue()
 
 
 class TestOutputsNameDistinctFiles:
