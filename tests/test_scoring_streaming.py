@@ -75,8 +75,8 @@ def scored_files(root: Path, n_docs: int) -> list:
 
 class TestWhatTheyHold:
     def test_decode_holds_one_generation_at_a_time(self, tmp_path):
-        """Twice the generations: at the parent, twice the peak (it held every
-        generation's triples and built the whole TSV); now the listing alone grows."""
+        """Twice the generations: only the file listing grows. A decode that held
+        every generation's triples and built the whole TSV doubled its peak."""
         peaks = {}
         for n in (25, 50):
             generations = write_generations(tmp_path / f"gen{n}", n)
@@ -88,8 +88,9 @@ class TestWhatTheyHold:
         assert peaks[50] < 1.3 * peaks[25], peaks
 
     def test_errors_holds_what_score_holds(self, tmp_path):
-        """Both hold the two parsed files; errors adds one document's records
-        and text, where the parent held every record, every text and the audit."""
+        """Both hold the two parsed files; errors adds the --docs paths and one
+        document's records and text. Holding every record, every text and the
+        audit text more than doubled the peak."""
         flags = scored_files(tmp_path, 200)
         score = traced_peak(["score", *flags])
         errors = traced_peak(["errors", *flags, "--audit", tmp_path / "audit.jsonl", "--docs", tmp_path / "docs"])
@@ -144,7 +145,7 @@ class TestDecodeOrder:
     def test_a_name_fault_beats_an_earlier_files_utf8_fault(self, tmp_path, capsys, fault):
         generations = self.generations(tmp_path)
         (generations / "a.txt").write_bytes(b"\xff")
-        # both names sort after "a.txt", which the parent read first
+        # both names sort after "a.txt", so reading in name order would meet its fault first
         late = generations / ("z\tz.txt" if fault == "tab" else "a.txt~")
         late.write_text("t @Sign@ u @Disease@ @IS_A@", encoding="utf-8")
         argv = ["decode", "--in", generations, "--out", tmp_path / "p.tsv", "--schema", "seq2rel"]
