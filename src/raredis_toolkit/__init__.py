@@ -39,7 +39,6 @@ from .scoring import (
     ErrorRecord,
     ScoreReport,
     categorize_errors,
-    collapse_duplicates,
     score,
     score_corpus,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "build_prompt",
     "categorize_errors",
     "codec",
-    "collapse_duplicates",
     "corpus_statistics",
     "decode_target_report",
     "document_shapes",

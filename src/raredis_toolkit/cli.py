@@ -32,26 +32,39 @@ from .triples import collapse_whitespace
 logger = logging.getLogger(__name__)
 
 
-# (flag, attribute) of every output path and of every input directory a command takes
+# (flag, attribute) of every output path, input directory and input file a command takes
 _OUTPUTS = (("--out", "output_dir"), ("--out", "out_file"), ("--out", "out_json"), ("--log", "log"),
             ("--report", "report"), ("--audit", "audit"))
 _INPUT_DIRS = (("--in", "input_dir"), ("--docs", "docs"))
+_INPUT_FILES = (("--gold", "gold"), ("--pred", "pred"), ("--noun-map", "noun_map"), ("--train-list", "train_list"),
+                ("--dev-list", "dev_list"), ("--test-list", "test_list"))
+
+
+def _token_list(args) -> Path | None:
+    """Where encode writes the special tokens of a schema that has them: beside --out."""
+    tokens = args.func is cmd_encode and schema_mod.codec(args.schema).special_tokens
+    return Path(args.out_file).parent / "special_tokens.txt" if tokens else None
 
 
 def _refuse_outputs_in_inputs(args) -> None:
-    """No output may be an input directory or lie inside one (symbolic links
+    """No output may be an input file or directory or lie inside an input
+    directory, and no input file may lie inside an output (symbolic links
     followed), so no command modifies its input; checked before any file is read."""
-    inputs = [(flag, d, os.path.realpath(d)) for flag, attr in _INPUT_DIRS if (d := getattr(args, attr, None))]
-    for out_flag, attr in _OUTPUTS:
-        out = getattr(args, attr, None)
-        if not out:
-            continue
-        real = os.path.realpath(out)
-        for in_flag, in_dir, root in inputs:
+    dirs, files, outputs = ([(flag, p, os.path.realpath(p)) for flag, attr in flags if (p := getattr(args, attr, None))]
+                            for flags in (_INPUT_DIRS, _INPUT_FILES, _OUTPUTS))
+    if tokens := _token_list(args):
+        outputs.append(("the token list", str(tokens), os.path.realpath(tokens)))
+    for out_flag, out, real in outputs:
+        for in_flag, in_dir, root in dirs:
             if real == root:
                 raise ToolkitError(f"{out_flag} {out} is the {in_flag} directory {in_dir}")
             if os.path.commonpath((real, root)) == root:
                 raise ToolkitError(f"{out_flag} {out} is inside the {in_flag} directory {in_dir}")
+        for in_flag, in_file, path in files:
+            if real == path:
+                raise ToolkitError(f"{out_flag} {out} is the {in_flag} file {in_file}")
+            if os.path.commonpath((real, path)) == real:
+                raise ToolkitError(f"{in_flag} {in_file} is inside the {out_flag} directory {out}")
 
 
 def _corpus(args, read=standoff.iter_corpus_dir):
@@ -186,8 +199,8 @@ def cmd_encode(args):
     yield out, standoff.join_records(records, out)
     if skipped:
         logger.warning("skipping relations with unresolved arguments: %s", ", ".join(skipped))
-    if codec.special_tokens:
-        vocab_path = out.parent / "special_tokens.txt"
+    vocab_path = _token_list(args)
+    if vocab_path:
         yield vocab_path, standoff.join_records(codec.special_tokens, vocab_path)
         print(f"wrote {len(records)} examples to {out} and tokens to {vocab_path}")
     else:

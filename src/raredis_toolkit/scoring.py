@@ -30,17 +30,6 @@ ERROR_MISSING = "missing"
 PARTIAL_MATCH_JACCARD = 0.5
 
 
-def collapse_duplicates(
-    triples: list[Triple], strict_case: bool = False, type_agnostic: bool = False
-) -> set[Triple]:
-    """Distinct triples under the scoring normalization.
-
-    The first occurrence of each triple_key is kept, with the key's entity
-    texts: normalized unless strict_case is set.
-    """
-    return {_with_key_texts(t, k) for k, t in distinct_triples(triples, strict_case, type_agnostic).items()}
-
-
 def _with_key_texts(t: Triple, key: tuple) -> Triple:
     """t with the entity texts of its triple_key (its types kept)."""
     return Triple(key[0], t.subject_type, t.predicate, key[3], t.object_type)
@@ -178,7 +167,7 @@ def categorize_errors(
     """
     gold_c = distinct_triples(gold, strict_case, type_agnostic)
     pred_c = distinct_triples(predicted, strict_case, type_agnostic)
-    # what collapse_duplicates keeps: each key holds its triple's scoring texts
+    # each unmatched key's first triple, holding the key's scoring texts
     fps, fns = (
         sorted((_with_key_texts(ours[k], k) for k in ours.keys() - theirs.keys()), key=_sort_key)
         for ours, theirs in ((pred_c, gold_c), (gold_c, pred_c))

@@ -1,7 +1,4 @@
-import gc
-import statistics
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -17,9 +14,6 @@ LINE_BREAK_ALPHABET = "ab \t\n\r\x85\u2028\x0b\x0c\x1c\x1d\x1e"
 # an astral character, and the letters re.IGNORECASE folds onto ASCII ones
 HOSTILE_CHARACTERS = ["\r", "\t", "\n", "\x85", "\x00", "\U0001F9EC", "ſ", "İ", "ı", "\u212a"]
 
-# Scaling bounds: doubling a layer's input may at most triple its time.
-MAX_SCALE_RATIO = 3.0
-
 
 def tree_snapshot(root: Path) -> dict[str, bytes | None]:
     """Every file's bytes and every directory (None) under root, hidden ones
@@ -27,33 +21,6 @@ def tree_snapshot(root: Path) -> dict[str, bytes | None]:
     return {
         str(p.relative_to(root)): None if p.is_dir() else p.read_bytes() for p in sorted(root.rglob("*"))
     }
-
-
-def time_ratio(run, small, large) -> float:
-    """Median over 7 rounds of min-of-2 time of run(large) / min-of-2 time of
-    run(small), the two timed alternately within a round.
-
-    Alternating puts a short slow spell of the host on both sides of a round.
-    A longer spell that slows only one side of some rounds skews only those
-    rounds, and the median passes them over. Each round starts from a full
-    collection and runs with the cyclic collector paused, so a ratio measures
-    the calls and not where the collector's full collections happen to fall.
-    """
-    ratios = []
-    for _ in range(7):
-        best = [float("inf"), float("inf")]
-        gc.collect()
-        gc.disable()
-        try:
-            for _ in range(2):
-                for i, arg in enumerate((small, large)):
-                    start = time.perf_counter()
-                    run(arg)
-                    best[i] = min(best[i], time.perf_counter() - start)
-        finally:
-            gc.enable()
-        ratios.append(best[1] / best[0])
-    return statistics.median(ratios)
 
 
 def _offsets(text: str, phrase: str, occurrence: int = 0) -> tuple[int, int]:

@@ -25,9 +25,9 @@ from raredis_toolkit.schema import (
     encode_target,
     occurrence_ordered_triples,
 )
-from raredis_toolkit.scoring import collapse_duplicates, read_triples_file, score, score_corpus
+from raredis_toolkit.scoring import read_triples_file, score, score_corpus
 from raredis_toolkit.standoff import load_corpus_dir, parse_document
-from raredis_toolkit.triples import Triple
+from raredis_toolkit.triples import Triple, distinct_triples
 from synth import synthetic_corpus
 from test_schema import fidelity_key
 from test_scoring import brute_force_counts, random_triples
@@ -261,6 +261,6 @@ def test_criterion_7_bundled_fixture_scoring_in_lieu_of_model_results():
     assert (rows["increases_risk_of"].tp, rows["increases_risk_of"].fp,
             rows["increases_risk_of"].fn) == (0, 0, 1)
     # collapsing sanity on the fixture: six gold, five predictions
-    assert sum(len(collapse_duplicates(v)) for v in gold.values()) == 6
-    assert sum(len(collapse_duplicates(v)) for v in pred.values()) == 5
+    assert sum(len(distinct_triples(v)) for v in gold.values()) == 6
+    assert sum(len(distinct_triples(v)) for v in pred.values()) == 5
     print("PASS criterion 7: bundled fixture report matches the hand-computed expectation")

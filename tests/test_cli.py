@@ -931,30 +931,22 @@ class TestFailedRunsWriteNothing:
         fails_leaving_tree_unchanged(tmp_path, argv, capsys)
 
 
-class TestOutIsNotIn:
-    """No command modifies its input directory: a corpus --out that resolves
-    to --in is refused before any file is read, naming both."""
+class TestOutputsOutsideInputs:
+    """No command modifies its input. No output path may be an input file or
+    directory (--in, or errors' --docs) or lie inside an input directory, and
+    no input file may lie inside an output; the run is refused before any file
+    is read, naming both."""
 
-    @pytest.mark.parametrize("command", ["repair", "split", "flatten"])
-    def test_out_resolving_to_in_is_refused(self, tmp_path, monkeypatch, capsys, command):
+    @pytest.fixture
+    def root(self, tmp_path, monkeypatch):
+        """tmp_path as the working directory, holding a one-document corpus c and a link to it."""
         corpus = tmp_path / "c"
         corpus.mkdir()
-        # a document named like split's train manifest, which it would replace
-        for doc_id in ("a", "train"):
-            (corpus / f"{doc_id}.txt").write_text("Beta syndrome", encoding="utf-8")
-            (corpus / f"{doc_id}.ann").write_text("T1\tDISEASE 0 4\tbeta\n", encoding="utf-8")
+        (corpus / "a.txt").write_text("Beta syndrome", encoding="utf-8")
+        (corpus / "a.ann").write_text("T1\tDISEASE 0 4\tBeta\n", encoding="utf-8")
         (tmp_path / "link").symlink_to(corpus)
         monkeypatch.chdir(tmp_path)
-        flags = ["--ratios", "1,0,0"] if command == "split" else []
-        for out in ("./c/", "link"):
-            err = fails_leaving_tree_unchanged(tmp_path, [command, "--in", "c", "--out", out, *flags], capsys)
-            assert err == f"error: --out {out} is the --in directory c\n"
-        assert run_cli(["stats", "--in", "c"]) == 0
-
-
-class TestOutputsOutsideInputs:
-    """No output path may lie inside an input directory (--in, or errors'
-    --docs) or be one; the run is refused before any file is read, naming both."""
+        return tmp_path
 
     CASES = {
         "repair --out": ["repair", "--in", "c", "--out", "c/fixed"],
@@ -970,18 +962,23 @@ class TestOutputsOutsideInputs:
     }
 
     @pytest.mark.parametrize("case", CASES)
-    def test_an_output_inside_an_input_directory_is_refused(self, tmp_path, monkeypatch, capsys, case):
-        corpus = tmp_path / "c"
-        corpus.mkdir()
-        (corpus / "a.txt").write_text("Beta syndrome", encoding="utf-8")
-        (corpus / "a.ann").write_text("T1\tDISEASE 0 4\tBeta\n", encoding="utf-8")
-        (tmp_path / "link").symlink_to(corpus)
-        monkeypatch.chdir(tmp_path)
+    def test_an_output_inside_an_input_directory_is_refused(self, root, capsys, case):
         argv = self.CASES[case]
         out = argv[argv.index(case.split()[1]) + 1]
         in_flag = "--docs" if "--docs" in argv else "--in"
-        err = fails_leaving_tree_unchanged(tmp_path, argv, capsys)
+        err = fails_leaving_tree_unchanged(root, argv, capsys)
         assert err == f"error: {case.split()[1]} {out} is inside the {in_flag} directory c\n"
+        assert run_cli(["stats", "--in", "c"]) == 0
+
+    @pytest.mark.parametrize("command", ["repair", "split", "flatten"])
+    def test_out_resolving_to_in_is_refused(self, root, capsys, command):
+        # a document named like split's train manifest, which it would replace
+        (root / "c" / "train.txt").write_text("Beta syndrome", encoding="utf-8")
+        (root / "c" / "train.ann").write_text("T1\tDISEASE 0 4\tbeta\n", encoding="utf-8")
+        flags = ["--ratios", "1,0,0"] if command == "split" else []
+        for out in ("./c/", "link"):
+            err = fails_leaving_tree_unchanged(root, [command, "--in", "c", "--out", out, *flags], capsys)
+            assert err == f"error: --out {out} is the --in directory c\n"
         assert run_cli(["stats", "--in", "c"]) == 0
 
     @pytest.mark.parametrize("argv", [
@@ -996,6 +993,33 @@ class TestOutputsOutsideInputs:
         in_flag = "--docs" if "--docs" in argv else "--in"
         err = fails_leaving_tree_unchanged(tmp_path, argv, capsys)
         assert err == f"error: {out_flag} {argv[argv.index(out_flag) + 1]} is the {in_flag} directory c\n"
+
+    # each run would replace the input file it names
+    INPUT_FILE_CASES = {
+        "--out g.tsv is the --gold file g.tsv": ["score", "--gold", "g.tsv", "--pred", "p.tsv", "--out", "g.tsv"],
+        "--audit p.tsv is the --pred file p.tsv": ["errors", "--gold", "g.tsv", "--pred", "p.tsv", "--audit", "p.tsv"],
+        "--out nm.json is the --noun-map file nm.json":
+            ["encode", "--in", "c", "--out", "nm.json", "--schema", "rel-is", "--noun-map", "nm.json"],
+        "--train-list s/train.txt is inside the --out directory s":
+            ["split", "--in", "c", "--out", "s", "--train-list", "s/train.txt", "--dev-list", "d.txt",
+             "--test-list", "t.txt"],
+        "the token list o/special_tokens.txt is the --noun-map file o/special_tokens.txt":
+            ["encode", "--in", "c", "--out", "o/x.jsonl", "--schema", "seq2rel", "--noun-map", "o/special_tokens.txt"],
+    }
+
+    @pytest.mark.parametrize("message", INPUT_FILE_CASES)
+    def test_an_output_that_is_an_input_file_is_refused(self, root, capsys, message):
+        write_triples_file({"a": [Triple("Beta", "disease", "produces", "fever", "sign")]}, root / "g.tsv")
+        shutil.copy(root / "g.tsv", root / "p.tsv")
+        (root / "o").mkdir()
+        for noun_map in ("nm.json", "o/special_tokens.txt"):
+            (root / noun_map).write_text(json.dumps(schema_mod.DEFAULT_NOUN_MAP), encoding="utf-8")
+        (root / "s").mkdir()
+        (root / "s" / "train.txt").write_text("a\n\n", encoding="utf-8")
+        for manifest in ("d.txt", "t.txt"):
+            (root / manifest).write_text("", encoding="utf-8")
+        err = fails_leaving_tree_unchanged(root, self.INPUT_FILE_CASES[message], capsys)
+        assert err == f"error: {message}\n"
 
     def test_an_output_beside_an_input_directory_is_written(self, tmp_path, monkeypatch):
         """c2 starts with c, but it is not inside it."""

@@ -23,11 +23,8 @@ from raredis_toolkit.corpus import (
     split_corpus,
 )
 from raredis_toolkit.errors import SplitError
-from raredis_toolkit.flatten import flatten_document
-from raredis_toolkit.repair import repair_all
 from raredis_toolkit.standoff import AnnotatedDocument, EntityMention, parse_document, write_outputs
-from conftest import MAX_SCALE_RATIO, time_ratio
-from synth import corrupt_fragment_order, corrupt_relation_argument, corrupt_trailing_char, synthetic_corpus
+from synth import synthetic_corpus
 
 
 def _strictly_contains(outer: tuple[int, int], inner: tuple[int, int]) -> bool:
@@ -143,76 +140,6 @@ class TestDocumentShapesMatchAllPairs:
     )
     def test_corpus_statistics_counts_the_oracle_shapes(self, docs):
         assert corpus_statistics(docs).shape_counts == oracle_shape_counts(docs)
-
-
-SCALE_ENTITIES = 60
-SCALE_REGIONS = 1000
-
-
-def _flatten_all(docs: list[AnnotatedDocument]) -> None:
-    for doc in docs:
-        flatten_document(doc)
-
-
-def many_regions_doc(n: int) -> AnnotatedDocument:
-    """n disjoint two-fragment entities, each its own rewritten region with a
-    copied stretch after it, then n flat entities after all of them."""
-    words = [f"w{i}" for i in range(5 * n)]
-    starts = [0]
-    for word in words[:-1]:
-        starts.append(starts[-1] + len(word) + 1)
-
-    def span(i: int) -> tuple[int, int]:
-        return (starts[i], starts[i] + len(words[i]))
-
-    text = " ".join(words)
-    entities = []
-    for k in range(n):
-        fragments = (span(4 * k), span(4 * k + 2))
-        surface = " ".join(text[s:e] for s, e in fragments)
-        entities.append(EntityMention(f"T{k + 1}", "sign", fragments, surface))
-    for k in range(n):
-        s, e = span(4 * n + k)
-        entities.append(EntityMention(f"T{n + k + 1}", "disease", ((s, e),), text[s:e]))
-    return AnnotatedDocument("regions", text, tuple(entities), ())
-
-
-def _repair_all(docs: list[AnnotatedDocument]) -> None:
-    for doc in docs:
-        repair_all(doc)
-
-
-def _corrupted(docs: list[AnnotatedDocument]) -> list[AnnotatedDocument]:
-    """Each document with one defect for every repair rule."""
-    rng = random.Random(97)
-    return [
-        corrupt_relation_argument(corrupt_trailing_char(corrupt_fragment_order(doc, rng), rng), rng)
-        for doc in docs
-    ]
-
-
-class TestCorpusLayersScaleLinearly:
-    @pytest.mark.parametrize(
-        "run, prepare",
-        [(corpus_statistics, list), (_flatten_all, list), (_repair_all, _corrupted)],
-        ids=["stats", "flatten", "repair"],
-    )
-    def test_doubling_the_entities_at_most_triples_the_time(self, run, prepare):
-        small, large = (
-            prepare(synthetic_corpus(seed=89, size=20, min_entities=n, max_entities=n))
-            for n in (SCALE_ENTITIES, 2 * SCALE_ENTITIES)
-        )
-        ratio = time_ratio(run, small, large)
-        assert ratio < MAX_SCALE_RATIO, f"time x{ratio:.2f} when the entities per document double"
-
-    def test_flatten_with_many_regions_at_most_triples_the_time(self):
-        """Overlapping entities form one region; this shape makes one per
-        discontinuous entity, so the sweep emits a rewritten region and a
-        copied stretch per entity before it shifts the flat entities after
-        them by the delta all of those add up to."""
-        small, large = ([many_regions_doc(n)] for n in (SCALE_REGIONS, 2 * SCALE_REGIONS))
-        ratio = time_ratio(_flatten_all, small, large)
-        assert ratio < MAX_SCALE_RATIO, f"time x{ratio:.2f} when the regions double"
 
 
 class TestStatistics:

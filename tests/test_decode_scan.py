@@ -9,7 +9,6 @@ seq2rel oracle is the finditer loop that the one-split decoder replaced.
 """
 
 import io
-import random
 import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -27,19 +26,12 @@ from raredis_toolkit.schema import (
     TYPE_WORDS,
     _fold,
     decode_target_report,
-    encode_target,
     normalize_generation,
 )
-from raredis_toolkit.standoff import (
-    ENTITY_TYPES,
-    PREDICATES,
-    normalize_entity_type,
-    normalize_predicate,
-    parse_document,
-)
+from raredis_toolkit.standoff import normalize_entity_type, normalize_predicate
 from raredis_toolkit.scoring import read_triples_file, triple_writable
 from raredis_toolkit.triples import Triple
-from conftest import HOSTILE_CHARACTERS, MAX_SCALE_RATIO, time_ratio
+from conftest import HOSTILE_CHARACTERS
 from floor_smoke import fold_mismatches
 
 _SPAN = r"[^.]+?"
@@ -349,48 +341,3 @@ class TestCliDecodesHostileText:
                 for argv in (["score", "--out", root / "score.json"], ["errors", "--audit", root / "audit.jsonl"]):
                     assert run_cli([str(a) for a in [*argv, "--gold", normalized, "--pred", raw]]) == 0
             assert err.getvalue() == ""
-
-
-# --- scaling ----------------------------------------------------------------
-
-SCALE_WORDS = 2000
-
-_rng = random.Random(20231123)
-_VOCAB = [
-    "".join(_rng.choice("bcdfgklmnprstv") + _rng.choice("aeiou") for _ in range(_rng.randint(2, 4)))
-    for _ in range(800)
-]
-
-
-def _random_words(kind: str, words: int) -> str:
-    rng = random.Random(words)
-    return " ".join(
-        w.capitalize() if rng.random() < 0.15 else w for w in rng.choices(_VOCAB, k=words)
-    )
-
-
-def _looping(kind: str, words: int) -> str:
-    """One document's encoding repeated to about `words` words, periods removed:
-    a model looping until its length limit without ever ending a sentence."""
-    words_by_type = ["aplasia", "Bolem syndrome", "fever", "rash", "this disorder", "tinea"]
-    text = " ".join(words_by_type)
-    ann = []
-    pos = 0
-    for i, (entity_type, surface) in enumerate(zip(ENTITY_TYPES, words_by_type), start=1):
-        ann.append(f"T{i}\t{entity_type.upper().replace('_', '')} {pos} {pos + len(surface)}\t{surface}")
-        pos += len(surface) + 1
-    for i, predicate in enumerate(PREDICATES, start=1):
-        ann.append(f"R{i}\t{predicate} Arg1:T{i} Arg2:T{i % len(PREDICATES) + 1}")
-    doc = parse_document(text, "\n".join(ann) + "\n", "loop")
-    unit = encode_target(doc, kind).replace(".", "").replace(schema.END_TOKEN, "")
-    return " ".join([unit] * max(1, words // len(unit.split())))
-
-
-class TestDecodeScalesLinearly:
-    @pytest.mark.parametrize("build", [_random_words, _looping], ids=["period_free", "looping"])
-    @pytest.mark.parametrize("kind", SCHEMA_KINDS)
-    def test_doubling_the_generation_at_most_triples_the_time(self, kind, build):
-        small, large = build(kind, SCALE_WORDS), build(kind, 2 * SCALE_WORDS)
-        assert "." not in small + large
-        ratio = time_ratio(lambda generation: decode_target_report(generation, kind), small, large)
-        assert ratio < MAX_SCALE_RATIO, f"{kind}: time x{ratio:.2f} when the generation doubles"

@@ -1,7 +1,5 @@
 import logging
-import random
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +18,9 @@ from raredis_toolkit.schema import (
     special_tokens,
     validate_noun_map,
 )
-from raredis_toolkit.standoff import PREDICATES, RelationInstance, parse_document
+from raredis_toolkit.standoff import parse_document
 from raredis_toolkit.triples import Triple, collapse_whitespace, normalize_text, triple_key
-from conftest import MAX_SCALE_RATIO, MINI_CORPUS, time_ratio
+from conftest import MINI_CORPUS
 from synth import synthetic_corpus
 
 RICKETS_LINEARIZED = (
@@ -466,30 +464,3 @@ class TestEncodedCorpus:
             "@PRODUCES@", "@INCREASES_RISK_OF@", "@IS_A@", "@IS_ACRON@", "@IS_SYNON@", "@ANAPHORA@",
             "@NOREL@", "@END@",
         ]
-
-
-def densely_related_corpus(n: int) -> list:
-    """20 documents of n entities and n relations between random pairs of them."""
-    rng = random.Random(101)
-    docs = synthetic_corpus(seed=103, size=20, min_entities=n, max_entities=n)
-    related = []
-    for doc in docs:
-        relations = tuple(
-            RelationInstance(f"R{i + 1}", rng.choice(PREDICATES), *(e.id for e in rng.sample(doc.entities, 2)))
-            for i in range(n)
-        )
-        related.append(replace(doc, relations=relations))
-    return related
-
-
-class TestEncodeScalesLinearly:
-    @pytest.mark.parametrize("kind", SCHEMA_KINDS)
-    def test_doubling_entities_and_relations_at_most_triples_the_time(self, kind):
-        small, large = densely_related_corpus(60), densely_related_corpus(120)
-
-        def encode_all(docs):
-            for doc in docs:
-                encode_target(doc, kind)
-
-        ratio = time_ratio(encode_all, small, large)
-        assert ratio < MAX_SCALE_RATIO, f"{kind}: time x{ratio:.2f} when the relations double"

