@@ -248,14 +248,8 @@ def cmd_decode(args):
     print(f"decoded {total} triples from {len(sources)} generations ({len(report_lines)} segments skipped)")
 
 
-def _read_scored_files(args):
-    gold = scoring_mod.read_triples_file(args.gold)
-    pred = scoring_mod.read_triples_file(args.pred)
-    return gold, pred
-
-
 def cmd_score(args):
-    gold, pred = _read_scored_files(args)
+    gold, pred = scoring_mod.read_scored_files(args.gold, args.pred)
     report = scoring_mod.score_corpus(
         gold, pred, strict_case=args.strict_case, type_agnostic=args.type_agnostic
     )
@@ -265,14 +259,16 @@ def cmd_score(args):
 
 
 def cmd_errors(args):
-    gold, pred = _read_scored_files(args)
-    # hallucination checks need only the texts, so no .ann is parsed
+    gold, pred = scoring_mod.read_scored_files(args.gold, args.pred)
+    doc_ids = sorted(gold.keys() | pred.keys())
+    # hallucination checks need only the texts, so no .ann is parsed; a text no triples file names is never read
     texts = standoff.paired_texts(args.docs, strict_pairs=False) if args.docs else {}
+    texts = {doc_id: texts[doc_id] for doc_id in doc_ids if doc_id in texts}
     counts = Counter()
 
     def records():  # one document at a time, in doc id order; its triples are dropped once categorized
-        for doc_id in sorted(gold.keys() | pred.keys() | texts.keys()):  # every --docs text is read and checked
-            txt = texts.get(doc_id)
+        for doc_id in doc_ids:
+            txt = texts.pop(doc_id, None)
             doc_records = scoring_mod.categorize_errors(
                 gold.pop(doc_id, []),
                 pred.pop(doc_id, []),

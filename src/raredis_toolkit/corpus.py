@@ -12,7 +12,7 @@ from typing import TypeVar
 
 from .errors import SplitError
 from .standoff import ENTITY_TYPES, PREDICATES, AnnotatedDocument, DocumentFiles
-from .standoff import join_records, read_file, split_records
+from .standoff import iter_records, join_records
 
 SHAPE_FLAT = "flat"
 SHAPE_DISCONTINUOUS = "discontinuous"
@@ -193,7 +193,7 @@ def read_manifests(paths: tuple[str | Path, ...], corpus: list[_Doc]) -> tuple[t
     """The doc_ids of newline-separated manifest files, blank lines ignored,
     checked as split_corpus checks them; an error names the manifest line."""
     entries = [
-        [(f"{path}:{n}: ", line.strip()) for n, line in enumerate(split_records(read_file(path)), 1) if line.strip()]
+        [(f"{path}:{n}: ", line.strip()) for n, line in enumerate(iter_records(path), 1) if line.strip()]
         for path in paths
     ]
     _check_listed((entry for part in entries for entry in part), {doc.doc_id for doc in corpus})

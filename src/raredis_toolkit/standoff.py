@@ -23,6 +23,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from pathlib import Path
 
 from .errors import DocumentError, StandoffParseError, ToolkitError
@@ -173,11 +174,12 @@ def _read_bytes(path: str | Path) -> bytes:
         raise
 
 
-def _decode(data: bytes, path: str | Path) -> str:
+def _decode(data: bytes, path: str | Path, offset: int = 0) -> str:
+    """data decoded; offset is where data starts in the file, for the error."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ToolkitError(f"{Path(path)}: not UTF-8 at byte offset {exc.start} ({exc.reason})") from None
+        raise ToolkitError(f"{Path(path)}: not UTF-8 at byte offset {offset + exc.start} ({exc.reason})") from None
 
 
 def split_records(content: str) -> list[str]:
@@ -199,6 +201,41 @@ def join_records(records: Iterable[str], where: str | Path) -> Iterator[str]:
                 f"{where}:{line_no}: a record may not contain a line feed or end in a carriage return"
             )
         yield record + "\n"
+
+
+_BLOCK_BYTES = 1 << 14  # what iter_records reads at a time
+
+
+def iter_records(path: str | Path) -> Iterator[str]:
+    r"""split_records(read_file(path)), one record at a time: the file is read
+    in blocks cut after their last "\n" (a byte no UTF-8 sequence holds), and
+    each run of whole lines is decoded and split when reached, so neither the
+    file's text nor its record list is ever held whole. The errors are
+    read_file's, a byte that is not UTF-8 named by its offset in the file,
+    raised when the reader reaches it."""
+    return chain.from_iterable(_record_blocks(path))
+
+
+def _record_blocks(path: str | Path) -> Iterator[list[str]]:
+    """The records of each run of whole lines iter_records reads."""
+    try:
+        with open(path, "rb") as handle:
+            offset = 0  # of the first byte in tail
+            tail: list[bytes] = []  # the bytes read since the last "\n"
+            while block := handle.read(_BLOCK_BYTES):
+                cut = block.rfind(b"\n") + 1
+                if not cut:
+                    tail.append(block)
+                    continue
+                lines = b"".join((*tail, block[:cut]))
+                tail = [block[cut:]]
+                yield split_records(_decode(lines, path, offset))
+                offset += len(lines)
+            if last := b"".join(tail):
+                yield split_records(_decode(last, path, offset))
+    except OSError as exc:
+        exc.filename = str(Path(path))
+        raise
 
 
 # The label is the shortest prefix that leaves an offsets list; offsets are ASCII digits.

@@ -543,6 +543,16 @@ class TestScoreAndErrorsCommands:
         assert self.run_errors(tmp_path, mini_corpus_dir, "broken.jsonl") == valid
         assert b"hallucinated_span" in valid
 
+    def test_errors_docs_reads_only_the_texts_a_triples_file_names(self, tmp_path, mini_corpus_dir, monkeypatch):
+        """Only "weakness" is named, so the other texts are never read, and one
+        that is not UTF-8 no longer fails the run."""
+        valid = self.run_errors(tmp_path, mini_corpus_dir, "valid.jsonl")
+        (mini_corpus_dir / "rickets.txt").write_bytes(b"\xff")
+        read = []
+        monkeypatch.setattr(standoff, "read_file", lambda path: read.append(path) or Path(path).read_bytes().decode())
+        assert self.run_errors(tmp_path, mini_corpus_dir, "unnamed.jsonl") == valid
+        assert read == [str(mini_corpus_dir / "weakness.txt")]
+
     def test_errors_never_parses_annotations(self, tmp_path, mini_corpus_dir, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("errors parsed an .ann file")
@@ -678,6 +688,16 @@ class TestErrorsNameTheirInput:
         """--gold ./g.tsv is named g.tsv whether it is missing or not UTF-8."""
         monkeypatch.chdir(tmp_path)
         argv = ["score", "--gold", "./g.tsv", "--pred", "./g.tsv"]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == "error: missing input file: g.tsv\n"
+        (tmp_path / "g.tsv").write_bytes(b"fever \xe9 rash")
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err.startswith("error: g.tsv: not UTF-8 at byte offset 6 ")
+
+    def test_errors_spells_the_path_as_score_does(self, tmp_path, monkeypatch, capsys):
+        """errors reads --gold through the same record reader as score."""
+        monkeypatch.chdir(tmp_path)
+        argv = ["errors", "--gold", "./g.tsv", "--pred", "./g.tsv", "--audit", "a.jsonl"]
         assert run_cli(argv) == 1
         assert capsys.readouterr().err == "error: missing input file: g.tsv\n"
         (tmp_path / "g.tsv").write_bytes(b"fever \xe9 rash")

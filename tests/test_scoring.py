@@ -32,11 +32,13 @@ from raredis_toolkit.scoring import (
     PrfRow,
     ScoreReport,
     format_report,
+    read_scored_files,
     read_triples_file,
     score,
     score_corpus,
     write_triples_file,
 )
+from raredis_toolkit import standoff
 from raredis_toolkit.standoff import ENTITY_TYPES, PREDICATES
 from raredis_toolkit.triples import Triple, distinct_triples, normalize_text, triple_key
 from conftest import LINE_BREAK_ALPHABET
@@ -649,6 +651,46 @@ class TestTriplesFileIO:
         path.write_text(valid + "d\ta\tsign\tproduces\tb\tsign\textra\n", encoding="utf-8")
         with pytest.raises(ToolkitError, match=f"^{re.escape(f'{path}:4: expected 6 tab-separated fields, got 7')}$"):
             read_triples_file(path)
+
+    @pytest.mark.parametrize("block", [3, standoff._BLOCK_BYTES])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"d\ta\tsign\tproduces\tb\tsign\r\nd\tc\tsign\tis_a\tb\t\r\n",
+            b"d\ta\tsign\tproduces\tb\tsign\nd\tc\tsign\tis_a\tb\t",
+        ],
+        ids=["crlf", "no final newline"],
+    )
+    def test_crlf_and_a_missing_final_newline_read_as_lines(self, tmp_path, monkeypatch, content, block):
+        monkeypatch.setattr(standoff, "_BLOCK_BYTES", block)
+        (tmp_path / "t.tsv").write_bytes(content)
+        assert read_triples_file(tmp_path / "t.tsv") == {
+            "d": [Triple("a", "sign", "produces", "b", "sign"), Triple("c", "sign", "is_a", "b", None)]
+        }
+
+    def test_a_malformed_line_before_a_later_non_utf8_byte_is_reported_first(self, tmp_path):
+        """The file is decoded a block at a time as it is parsed, so a fault on
+        line 2 is met before a byte that is not UTF-8 blocks later."""
+        path = tmp_path / "t.tsv"
+        padding = b"\n" * (2 * standoff._BLOCK_BYTES)  # blank lines, skipped
+        path.write_bytes(b"d\ta\tsign\tproduces\tb\tsign\nd\ta\n" + padding + b"d\t\xff\n")
+        with pytest.raises(ToolkitError, match=f"^{re.escape(f'{path}:2: expected 6 tab-separated fields, got 2')}$"):
+            read_triples_file(path)
+        path.write_bytes(b"d\ta\tsign\tproduces\tb\tsign\n" + padding + b"d\t\xff\n")
+        offset = path.stat().st_size - 2
+        with pytest.raises(ToolkitError, match=f"^{re.escape(f'{path}: not UTF-8 at byte offset {offset} ')}"):
+            read_triples_file(path)
+
+    def test_gold_and_pred_hold_each_distinct_text_once(self, tmp_path):
+        gold, pred = tmp_path / "gold.tsv", tmp_path / "pred.tsv"
+        write_triples_file({"d": [A, B]}, gold)
+        write_triples_file({"d": [A, A._replace(subject_type="disease"), C], "e": [B]}, pred)
+        gold_triples, pred_triples = read_scored_files(gold, pred)
+        assert (gold_triples, pred_triples) == (read_triples_file(gold), read_triples_file(pred))
+        texts = {}
+        for t in [*gold_triples["d"], *pred_triples["d"], *pred_triples["e"]]:
+            for text in (t.subject_text, t.object_text):
+                assert texts.setdefault(text, text) is text  # one str per spelling, across the two files
 
     def test_unwritable_text_names_the_doc(self, tmp_path):
         with pytest.raises(ToolkitError, match="doc_b: triple texts may not contain tabs or line feeds"):

@@ -624,3 +624,96 @@ class TestLineBreakRoundTrip:
         with tempfile.TemporaryDirectory() as tmp:
             write_corpus_dir([doc], tmp)
             assert load_corpus_dir(tmp) == [doc]
+
+
+# pieces of a record file: every kind of line break (only "\n" splits), a
+# form feed, characters of two to four UTF-8 bytes, and bytes no UTF-8 holds
+# (a stray continuation, a lead byte cut short, a byte never in UTF-8)
+RECORD_FILE_PIECES = [
+    b"\n", b"\r\n", b"\r", "\u2028".encode(), "\x85".encode(), b"\x0c", b"a", b"\t",
+    "é".encode(), "€".encode(), "\U0001F9EC".encode(), b"\x80", b"\xe2\x82", b"\xff",
+]
+
+
+def read_outcome(read, path):
+    """What read(path) gives, or the message of the ToolkitError it raises."""
+    try:
+        return read(path)
+    except ToolkitError as exc:
+        return f"raised {exc}"
+
+
+def records_both_ways(data: bytes, block: int) -> tuple:
+    """(iter_records, split_records of read_file) on a file of data, with
+    iter_records reading block bytes at a time."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(standoff, "_BLOCK_BYTES", block)
+        path = Path(tmp) / "records.tsv"
+        path.write_bytes(data)
+        return (
+            read_outcome(lambda p: list(standoff.iter_records(p)), path),
+            read_outcome(lambda p: standoff.split_records(standoff.read_file(p)), path),
+        )
+
+
+class TestRecordReader:
+    """iter_records reads a file in blocks of whole lines, and gives what
+    split_records(read_file(path)) gives, errors included."""
+
+    @given(
+        st.one_of(st.binary(max_size=64), st.lists(st.sampled_from(RECORD_FILE_PIECES), max_size=40).map(b"".join)),
+        st.sampled_from([1, 2, 3, 4, 5, 7, standoff._BLOCK_BYTES]),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_is_split_records_of_read_file(self, data, block):
+        streamed, whole = records_both_ways(data, block)
+        assert streamed == whole
+
+    @pytest.mark.parametrize("block", [1, 2, 3, standoff._BLOCK_BYTES])
+    @pytest.mark.parametrize(
+        "data, records",
+        [
+            (b"", []),
+            (b"a\r\nb\r\n", ["a", "b"]),
+            (b"a\rb\n\r", ["a\rb", ""]),
+            ("a\u2028b\x85c\x0cd\n".encode(), ["a\u2028b\x85c\x0cd"]),
+            (b"a\nb", ["a", "b"]),
+            ("é\n\U0001F9EC€\n\U0001F9EC".encode(), ["é", "\U0001F9EC€", "\U0001F9EC"]),
+        ],
+        ids=["empty", "crlf", "lone cr", "unicode breaks", "no final newline", "multibyte across blocks"],
+    )
+    def test_line_breaks_and_block_edges(self, data, records, block):
+        assert records_both_ways(data, block) == (records, records)
+
+    @pytest.mark.parametrize("block", [1, 2, 5, standoff._BLOCK_BYTES])
+    @pytest.mark.parametrize(
+        "data, offset, reason",
+        [
+            (b"ok\nfine\n\xff", 8, "invalid start byte"),
+            (b"ok\nab\xc3\ncd\n", 5, "invalid continuation byte"),
+            (b"ok\nab\xe2\x82", 5, "unexpected end of data"),
+        ],
+        ids=["bad byte", "cut before a line feed", "cut at the end"],
+    )
+    def test_a_non_utf8_byte_raises_what_read_file_raises(self, data, offset, reason, block):
+        streamed, whole = records_both_ways(data, block)
+        assert streamed == whole
+        assert whole.endswith(f": not UTF-8 at byte offset {offset} ({reason})")
+
+    def test_missing_files_are_named_as_read_file_names_them(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for spelling in ("./nowhere.tsv", "a//nowhere", str(tmp_path) + "/"):
+            with pytest.raises(OSError) as expected:
+                standoff.read_file(spelling)
+            with pytest.raises(OSError) as got:
+                next(standoff.iter_records(spelling))
+            assert (type(got.value), got.value.filename) == (type(expected.value), expected.value.filename)
+
+    def test_records_before_a_bad_block_come_first(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(standoff, "_BLOCK_BYTES", 3)  # a block per line
+        path = tmp_path / "r.tsv"
+        path.write_bytes(b"ab\ncd\n\xff\n")
+        records = standoff.iter_records(path)
+        assert [next(records), next(records)] == ["ab", "cd"]
+        with pytest.raises(ToolkitError, match=re.escape(f"{path}: not UTF-8 at byte offset 6 (invalid start byte)")):
+            next(records)
