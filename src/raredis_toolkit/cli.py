@@ -248,8 +248,14 @@ def cmd_decode(args):
     print(f"decoded {total} triples from {len(sources)} generations ({len(report_lines)} segments skipped)")
 
 
+def _read_scored_files(args):
+    gold = scoring_mod.read_triples_file(args.gold)
+    pred = scoring_mod.read_triples_file(args.pred)
+    return gold, pred
+
+
 def cmd_score(args):
-    gold, pred = scoring_mod.read_scored_files(args.gold, args.pred)
+    gold, pred = _read_scored_files(args)
     report = scoring_mod.score_corpus(
         gold, pred, strict_case=args.strict_case, type_agnostic=args.type_agnostic
     )
@@ -259,7 +265,7 @@ def cmd_score(args):
 
 
 def cmd_errors(args):
-    gold, pred = scoring_mod.read_scored_files(args.gold, args.pred)
+    gold, pred = _read_scored_files(args)
     doc_ids = sorted(gold.keys() | pred.keys())
     # hallucination checks need only the texts, so no .ann is parsed; a text no triples file names is never read
     texts = standoff.paired_texts(args.docs, strict_pairs=False) if args.docs else {}

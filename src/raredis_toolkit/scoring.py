@@ -247,61 +247,39 @@ def error_records_text(records: Iterable[ErrorRecord], where: str | Path) -> Ite
     return join_records((_to_json(r.to_dict()) for r in records), where)
 
 
-def read_scored_files(gold: str | Path, pred: str | Path) -> tuple[dict[str, list[Triple]], dict[str, list[Triple]]]:
-    """The gold and predicted triples files of one run, read through one
-    text table, so each distinct entity text of the two is one str (a true
-    positive spells its texts as gold does). The table is dropped once both are read."""
-    texts: dict[str, str] = {}
-    return read_triples_file(gold, texts), read_triples_file(pred, texts)
-
-
-def read_triples_file(path: str | Path, texts: dict[str, str] | None = None) -> dict[str, list[Triple]]:
+def read_triples_file(path: str | Path) -> dict[str, list[Triple]]:
     """Tab-separated triples: doc_id, subject text, subject type, predicate,
     object text, object type. Empty type fields mean the type is unknown.
 
     The file is read a block of lines at a time (standoff.iter_records) and
     each line dropped once parsed, so the triples are never held beside the
-    file's text or its lines whole. Each entity text is the str texts maps it
-    to, the first of its spelling that the table took; a new table serves
-    each call by default, so a text repeated in the file is held once."""
+    file's text or its lines whole. An entity text repeated in the file is
+    held once: each is the first str of its spelling."""
     out: dict[str, list[Triple]] = {}
-    predicates: dict[str, str] = {}  # each label spelling looked up once per file
-    types: dict[str, str | None] = {"": None}
-    share = {}.setdefault if texts is None else texts.setdefault
-    doc_id = triples = None  # the last line's document and its list
+    types: dict[str, str | None] = {"": None}  # each type spelling looked up once per file
+    texts: dict[str, str] = {}
     for line_no, raw in enumerate(iter_records(path), start=1):
         if not raw.strip():
             continue
         fields = raw.split("\t")
         if len(fields) != 6:
             raise ToolkitError(f"{path}:{line_no}: expected 6 tab-separated fields, got {len(fields)}")
-        line_doc, s_text, s_type, predicate, o_text, o_type = fields
+        doc_id, s_text, s_type, predicate, o_text, o_type = fields
+        pred = normalize_predicate(predicate)
+        if pred is None:
+            raise ToolkitError(f"{path}:{line_no}: unknown predicate {predicate!r}")
+        for label in (s_type, o_type):
+            if label not in types:
+                types[label] = normalize_entity_type(label)
+                if types[label] is None:
+                    raise ToolkitError(f"{path}:{line_no}: unknown entity type {label!r}")
+        s_text, o_text = texts.setdefault(s_text, s_text), texts.setdefault(o_text, o_text)
         try:
-            pred, s_t, o_t = predicates[predicate], types[s_type], types[o_type]
-        except KeyError:  # a spelling new to this file, in field order
-            where = f"{path}:{line_no}"
-            pred = _label(predicates, predicate, normalize_predicate, "predicate", where)
-            s_t = _label(types, s_type, normalize_entity_type, "entity type", where)
-            o_t = _label(types, o_type, normalize_entity_type, "entity type", where)
-        try:
-            triple = Triple(share(s_text, s_text), s_t, pred, share(o_text, o_text), o_t)
+            triple = Triple(s_text, types[s_type], pred, o_text, types[o_type])
         except ValueError as exc:
             raise ToolkitError(f"{path}:{line_no}: {exc}") from exc
-        if line_doc != doc_id:
-            doc_id, triples = line_doc, out.setdefault(line_doc, [])
-        triples.append(triple)
+        out.setdefault(doc_id, []).append(triple)
     return out
-
-
-def _label(table: dict, spelling: str, lookup, what: str, where: str) -> str | None:
-    """What table holds for a label spelling, looked up and kept at its first
-    use; a spelling the lookup does not know raises ToolkitError at where."""
-    if spelling not in table:
-        found = lookup(spelling)
-        if found is None:
-            raise ToolkitError(f"{where}: unknown {what} {spelling!r}")
-        table[spelling] = found
-    return table[spelling]
 
 
 def tsv_field_ok(text: str) -> bool:

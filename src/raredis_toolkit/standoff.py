@@ -21,10 +21,11 @@ import shutil
 import tempfile
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
 from pathlib import Path
+from typing import BinaryIO
 
 from .errors import DocumentError, StandoffParseError, ToolkitError
 
@@ -166,9 +167,17 @@ def read_file(path: str | Path) -> str:
 
 
 def _read_bytes(path: str | Path) -> bytes:
+    with _opened(path) as handle:
+        return handle.read()
+
+
+@contextmanager
+def _opened(path: str | Path) -> Iterator[BinaryIO]:
+    """path open for reading bytes; an OSError in opening or reading it names
+    the file as pathlib spells it."""
     try:
         with open(path, "rb") as handle:
-            return handle.read()
+            yield handle
     except OSError as exc:
         exc.filename = str(Path(path))
         raise
@@ -213,29 +222,20 @@ def iter_records(path: str | Path) -> Iterator[str]:
     file's text nor its record list is ever held whole. The errors are
     read_file's, a byte that is not UTF-8 named by its offset in the file,
     raised when the reader reaches it."""
-    return chain.from_iterable(_record_blocks(path))
-
-
-def _record_blocks(path: str | Path) -> Iterator[list[str]]:
-    """The records of each run of whole lines iter_records reads."""
-    try:
-        with open(path, "rb") as handle:
-            offset = 0  # of the first byte in tail
-            tail: list[bytes] = []  # the bytes read since the last "\n"
-            while block := handle.read(_BLOCK_BYTES):
-                cut = block.rfind(b"\n") + 1
-                if not cut:
-                    tail.append(block)
-                    continue
-                lines = b"".join((*tail, block[:cut]))
-                tail = [block[cut:]]
-                yield split_records(_decode(lines, path, offset))
-                offset += len(lines)
-            if last := b"".join(tail):
-                yield split_records(_decode(last, path, offset))
-    except OSError as exc:
-        exc.filename = str(Path(path))
-        raise
+    with _opened(path) as handle:
+        offset = 0  # of the first byte in tail
+        tail: list[bytes] = []  # the bytes read since the last "\n"
+        while block := handle.read(_BLOCK_BYTES):
+            cut = block.rfind(b"\n") + 1
+            if not cut:
+                tail.append(block)
+                continue
+            lines = b"".join((*tail, block[:cut]))
+            tail = [block[cut:]]
+            yield from split_records(_decode(lines, path, offset))
+            offset += len(lines)
+        if last := b"".join(tail):
+            yield from split_records(_decode(last, path, offset))
 
 
 # The label is the shortest prefix that leaves an offsets list; offsets are ASCII digits.

@@ -32,7 +32,6 @@ from raredis_toolkit.scoring import (
     PrfRow,
     ScoreReport,
     format_report,
-    read_scored_files,
     read_triples_file,
     score,
     score_corpus,
@@ -681,16 +680,14 @@ class TestTriplesFileIO:
         with pytest.raises(ToolkitError, match=f"^{re.escape(f'{path}: not UTF-8 at byte offset {offset} ')}"):
             read_triples_file(path)
 
-    def test_gold_and_pred_hold_each_distinct_text_once(self, tmp_path):
-        gold, pred = tmp_path / "gold.tsv", tmp_path / "pred.tsv"
-        write_triples_file({"d": [A, B]}, gold)
-        write_triples_file({"d": [A, A._replace(subject_type="disease"), C], "e": [B]}, pred)
-        gold_triples, pred_triples = read_scored_files(gold, pred)
-        assert (gold_triples, pred_triples) == (read_triples_file(gold), read_triples_file(pred))
+    def test_a_repeated_text_is_held_once(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        write_triples_file({"d": [A, A._replace(subject_type="disease"), C], "e": [B, A]}, path)
+        triples = read_triples_file(path)
         texts = {}
-        for t in [*gold_triples["d"], *pred_triples["d"], *pred_triples["e"]]:
+        for t in [*triples["d"], *triples["e"]]:
             for text in (t.subject_text, t.object_text):
-                assert texts.setdefault(text, text) is text  # one str per spelling, across the two files
+                assert texts.setdefault(text, text) is text  # one str per spelling in the file
 
     def test_unwritable_text_names_the_doc(self, tmp_path):
         with pytest.raises(ToolkitError, match="doc_b: triple texts may not contain tabs or line feeds"):
