@@ -21,11 +21,9 @@ import shutil
 import tempfile
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import BinaryIO
 
 from .errors import DocumentError, StandoffParseError, ToolkitError
 
@@ -167,20 +165,18 @@ def read_file(path: str | Path) -> str:
 
 
 def _read_bytes(path: str | Path) -> bytes:
-    with _opened(path) as handle:
-        return handle.read()
-
-
-@contextmanager
-def _opened(path: str | Path) -> Iterator[BinaryIO]:
-    """path open for reading bytes; an OSError in opening or reading it names
-    the file as pathlib spells it."""
     try:
         with open(path, "rb") as handle:
-            yield handle
+            return handle.read()
     except OSError as exc:
-        exc.filename = str(Path(path))
-        raise
+        raise _named(exc, path)
+
+
+def _named(exc: OSError, path: str | Path) -> OSError:
+    """exc, from opening or reading path, naming the file as pathlib spells it,
+    as every read error does."""
+    exc.filename = str(Path(path))
+    return exc
 
 
 def _decode(data: bytes, path: str | Path, offset: int = 0) -> str:
@@ -222,20 +218,23 @@ def iter_records(path: str | Path) -> Iterator[str]:
     file's text nor its record list is ever held whole. The errors are
     read_file's, a byte that is not UTF-8 named by its offset in the file,
     raised when the reader reaches it."""
-    with _opened(path) as handle:
-        offset = 0  # of the first byte in tail
-        tail: list[bytes] = []  # the bytes read since the last "\n"
-        while block := handle.read(_BLOCK_BYTES):
-            cut = block.rfind(b"\n") + 1
-            if not cut:
-                tail.append(block)
-                continue
-            lines = b"".join((*tail, block[:cut]))
-            tail = [block[cut:]]
-            yield from split_records(_decode(lines, path, offset))
-            offset += len(lines)
-        if last := b"".join(tail):
-            yield from split_records(_decode(last, path, offset))
+    try:
+        with open(path, "rb") as handle:
+            offset = 0  # of the first byte in tail
+            tail: list[bytes] = []  # the bytes read since the last "\n"
+            while block := handle.read(_BLOCK_BYTES):
+                cut = block.rfind(b"\n") + 1
+                if not cut:
+                    tail.append(block)
+                    continue
+                lines = b"".join((*tail, block[:cut]))
+                tail = [block[cut:]]
+                yield from split_records(_decode(lines, path, offset))
+                offset += len(lines)
+            if last := b"".join(tail):
+                yield from split_records(_decode(last, path, offset))
+    except OSError as exc:
+        raise _named(exc, path)
 
 
 # The label is the shortest prefix that leaves an offsets list; offsets are ASCII digits.
