@@ -5,6 +5,11 @@ text, and object type all match. Both sides are duplicate-collapsed per
 document first. Entity text is compared after lowercasing and whitespace
 collapsing unless strict_case is set; type_agnostic drops the two entity
 types from the comparison (for schemas whose targets do not carry them).
+
+document_diff is the one place that keys a document's triples and decides
+its true positives, false positives and false negatives: score and
+score_corpus report its counts, and categorize_errors splits exactly its
+false positives and false negatives.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from pathlib import Path
 from .errors import ToolkitError
 from .standoff import PREDICATES, normalize_entity_type, normalize_predicate
 from .standoff import iter_records, join_records, write_outputs
-from .triples import Triple, collapse_whitespace, distinct_triples, triple_key
+from .triples import Triple, collapse_whitespace, distinct_triples
 
 ERROR_PARTIAL_MATCH = "partial_match"
 ERROR_TYPE_MISMATCH = "type_mismatch"
@@ -28,11 +33,6 @@ ERROR_SPURIOUS = "spurious"
 ERROR_MISSING = "missing"
 
 PARTIAL_MATCH_JACCARD = 0.5
-
-
-def _with_key_texts(t: Triple, key: tuple) -> Triple:
-    """t with the entity texts of its triple_key (its types kept)."""
-    return Triple(key[0], t.subject_type, t.predicate, key[3], t.object_type)
 
 
 class PrfRow(namedtuple("PrfRow", "tp fp fn")):
@@ -80,13 +80,68 @@ class ScoreReport:
         }
 
 
+class DocumentDiff(namedtuple("DocumentDiff", "gold predicted tp_keys")):
+    """One document's predictions against its gold, as document_diff makes it.
+
+    gold and predicted map each side's keys to their first triples (see
+    triples.distinct_triples); tp_keys is the set of keys both sides hold,
+    so every other predicted key is an FP and every other gold key an FN.
+    """
+
+    __slots__ = ()
+
+    def add_counts(self, counts: dict[str, list[int]]) -> None:
+        """Add this document's TP, FP and FN counts to counts, which maps
+        each predicate to its [tp, fp, fn]."""
+        tp_keys = self.tp_keys
+        for k in self.predicted:
+            counts[k[2]][0 if k in tp_keys else 1] += 1
+        for k in self.gold:
+            if k not in tp_keys:
+                counts[k[2]][2] += 1
+
+    @property
+    def false_positives(self) -> list[Triple]:
+        """Each FP key's first predicted triple, holding the key's texts, sorted."""
+        return _unmatched(self.predicted, self.tp_keys)
+
+    @property
+    def false_negatives(self) -> list[Triple]:
+        """Each FN key's first gold triple, holding the key's texts, sorted."""
+        return _unmatched(self.gold, self.tp_keys)
+
+
+def _unmatched(side: dict[tuple, Triple], tp_keys: set[tuple]) -> list[Triple]:
+    """Each key of side not in tp_keys as its first triple with the key's
+    entity texts (its types kept), sorted."""
+    return sorted(
+        (Triple(k[0], t.subject_type, t.predicate, k[3], t.object_type) for k, t in side.items() if k not in tp_keys),
+        key=_sort_key,
+    )
+
+
+def document_diff(
+    gold: Iterable[Triple],
+    predicted: Iterable[Triple],
+    strict_case: bool = False,
+    type_agnostic: bool = False,
+) -> DocumentDiff:
+    """The one place a document's TP, FP and FN are decided. Each side is
+    keyed once (triples.distinct_triples); a key both sides hold is a TP, any
+    other predicted key an FP and any other gold key an FN."""
+    gold_c = distinct_triples(gold, strict_case, type_agnostic)
+    pred_c = distinct_triples(predicted, strict_case, type_agnostic)
+    return DocumentDiff(gold_c, pred_c, gold_c.keys() & pred_c.keys())
+
+
 def score(
     gold: list[Triple],
     predicted: list[Triple],
     strict_case: bool = False,
     type_agnostic: bool = False,
 ) -> ScoreReport:
-    """Score one document's predictions against its gold triples."""
+    """Score one document's predictions against its gold triples: a
+    one-document score_corpus."""
     return score_corpus({"": gold}, {"": predicted}, strict_case, type_agnostic)
 
 
@@ -96,16 +151,13 @@ def score_corpus(
     strict_case: bool = False,
     type_agnostic: bool = False,
 ) -> ScoreReport:
-    """Micro-pooled scoring across documents; duplicates collapse per document."""
+    """Micro-pooled scoring across documents: each document's document_diff
+    counts, summed."""
     counts = {p: [0, 0, 0] for p in PREDICATES}  # tp, fp, fn
     for doc_id in gold_by_doc.keys() | pred_by_doc.keys():
-        # equal triples have equal keys, so each distinct triple is keyed once
-        gold_keys = {triple_key(t, strict_case, type_agnostic) for t in set(gold_by_doc.get(doc_id, ()))}
-        pred_keys = {triple_key(t, strict_case, type_agnostic) for t in set(pred_by_doc.get(doc_id, ()))}
-        for k in pred_keys:
-            counts[k[2]][0 if k in gold_keys else 1] += 1
-        for k in gold_keys - pred_keys:
-            counts[k[2]][2] += 1
+        document_diff(
+            gold_by_doc.get(doc_id, ()), pred_by_doc.get(doc_id, ()), strict_case, type_agnostic
+        ).add_counts(counts)
     return ScoreReport({p: PrfRow(*c) for p, c in counts.items()})
 
 
@@ -158,20 +210,16 @@ def categorize_errors(
     strict_case: bool = False,
     type_agnostic: bool = False,
 ) -> list[ErrorRecord]:
-    """Assign every false positive and false negative to exactly one category.
+    """Assign each false positive and false negative of the document's
+    document_diff to exactly one category.
 
     FP/FN pairs with equal texts are consumed first, then partial matches
     greedily by descending token Jaccard.
     Hallucination detection needs the source document text; without it the
     remaining false positives fall through to "spurious".
     """
-    gold_c = distinct_triples(gold, strict_case, type_agnostic)
-    pred_c = distinct_triples(predicted, strict_case, type_agnostic)
-    # each unmatched key's first triple, holding the key's scoring texts
-    fps, fns = (
-        sorted((_with_key_texts(ours[k], k) for k in ours.keys() - theirs.keys()), key=_sort_key)
-        for ours, theirs in ((pred_c, gold_c), (gold_c, pred_c))
-    )
+    diff = document_diff(gold, predicted, strict_case, type_agnostic)
+    fps, fns = diff.false_positives, diff.false_negatives
     records: list[ErrorRecord] = []
     paired: set[int] = set()  # ids of the FPs and FNs a record holds
 

@@ -11,6 +11,7 @@ import pickle
 import random
 import re
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from raredis_toolkit.scoring import (
     ERROR_SPURIOUS,
     ERROR_TYPE_MISMATCH,
     categorize_errors,
+    document_diff,
     PARTIAL_MATCH_JACCARD,
     ErrorRecord,
     PrfRow,
@@ -516,6 +518,71 @@ class TestKeyedOncePerDistinctTriple:
         assert score_corpus(gold_by_doc, pred_by_doc, strict_case, type_agnostic) == per_triple_score_corpus(
             gold_by_doc, pred_by_doc, strict_case, type_agnostic
         )
+
+
+@st.composite
+def corpora(draw):
+    """Several documents of error_cases triples, each held by gold, by pred
+    or by both, with one doc text and one pair of flags for the corpus."""
+    cases = draw(st.lists(error_cases(), min_size=1, max_size=4))
+    gold_by_doc, pred_by_doc = {}, {}
+    for i, (gold, predicted, *_) in enumerate(cases):
+        sides = draw(st.sampled_from(["both", "gold", "pred"]))
+        if sides != "pred":
+            gold_by_doc[f"d{i}"] = gold
+        if sides != "gold":
+            pred_by_doc[f"d{i}"] = predicted
+    _, _, doc_text, strict_case, type_agnostic = cases[0]
+    return gold_by_doc, pred_by_doc, doc_text, strict_case, type_agnostic
+
+
+def documents(gold_by_doc, pred_by_doc):
+    for doc_id in sorted(gold_by_doc.keys() | pred_by_doc.keys()):
+        yield doc_id, gold_by_doc.get(doc_id, []), pred_by_doc.get(doc_id, [])
+
+
+class TestOneDocumentDiff:
+    """score_corpus and categorize_errors both read a document's TP, FP and
+    FN from its document_diff, so they agree on every document: texts that
+    differ only in case or whitespace, and both flags, included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(corpora())
+    def test_summed_diffs_are_the_corpus_score(self, corpus):
+        gold_by_doc, pred_by_doc, _, strict_case, type_agnostic = corpus
+        summed = {p: (0, 0, 0) for p in PREDICATES}
+        for _, gold, predicted in documents(gold_by_doc, pred_by_doc):
+            diff = document_diff(gold, predicted, strict_case, type_agnostic)
+            counts = {p: [0, 0, 0] for p in PREDICATES}
+            diff.add_counts(counts)
+            for p, row in counts.items():
+                summed[p] = tuple(a + b for a, b in zip(summed[p], row))
+            tp, fp, fn = (sum(row[i] for row in counts.values()) for i in range(3))
+            assert (tp + fp, fp, tp + fn) == (len(diff.predicted), len(diff.false_positives), len(diff.gold))
+            assert fn == len(diff.false_negatives)
+        report = score_corpus(gold_by_doc, pred_by_doc, strict_case, type_agnostic)
+        assert report.per_predicate == summed
+        assert report == per_triple_score_corpus(gold_by_doc, pred_by_doc, strict_case, type_agnostic)
+
+    @settings(max_examples=300, deadline=None)
+    @given(corpora())
+    def test_the_records_hold_exactly_the_diffs_fps_and_fns(self, corpus):
+        gold_by_doc, pred_by_doc, doc_text, strict_case, type_agnostic = corpus
+        for doc_id, gold, predicted in documents(gold_by_doc, pred_by_doc):
+            diff = document_diff(gold, predicted, strict_case, type_agnostic)
+            records = categorize_errors(gold, predicted, doc_text, doc_id, strict_case, type_agnostic)
+            fps = [r.predicted for r in records if r.predicted is not None]
+            fns = [r.gold for r in records if r.gold is not None]
+            assert sorted(fps, key=_oracle_sort_key) == diff.false_positives
+            assert sorted(fns, key=_oracle_sort_key) == diff.false_negatives
+            gold_keys, pred_keys = ({triple_key(t, strict_case, type_agnostic) for t in s} for s in (gold, predicted))
+            assert diff.tp_keys == gold_keys & pred_keys
+            # one triple per unmatched key, holding that key's texts
+            fp_keys, fn_keys = pred_keys - gold_keys, gold_keys - pred_keys
+            for triples, keys in ((diff.false_positives, fp_keys), (diff.false_negatives, fn_keys)):
+                got = [triple_key(t, strict_case, type_agnostic) for t in triples]
+                assert Counter(got) == Counter(keys)
+                assert [(t.subject_text, t.object_text) for t in triples] == [(k[0], k[3]) for k in got]
 
 
 class TestBlankTexts:
