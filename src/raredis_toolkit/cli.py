@@ -267,7 +267,8 @@ def cmd_score(args):
 def cmd_errors(args):
     gold, pred = _read_scored_files(args)
     doc_ids = sorted(gold.keys() | pred.keys())
-    # hallucination checks need only the texts, so no .ann is parsed; a text no triples file names is never read
+    # hallucination checks need only the texts, so no .ann is parsed; a text is read only
+    # when its document has an unpaired false positive to check
     texts = standoff.paired_texts(args.docs, strict_pairs=False) if args.docs else {}
     texts = {doc_id: texts[doc_id] for doc_id in doc_ids if doc_id in texts}
     counts = Counter()
@@ -278,7 +279,7 @@ def cmd_errors(args):
             doc_records = scoring_mod.categorize_errors(
                 gold.pop(doc_id, []),
                 pred.pop(doc_id, []),
-                doc_text=None if txt is None else standoff.read_file(txt),
+                doc_text=None if txt is None else functools.partial(standoff.read_file, txt),
                 doc_id=doc_id,
                 strict_case=args.strict_case,
                 type_agnostic=args.type_agnostic,

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ToolkitError
 from .standoff import PREDICATES, normalize_entity_type, normalize_predicate
 from .standoff import iter_records, join_records, write_outputs
-from .triples import Triple, collapse_whitespace, distinct_triples
+from .triples import Triple, _keyed, collapse_whitespace
 
 ERROR_PARTIAL_MATCH = "partial_match"
 ERROR_TYPE_MISMATCH = "type_mismatch"
@@ -127,10 +127,12 @@ def document_diff(
     type_agnostic: bool = False,
 ) -> DocumentDiff:
     """The one place a document's TP, FP and FN are decided. Each side is
-    keyed once (triples.distinct_triples); a key both sides hold is a TP, any
-    other predicted key an FP and any other gold key an FN."""
-    gold_c = distinct_triples(gold, strict_case, type_agnostic)
-    pred_c = distinct_triples(predicted, strict_case, type_agnostic)
+    keyed once (as triples.distinct_triples), through one table of normalized
+    texts, so a text both sides hold is normalized once; a key both sides
+    hold is a TP, any other predicted key an FP and any other gold key an FN."""
+    normalized: dict[str, str] = {}
+    gold_c = _keyed(gold, strict_case, type_agnostic, normalized)
+    pred_c = _keyed(predicted, strict_case, type_agnostic, normalized)
     return DocumentDiff(gold_c, pred_c, gold_c.keys() & pred_c.keys())
 
 
@@ -205,7 +207,7 @@ def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
 def categorize_errors(
     gold: list[Triple],
     predicted: list[Triple],
-    doc_text: str | None = None,
+    doc_text: str | Callable[[], str] | None = None,
     doc_id: str = "",
     strict_case: bool = False,
     type_agnostic: bool = False,
@@ -216,7 +218,9 @@ def categorize_errors(
     FP/FN pairs with equal texts are consumed first, then partial matches
     greedily by descending token Jaccard.
     Hallucination detection needs the source document text; without it the
-    remaining false positives fall through to "spurious".
+    remaining false positives fall through to "spurious". doc_text may be
+    a zero-argument callable that gives the text: it is called at most once,
+    and only when a false positive is left unpaired.
     """
     diff = document_diff(gold, predicted, strict_case, type_agnostic)
     fps, fns = diff.false_positives, diff.false_negatives
@@ -271,8 +275,11 @@ def categorize_errors(
         fps = [fp for fp in fps if id(fp) not in paired]
 
     # 3. remaining false positives: hallucinated if a span is absent from the
-    # text, whitespace runs collapsed on both sides (doc_text only if one remains)
-    reference = None if doc_text is None or not fps else collapse_whitespace(doc_text)
+    # text, whitespace runs collapsed on both sides (doc_text read only if one remains)
+    if doc_text is None or not fps:
+        reference = None
+    else:
+        reference = collapse_whitespace(doc_text() if callable(doc_text) else doc_text)
     if reference is not None and not strict_case:
         reference = reference.lower()
     for fp in fps:
@@ -302,11 +309,21 @@ def read_triples_file(path: str | Path) -> dict[str, list[Triple]]:
     The file is read a block of lines at a time (standoff.iter_records) and
     each line dropped once parsed, so the triples are never held beside the
     file's text or its lines whole. An entity text repeated in the file is
-    held once: each is the first str of its spelling."""
+    held once: each is the first str of its spelling. A line its document
+    already gave (a looping generation's, say) is not parsed again: it
+    gives the same Triple object. The table of a document's lines is
+    dropped when a line of another doc id comes."""
     out: dict[str, list[Triple]] = {}
     types: dict[str, str | None] = {"": None}  # each type spelling looked up once per file
     texts: dict[str, str] = {}
+    lines: dict[str, Triple] = {}  # the current document's distinct lines
+    doc_triples: list[Triple] = []
+    current = None
     for line_no, raw in enumerate(iter_records(path), start=1):
+        triple = lines.get(raw)
+        if triple is not None:  # the line holds the doc id, so it is the current document's
+            doc_triples.append(triple)
+            continue
         if not raw.strip():
             continue
         fields = raw.split("\t")
@@ -326,7 +343,10 @@ def read_triples_file(path: str | Path) -> dict[str, list[Triple]]:
             triple = Triple(s_text, types[s_type], pred, o_text, types[o_type])
         except ValueError as exc:
             raise ToolkitError(f"{path}:{line_no}: {exc}") from exc
-        out.setdefault(doc_id, []).append(triple)
+        if doc_id != current:
+            current, lines, doc_triples = doc_id, {}, out.setdefault(doc_id, [])
+        lines[raw] = triple
+        doc_triples.append(triple)
     return out
 
 

@@ -553,6 +553,30 @@ class TestScoreAndErrorsCommands:
         assert self.run_errors(tmp_path, mini_corpus_dir, "unnamed.jsonl") == valid
         assert read == [str(mini_corpus_dir / "weakness.txt")]
 
+    @pytest.mark.parametrize("pred_object, unpaired", [
+        ("weakness in the muscles of the arms", False),  # a TP: no FP
+        ("weakness in the muscles", False),  # an FP paired with the FN as a partial match
+        ("muscle glowing", True),  # an unpaired FP, checked against the text
+    ])
+    def test_errors_reads_a_docs_text_only_for_an_unpaired_false_positive(
+        self, tmp_path, mini_corpus_dir, capsys, pred_object, unpaired
+    ):
+        """A text that is not UTF-8 fails errors, naming the file, only when
+        its document has a false positive left to check against it."""
+        gold = Triple("Murovan disease", "rare_disease", "produces", "weakness in the muscles of the arms", "sign")
+        write_triples_file({"weakness": [gold]}, tmp_path / "gold.tsv")
+        write_triples_file({"weakness": [gold._replace(object_text=pred_object)]}, tmp_path / "pred.tsv")
+        txt = mini_corpus_dir / "weakness.txt"
+        txt.write_bytes(b"\xff" + txt.read_bytes())
+        argv = ["errors", "--gold", tmp_path / "gold.tsv", "--pred", tmp_path / "pred.tsv",
+                "--audit", tmp_path / "audit.jsonl", "--docs", mini_corpus_dir]
+        if unpaired:
+            err = fails_leaving_tree_unchanged(tmp_path, argv, capsys)
+            assert err.startswith(f"error: {txt}: not UTF-8 at byte offset 0 ")
+        else:
+            assert run_cli([str(a) for a in argv]) == 0
+            assert "hallucinated_span" not in (tmp_path / "audit.jsonl").read_text(encoding="utf-8")
+
     def test_errors_never_parses_annotations(self, tmp_path, mini_corpus_dir, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("errors parsed an .ann file")

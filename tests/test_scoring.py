@@ -40,7 +40,7 @@ from raredis_toolkit.scoring import (
     write_triples_file,
 )
 from raredis_toolkit import standoff
-from raredis_toolkit.standoff import ENTITY_TYPES, PREDICATES
+from raredis_toolkit.standoff import ENTITY_TYPES, PREDICATES, normalize_entity_type, normalize_predicate
 from raredis_toolkit.triples import Triple, distinct_triples, normalize_text, triple_key
 from conftest import LINE_BREAK_ALPHABET
 
@@ -471,6 +471,28 @@ class TestErrorsMatchOracle:
         assert categories == [[ERROR_MISSING], [ERROR_PARTIAL_MATCH], [ERROR_PARTIAL_MATCH, ERROR_HALLUCINATED_SPAN]]
         assert read.count(text) == 1
 
+    def test_a_doc_text_callable_is_called_only_for_an_unpaired_false_positive(self):
+        calls = []
+
+        def doc_text():
+            calls.append(1)
+            return "alpha beta"
+
+        gold = Triple("alpha", "sign", "produces", "beta", "sign")
+        near = gold._replace(object_text="beta gamma")
+        far = gold._replace(subject_text="delta")
+        spurious = gold._replace(object_text="alpha")
+        for g, p, categories, called in (
+            ([gold], [], [ERROR_MISSING], 0),
+            ([gold], [gold], [], 0),
+            ([gold], [near], [ERROR_PARTIAL_MATCH], 0),
+            ([gold], [near, far, spurious], [ERROR_PARTIAL_MATCH, ERROR_SPURIOUS, ERROR_HALLUCINATED_SPAN], 1),
+        ):
+            calls.clear()
+            assert [r.category for r in categorize_errors(g, p, doc_text=doc_text)] == categories
+            assert len(calls) == called
+            assert categorize_errors(g, p, doc_text=doc_text) == categorize_errors(g, p, doc_text=doc_text())
+
 
 def per_triple_distinct(triples, strict_case, type_agnostic) -> dict[tuple, Triple]:
     """distinct_triples keying every triple, repeats included."""
@@ -478,6 +500,14 @@ def per_triple_distinct(triples, strict_case, type_agnostic) -> dict[tuple, Trip
     for t in triples:
         out.setdefault(triple_key(t, strict_case, type_agnostic), t)
     return out
+
+
+def per_triple_diff(gold, predicted, strict_case, type_agnostic) -> tuple[dict, dict, set]:
+    """document_diff's gold, predicted and tp_keys, keying every triple of
+    each side on its own, repeats included."""
+    gold_c = per_triple_distinct(gold, strict_case, type_agnostic)
+    pred_c = per_triple_distinct(predicted, strict_case, type_agnostic)
+    return gold_c, pred_c, gold_c.keys() & pred_c.keys()
 
 
 def per_triple_score_corpus(gold_by_doc, pred_by_doc, strict_case, type_agnostic) -> ScoreReport:
@@ -541,6 +571,22 @@ def documents(gold_by_doc, pred_by_doc):
         yield doc_id, gold_by_doc.get(doc_id, []), pred_by_doc.get(doc_id, [])
 
 
+RESPELLINGS = st.sampled_from([str, str.upper, str.swapcase, lambda text: "  ".join(["", *text.split(), ""])])
+
+
+@st.composite
+def shared_texts(draw):
+    """Gold and predicted triples where prediction respells gold's texts in
+    another case or spacing, and adds triples of its own."""
+    gold, predicted, *_ = draw(error_cases())
+    respelled = [
+        t._replace(subject_text=draw(RESPELLINGS)(t.subject_text), object_text=draw(RESPELLINGS)(t.object_text))
+        for t in gold
+        if draw(st.booleans())
+    ]
+    return gold, draw(st.permutations(respelled + predicted))
+
+
 class TestOneDocumentDiff:
     """score_corpus and categorize_errors both read a document's TP, FP and
     FN from its document_diff, so they agree on every document: texts that
@@ -563,6 +609,31 @@ class TestOneDocumentDiff:
         report = score_corpus(gold_by_doc, pred_by_doc, strict_case, type_agnostic)
         assert report.per_predicate == summed
         assert report == per_triple_score_corpus(gold_by_doc, pred_by_doc, strict_case, type_agnostic)
+
+    @pytest.mark.parametrize("type_agnostic", [False, True])
+    @pytest.mark.parametrize("strict_case", [False, True])
+    @settings(max_examples=150, deadline=None)
+    @given(shared_texts())
+    def test_texts_shared_up_to_case_and_whitespace_key_as_each_triple_alone(self, strict_case, type_agnostic, sides):
+        gold, predicted = sides
+        diff = document_diff(gold, predicted, strict_case, type_agnostic)
+        want_gold, want_pred, want_tp = per_triple_diff(gold, predicted, strict_case, type_agnostic)
+        assert (list(diff.gold), list(diff.predicted), diff.tp_keys) == (list(want_gold), list(want_pred), want_tp)
+        assert all(diff.gold[k] is t for k, t in want_gold.items())
+        assert all(diff.predicted[k] is t for k, t in want_pred.items())
+
+    @pytest.mark.parametrize("strict_case", [False, True])
+    def test_a_text_both_sides_hold_is_normalized_once(self, monkeypatch, strict_case):
+        calls = Counter()
+        monkeypatch.setattr(
+            "raredis_toolkit.triples.normalize_text", lambda text: calls.update([text]) or " ".join(text.split()).lower()
+        )
+        gold = [A, A._replace(predicate="is_a", object_text="Tremor"), C]
+        predicted = [A._replace(object_type="symptom"), A._replace(subject_text="alpha  syndrome"), C, C]
+        diff = document_diff(gold, predicted, strict_case)
+        texts = {text for t in gold + predicted for text in (t.subject_text, t.object_text)}
+        assert calls == Counter() if strict_case else calls == Counter(texts)
+        assert len(diff.tp_keys) == (1 if strict_case else 2)
 
     @settings(max_examples=300, deadline=None)
     @given(corpora())
@@ -608,6 +679,8 @@ INVALID_FIELDS = {
     "unknown predicate": ({"predicate": "treats"}, "unknown predicate 'treats'"),
     "unknown type": ({"subject_type": "gene"}, "unknown entity type 'gene'"),
     "unknown object type": ({"object_type": "gene"}, "unknown entity type 'gene'"),
+    "unhashable predicate": ({"predicate": ["produces"]}, "unknown predicate ['produces']"),
+    "unhashable object type": ({"object_type": {"sign": 1}}, "unknown entity type {'sign': 1}"),
 }
 
 
@@ -659,6 +732,33 @@ class TestTripleRecord:
         )
         with pytest.raises(AttributeError):
             A.subject_text = "beta"
+
+
+def line_by_line(path: Path) -> dict[str, list[Triple]]:
+    """read_triples_file as one Triple per line: split_records, then every
+    line that is not blank split and built, repeats included."""
+    out: dict[str, list[Triple]] = {}
+    for raw in standoff.split_records(standoff.read_file(path)):
+        if raw.strip():
+            doc_id, s_text, s_type, predicate, o_text, o_type = raw.split("\t")
+            out.setdefault(doc_id, []).append(Triple(
+                s_text, normalize_entity_type(s_type) if s_type else None, normalize_predicate(predicate),
+                o_text, normalize_entity_type(o_type) if o_type else None,
+            ))
+    return out
+
+
+# lines of two doc ids, spelled several ways, and blank lines, one of them six all-blank fields
+TSV_LINES = st.sampled_from([
+    "a\tx\tsign\tproduces\ty\tsign",
+    "a\tx\tSIGN\tProduces\ty\t",
+    "a\tX  y\tRare Disease\tis_a\tz\tdisease",
+    "b\tx\tsign\tproduces\ty\tsign",
+    "b\tz\t\tIS_A\tx\tsymptom",
+    "",
+    " ",
+    "\t \t\t\t\t ",
+])
 
 
 class TestTriplesFileIO:
@@ -755,6 +855,50 @@ class TestTriplesFileIO:
         for t in [*triples["d"], *triples["e"]]:
             for text in (t.subject_text, t.object_text):
                 assert texts.setdefault(text, text) is text  # one str per spelling in the file
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(TSV_LINES, max_size=12), st.sampled_from(["\n", "\r\n"]), st.booleans())
+    def test_reads_what_parsing_every_line_reads(self, lines, newline, final_newline):
+        """Repeats, doc ids that come back, blank lines and CRLF endings give
+        what one Triple per line gives; within a run of one doc id a repeated
+        line gives the very object its first occurrence gave."""
+        content = newline.join(lines) + (newline if final_newline else "")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.tsv"
+            path.write_bytes(content.encode("utf-8"))
+            got = read_triples_file(path)
+            assert got == line_by_line(path)
+        taken, run_doc, run = Counter(), None, {}
+        for raw in filter(str.strip, standoff.split_records(content)):
+            doc_id = raw.split("\t")[0]
+            if doc_id != run_doc:
+                run_doc, run = doc_id, {}
+            triple = got[doc_id][taken[doc_id]]
+            taken[doc_id] += 1
+            assert run.setdefault(raw, triple) is triple
+
+    def test_a_repeated_line_gives_the_same_triple(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        line = "a\tx\tsign\tproduces\ty\tsign\n"
+        path.write_text(line + "\n" + line + "b\tx\tsign\tis_a\ty\tsign\n" + line, encoding="utf-8")
+        triples = read_triples_file(path)
+        assert triples == line_by_line(path)
+        assert triples["a"][1] is triples["a"][0]
+        assert triples["a"][2] == triples["a"][0]  # a's second run, after b's line
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("a\tx\tsign\tproduces\t \tsign", "triple entity texts may not be blank"),
+            ("a\tx\tsign\ttreats\ty\tsign", "unknown predicate 'treats'"),
+            ("a\tx\tsign\tproduces\ty", "expected 6 tab-separated fields, got 5"),
+        ],
+    )
+    def test_a_bad_line_after_repeats_names_its_line(self, tmp_path, line, message):
+        path = tmp_path / "t.tsv"
+        path.write_text("a\tx\tsign\tproduces\ty\tsign\r\n" * 3 + line + "\r\n", encoding="utf-8")
+        with pytest.raises(ToolkitError, match=f"^{re.escape(f'{path}:4: {message}')}$"):
+            read_triples_file(path)
 
     def test_unwritable_text_names_the_doc(self, tmp_path):
         with pytest.raises(ToolkitError, match="doc_b: triple texts may not contain tabs or line feeds"):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import raredis_toolkit.scoring
 
-KEYING = {"distinct_triples", "triple_key"}
+KEYING = {"distinct_triples", "triple_key", "_keyed"}
 
 
 def keying_outside_diff(source: str) -> list[tuple[int, str]]:
@@ -39,19 +39,20 @@ def test_only_document_diff_keys_triples_in_scoring():
 def test_the_check_finds_a_second_keying_site():
     source = (
         "from . import triples\n"
-        "from .triples import distinct_triples, triple_key\n"
+        "from .triples import _keyed, distinct_triples, triple_key\n"
         "def document_diff(gold, predicted):\n"
         "    def key(t):\n"
         "        return triple_key(t)\n"
-        "    return distinct_triples(gold), {key(t) for t in predicted}\n"
+        "    return _keyed(gold, False, False, {}), {key(t) for t in predicted}\n"
         "def score_corpus(gold):\n"
         "    return distinct_triples(gold)\n"
         "def categorize_errors(gold, predicted):\n"
         "    fps = sorted(predicted, key=triple_key)\n"
-        "    return fps, {triples.triple_key(t) for t in gold}\n"
+        "    return fps, {triples.triple_key(t) for t in gold}, triples._keyed(gold, False, False, {})\n"
     )
     assert keying_outside_diff(source) == [
         (8, "distinct_triples"),
         (10, "triple_key"),
+        (11, "triples._keyed"),
         (11, "triples.triple_key"),
     ]

@@ -144,6 +144,22 @@ class TestEachTextHeldOnce:
         assert same < 0.8 * new, peaks
 
 
+class TestEachLineParsedOnce:
+    """read_triples_file gives a line its document already gave the triple
+    that line gave, so a looping pred file holds a triple per distinct line."""
+
+    def test_a_looping_pred_holds_a_triple_per_distinct_line(self, tmp_path):
+        """Each document's gold lines four times over: 0.73x the peak of four
+        lines per gold line that differ in the object type, one triple a
+        line; 1.00x when every line was parsed into a triple of its own."""
+        retyped = ("sign", "symptom", "disease", "anaphor")
+        peaks = TestEachTextHeldOnce.peaks(tmp_path, {
+            "looping": lambda triples: triples * len(retyped),
+            "one triple a line": lambda triples: [t._replace(object_type=o) for o in retyped for t in triples],
+        })
+        assert peaks["looping"] < 0.85 * peaks["one triple a line"], peaks
+
+
 class TestALateFaultWritesNothing:
     def test_decode_with_a_bad_last_generation(self, tmp_path, capsys):
         generations = write_generations(tmp_path / "gen", 5)
